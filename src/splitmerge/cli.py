@@ -102,6 +102,17 @@ def _parse_band(text: str) -> tuple:
     return (int(parts[0]), int(parts[1]))
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def cmd_verify(args) -> int:
     claim = args.claim
     runner = verify_mod.RUNNERS.get(claim)
@@ -182,11 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run one claim's verification")
     p.add_argument("claim", help=", ".join(verify_mod.RUNNERS))
     p.add_argument("--char", default=None, help="character as 'a,b'")
-    p.add_argument("--band", default=None, help="band 'p,q'")
-    p.add_argument("--chi-min", default=None)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--limit", type=_positive_int, default=None)
+    p.add_argument("--n-max", type=_positive_int, default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

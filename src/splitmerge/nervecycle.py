@@ -65,6 +65,15 @@ class CycleCertificate:
         )
 
 
+def _require(condition: bool, message: str, at=None) -> None:
+    """Build-time invariant of the walk; unlike assert it survives -O.
+    The vertex `at` is rendered only when the invariant fails."""
+    if not condition:
+        where = "" if at is None else f" at {at}"
+        raise RuntimeError(
+            f"nerve-cycle walk invariant failed: {message}{where}")
+
+
 def _raise_left(x: Diagram, char: Character, budget: int) -> list:
     """Walk from (T / lvine(k), *, *, rvine(r)) to the same shape with k+2.
 
@@ -92,13 +101,15 @@ def _raise_left(x: Diagram, char: Character, budget: int) -> list:
         if len(states) >= budget:
             raise RuntimeError(
                 "cycle search exhausted within limits; retry with larger limits")
-        assert 4 <= cur.feet <= 7, f"left band at {cur}"
-        assert is_reduced(cur), f"unexpected reduction at {cur}"
+        _require(4 <= cur.feet <= 7, "left the band", cur)
+        _require(is_reduced(cur), "unexpected reduction", cur)
         if not minus_may_change:
-            assert cur.minus == prev.minus, f"head side moved at {cur}"
-        assert count_right(cur.minus) == right_depth_head
-        assert count_right(cur.plus) > 0
-        assert chi(char, cur) >= 0, f"character went negative at {cur}"
+            _require(cur.minus == prev.minus, "head side moved", cur)
+        _require(count_right(cur.minus) == right_depth_head,
+                 "head right depth moved", cur)
+        _require(count_right(cur.plus) > 0, "foot right depth vanished",
+                 cur)
+        _require(chi(char, cur) >= 0, "character went negative", cur)
         states.append(cur)
         return cur
 
@@ -108,31 +119,33 @@ def _raise_left(x: Diagram, char: Character, budget: int) -> list:
         if cur.feet == 7:
             cur = do(("m", 2))
         cur = do(("s", 1))
-    assert cur.feet == 7
+    _require(cur.feet == 7, "vine drain did not end at seven feet", cur)
     # park the loose feet to make room inside the band
     cur = do(("m", 2))
     cur = do(("m", 3))
-    assert cur.feet == 5
+    _require(cur.feet == 5, "parking did not end at five feet", cur)
     # raise the head tree's left depth while no left foot caret is watching
     before = cur
     cur = do(("s", 1), minus_may_change=True)
-    assert cur.minus == add_caret(before.minus, 0)
+    _require(cur.minus == add_caret(before.minus, 0),
+             "first head caret missing", cur)
     # a second head caret so the coming merge cannot cancel the first
     before = cur
     cur = do(("s", 2), minus_may_change=True)
-    assert cur.minus == add_caret(before.minus, 1)
+    _require(cur.minus == add_caret(before.minus, 1),
+             "second head caret missing", cur)
     # rebuild the left vine two carets taller
     cur = do(("m", 1))
     while count_left(cur.plus) < lam + 2:
         if is_leaf(cur.plus[1]):
             cur = do(("m", 1))
         else:
-            assert cur.feet <= 6, f"no room to unpack feet at {cur}"
+            _require(cur.feet <= 6, "no room to unpack feet", cur)
             cur = do(("s", 2))
     expected = Diagram(
         add_caret(add_caret(x.minus, 0), 1),
         (left_vine(lam + 2), LEAF, LEAF, plus[3]))
-    assert states[-1] == expected, "leg did not land on its target"
+    _require(states[-1] == expected, "leg did not land on its target")
     return states
 
 
@@ -173,13 +186,13 @@ def find_nerve_cycle(character: Character, band=(4, 7),
     x4 = vertex(LEAF, tadget, lam0, rho0 + 2)
 
     p12 = _raise_left(x1, character, max_steps)
-    assert p12[-1] == x2, "first leg missed its witness"
+    _require(p12[-1] == x2, "first leg missed its witness")
     p23 = _raise_right(x2, character, max_steps)
-    assert p23[-1] == x3, "second leg missed its witness"
+    _require(p23[-1] == x3, "second leg missed its witness")
     p34 = list(reversed(_raise_left(x4, character, max_steps)))
-    assert p34[0] == x3, "third leg missed its witness"
+    _require(p34[0] == x3, "third leg missed its witness")
     p41 = list(reversed(_raise_right(x1, character, max_steps)))
-    assert p41[0] == x4, "fourth leg missed its witness"
+    _require(p41[0] == x4, "fourth leg missed its witness")
 
     cert = CycleCertificate(
         witnesses=(x1.canon, x2.canon, x3.canon, x4.canon),

@@ -163,6 +163,19 @@ class TestVerify:
         assert j["verdict"] == "inconclusive"
         assert "error" in j
 
+    @pytest.mark.parametrize("flag", ["--band", "--chi-min", "--radius"])
+    def test_unused_flags_rejected(self, flag):
+        code, out, err = run("verify", "nerve-cycle", flag, "9,9")
+        assert code == 2 and not out
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("flag", ["--limit", "--n-max"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_budget_is_usage_error(self, flag, value):
+        code, out, err = run("verify", "matching-connectivity", flag, value)
+        assert code == 2 and not out
+        assert f"argument {flag}: expected a positive integer" in err
+
     def test_all_claims_registered(self):
         from splitmerge.verify import RUNNERS
 

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splitmerge.characters import Character
 from splitmerge.complexes import (
@@ -67,7 +67,20 @@ class TestSmithNormalForm:
 class TestChainComplex:
     def test_boundary_squared_checked(self):
         with pytest.raises(ValueError):
-            ChainComplex([1, 1, 1], [[[1]], [[1]]])
+            ChainComplex([1, 1, 1], [[{0: 1}], [{0: 1}]])
+
+    @pytest.mark.parametrize("dims, boundaries", [
+        ([1, 1], [[{1: 1}]]),          # row out of range
+        ([1, 1], [[{-1: 1}]]),         # negative row
+        ([1, 2], [[{0: 1}]]),          # too few columns
+        ([1, 1], [[{0: 1}, {0: 1}]]),  # too many columns
+        ([1, 1], [[{0: 0}]]),          # stored zero
+        ([1, 1], [[[1]]]),             # dense row instead of a column
+        ([1, 1, 1], [[{0: 1}]]),       # missing boundary map
+    ])
+    def test_malformed_sparse_boundary(self, dims, boundaries):
+        with pytest.raises(ValueError):
+            ChainComplex(dims, boundaries)
 
     def test_triangle_boundary_ranks(self):
         cc = simplicial_chain_complex(SimplicialComplex.boundary_sphere([1, 2, 3]))
@@ -138,6 +151,45 @@ class TestHomology:
         cc = simplicial_chain_complex(SimplicialComplex(facets))
         snf = [h["betti"] for h in homology(cc)]
         assert snf == betti_via_rational_ranks(cc)
+
+
+# non-unit entries leave a block for the dense Smith normal form
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 6])
+
+
+@st.composite
+def integer_matrices(draw):
+    n_rows = draw(st.integers(1, 7))
+    n_cols = draw(st.integers(1, 7))
+    return [[draw(ENTRIES) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+class TestSparseElimination:
+    @given(integer_matrices())
+    @example([[2, 0], [0, 3]])
+    @example([[2, 4], [6, -3]])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_smith_normal_form(self, m):
+        # a single boundary map is a two-term complex: H0 = coker, H1 = ker
+        n_rows, n_cols = len(m), len(m[0])
+        columns = [{i: m[i][j] for i in range(n_rows) if m[i][j]}
+                   for j in range(n_cols)]
+        diag = smith_normal_form(m)
+        torsion = [d for d in diag if d > 1]
+        assert homology(ChainComplex([n_rows, n_cols], [columns])) == [
+            {"betti": n_rows - len(diag), "torsion": torsion},
+            {"betti": n_cols - len(diag), "torsion": []},
+        ]
+
+    def test_projective_plane_torsion(self):
+        # the six-vertex triangulation of RP^2
+        rp2 = SimplicialComplex([
+            fs(1, 2, 3), fs(1, 3, 4), fs(1, 4, 5), fs(1, 5, 6), fs(1, 2, 6),
+            fs(2, 3, 5), fs(2, 4, 5), fs(2, 4, 6), fs(3, 4, 6), fs(3, 5, 6),
+        ])
+        rep = homology_report(rp2)
+        assert rep["betti"] == [1, 0, 0]
+        assert rep["torsion"] == [[], [2], []]
 
 
 class TestCubicalVsSubdivision:

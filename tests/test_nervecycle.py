@@ -1,9 +1,13 @@
 """Quadrilateral nerve-cycle certificates: construction and replay."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import splitmerge
 from splitmerge.characters import Character
 from splitmerge.diagrams import parse_diagram
 from splitmerge.nervecycle import (
@@ -103,3 +107,25 @@ class TestCertificateValue:
         )
         rep = validate_certificate(broken)
         assert not rep["ok"]
+
+
+FORCED_FAILURE = """
+import splitmerge.nervecycle as nc
+from splitmerge.characters import Character
+
+nc.chi = lambda char, d: -1  # every walk step now breaks the floor
+try:
+    nc.find_nerve_cycle(Character(1, 1))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_walk_invariants_survive_optimize_flag():
+    src = str(Path(splitmerge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORCED_FAILURE],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": src, "PATH": ""})
+    assert proc.returncode == 0, proc.stderr
+    assert "walk invariant failed: character went negative" in proc.stdout
