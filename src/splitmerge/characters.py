@@ -35,10 +35,6 @@ def chi1(d) -> int:
     return count_right(d.plus) - count_right(d.minus)
 
 
-def feet(d) -> int:
-    return d.feet
-
-
 @dataclass(frozen=True)
 class Character:
     """Rational combination a*chi0 + b*chi1."""
@@ -113,7 +109,7 @@ class MorseSpec:
 
 
 def refined_height(spec: MorseSpec, d):
-    """Lexicographic height (chi(d), secondary * feet(d))."""
+    """Lexicographic height (chi(d), secondary * d.feet)."""
     return (chi(spec.character, d), spec.secondary * d.feet)
 
 

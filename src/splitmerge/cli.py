@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .diagrams import inverse, multiply, parse_diagram, reduce
 from .characters import Character, chi
@@ -44,10 +45,6 @@ def _emit(args, payload: dict, text: str) -> None:
         print(text)
 
 
-def _parse_char(text: str) -> Character:
-    return Character.parse(text)
-
-
 def cmd_reduce(args) -> int:
     d = reduce(parse_diagram(args.diagram))
     _emit(args, {"input": args.diagram, "result": d.canon}, d.canon)
@@ -70,7 +67,7 @@ def cmd_inv(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    char = _parse_char(args.char)
+    char = Character.parse(args.char)
     d = reduce(parse_diagram(args.diagram))
     value = chi(char, d)
     _emit(args, {"input": args.diagram, "character": char.to_json(),
@@ -83,8 +80,10 @@ def cmd_explore(args) -> int:
     band = _parse_band(args.band)
     floor = None
     if args.chi_min is not None:
-        from fractions import Fraction
-        floor = (_parse_char(args.char), Fraction(args.chi_min))
+        floor = (Character.parse(args.char or "1,0"), Fraction(args.chi_min))
+    elif args.char is not None:
+        raise ValueError("--char sets the floor's character and needs "
+                         "--chi-min")
     frag = explore(seeds, band, chi_floor=floor,
                    max_vertices=args.limit,
                    max_radius=args.radius)
@@ -102,15 +101,24 @@ def _parse_band(text: str) -> tuple:
     return (int(parts[0]), int(parts[1]))
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return value
+def _flag_name(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected a {what} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
 
 
 def cmd_verify(args) -> int:
@@ -120,14 +128,19 @@ def cmd_verify(args) -> int:
         print(f"unknown claim {claim!r}; known: "
               f"{', '.join(verify_mod.RUNNERS)}", file=sys.stderr)
         return 2
-    kwargs = {}
     mapping = _VERIFY_FLAGS[claim]
-    if args.limit is not None and "limit" in mapping:
-        kwargs[mapping["limit"]] = args.limit
-    if args.n_max is not None and "n_max" in mapping:
-        kwargs[mapping["n_max"]] = args.n_max
-    if args.char is not None and "char" in mapping:
-        kwargs[mapping["char"]] = [_parse_char(args.char)]
+    chars = None if args.char is None else [Character.parse(args.char)]
+    given = {"limit": args.limit, "n_max": args.n_max, "char": chars}
+    unused = [flag for flag, value in given.items()
+              if value is not None and flag not in mapping]
+    if unused:
+        accepted = ", ".join(map(_flag_name, mapping)) or "no flags"
+        print(f"error: claim {claim!r} does not take "
+              f"{', '.join(map(_flag_name, unused))}; it accepts {accepted}",
+              file=sys.stderr)
+        return 2
+    kwargs = {mapping[flag]: value for flag, value in given.items()
+              if value is not None}
     try:
         report = runner(**kwargs)
     except RuntimeError as exc:
@@ -180,14 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", action="append", required=True,
                    help="seed vertex diagram (repeatable)")
     p.add_argument("--band", required=True, help="foot-count band 'p,q'")
-    p.add_argument("--char", default="1,0",
-                   help="character for the floor (with --chi-min)")
+    p.add_argument("--char", default=None,
+                   help="character for the floor (with --chi-min; "
+                        "default 1,0)")
     p.add_argument("--chi-min", default=None,
                    help="drop vertices with character value below this")
-    p.add_argument("--limit", type=int, default=100000,
+    p.add_argument("--limit", type=_positive_int, default=100000,
                    help="vertex budget")
-    p.add_argument("--radius", type=int, default=None,
-                   help="exploration radius from the seeds")
+    p.add_argument("--radius", type=_int_at_least(0, "nonnegative"),
+                   default=None, help="exploration radius from the seeds")
     p.set_defaults(func=cmd_explore)
 
     p = sub.add_parser("verify", help="run one claim's verification")

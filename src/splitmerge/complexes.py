@@ -43,6 +43,31 @@ def label_str(label) -> str:
     return str(label)
 
 
+def connected_groups(items, blocks) -> list:
+    """Classes of items when the items of each nonempty block are joined.
+
+    Union-find; each class lists its items in input order, and classes are
+    ordered by their first item.
+    """
+    parent = {x: x for x in items}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for block in blocks:
+        it = iter(block)
+        first = find(next(it))
+        for x in it:
+            parent[find(x)] = first
+    groups: dict = {}
+    for x in items:
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
 def _maximal(sets):
     """Maximal elements of a collection of frozensets."""
     by_size = sorted(set(sets), key=len, reverse=True)
@@ -154,23 +179,8 @@ class SimplicialComplex:
 
     def components(self) -> list:
         """Vertex sets of connected components, canonically ordered."""
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for f in self.facets:
-            it = iter(f)
-            first = find(next(it))
-            for v in it:
-                parent[find(v)] = first
-        groups: dict = {}
-        for v in self.vertices:
-            groups.setdefault(find(v), []).append(v)
-        comps = [sorted(g, key=label_key) for g in groups.values()]
+        comps = [sorted(g, key=label_key)
+                 for g in connected_groups(self.vertices, self.facets)]
         comps.sort(key=lambda g: label_key(g[0]))
         return comps
 

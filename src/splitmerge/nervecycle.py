@@ -306,13 +306,7 @@ def validate_certificate(cert: CycleCertificate,
 
     cycle_ok = False
     if admissible and closed:
-        seen = {}
-        all_vertices = []
-        for path in paths:
-            for v in path:
-                if v.canon not in seen:
-                    seen[v.canon] = True
-                    all_vertices.append(v)
+        all_vertices = list(dict.fromkeys(v for path in paths for v in path))
         frag = explore(all_vertices, band, chi_floor=(character, 0),
                        max_radius=0)
         try:
@@ -322,7 +316,7 @@ def validate_certificate(cert: CycleCertificate,
         else:
             by_side = []
             for w in witnesses:
-                cell_idx = frag.index[w.canon]
+                cell_idx = frag.index[w]
                 labs = dict((side, (side, value, comp)) for side, value, comp
                             in data["cell_nerve_vertices"][cell_idx])
                 by_side.append(labs)

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagrams import Diagram, apply_move, is_reduced, merge_feet, split_foot
+from .diagrams import (Diagram, apply_move, invert_move, is_reduced,
+                       merge_feet, split_foot)
 from .characters import (MorseSpec, chi, chi0, chi1, count_left, count_right,
                          refined_compare)
-from .complexes import SimplicialComplex
+from .complexes import SimplicialComplex, connected_groups
 
 
 def L_value(x: Diagram) -> int:
@@ -55,14 +56,10 @@ def moves_in_band(x: Diagram, band) -> list:
     return moves
 
 
-def neighbor_moves(x: Diagram, band) -> list:
-    """(move, vertex) pairs one elementary move away, staying in the band."""
-    check_vertex(x, band)
-    return [(move, apply_move(x, move)) for move in moves_in_band(x, band)]
-
-
 def neighbors(x: Diagram, band) -> list:
-    return [y for _, y in neighbor_moves(x, band)]
+    """Vertices one elementary move away, staying in the band."""
+    check_vertex(x, band)
+    return [apply_move(x, move) for move in moves_in_band(x, band)]
 
 
 def cofaces(x: Diagram, band) -> list:
@@ -186,9 +183,10 @@ def monotone_cofaces(x: Diagram, spec: MorseSpec, down: bool = False) -> list:
 class Fragment:
     """Immutable finite window of the cube complex.
 
-    Vertices are stored in discovery order; edges, moves, and cubes are the
-    ones induced on that vertex set. Cube words use I/L only, read from the
-    cube's fewest-feet corner.
+    Vertices are stored in discovery order, and index maps each vertex
+    Diagram (hashed by its two forests) to its position. Edges, moves, and
+    cubes are the ones induced on that vertex set. Cube words use I/L only,
+    read from the cube's fewest-feet corner.
     """
 
     __slots__ = ("vertices", "index", "band", "chi_floor", "characters",
@@ -197,18 +195,31 @@ class Fragment:
                  "_cubes")
 
     def __init__(self, vertices, band, chi_floor=None, characters=(),
-                 provenance=None):
+                 provenance=None, *, _explored=None):
+        # _explored = (index, moves, done) from explore: the index of every
+        # vertex, and one move map per vertex, complete for the first done
+        # vertices and holding every edge to them for the rest
         self.vertices = list(vertices)
         self.band = (int(band[0]), int(band[1]))
         self.chi_floor = chi_floor
         self.characters = tuple(characters)
         self.provenance = provenance or {}
-        self.index = {}
+        self.index, self.moves, done = _explored or (
+            {}, [{} for _ in self.vertices], 0)
         for i, d in enumerate(self.vertices):
             check_vertex(d, self.band)
-            if d.canon in self.index:
+            if self.index.setdefault(d, i) != i:
                 raise ValueError(f"duplicate vertex {d.canon}")
-            self.index[d.canon] = i
+        # an edge is a split at its fewer-feet end, and the inverse merge
+        # undoes it, so applying each unknown split records every edge left
+        for i in range(done, len(self.vertices)):
+            d, mv = self.vertices[i], self.moves[i]
+            for move in moves_in_band(d, self.band):
+                if move[0] == "s" and move not in mv:
+                    j = self.index.get(apply_move(d, move))
+                    if j is not None:
+                        mv[move] = j
+                        self.moves[j][invert_move(move)] = i
         self.chi0_values = [chi0(d) for d in self.vertices]
         self.chi1_values = [chi1(d) for d in self.vertices]
         self.feet_values = [d.feet for d in self.vertices]
@@ -222,20 +233,8 @@ class Fragment:
             self.chi_values[str(char)] = [
                 char.a * c0 + char.b * c1
                 for c0, c1 in zip(self.chi0_values, self.chi1_values)]
-        self.moves = []
-        for i, d in enumerate(self.vertices):
-            mv = {}
-            for move in moves_in_band(d, self.band):
-                j = self.index.get(apply_move(d, move).canon)
-                if j is not None:
-                    mv[move] = j
-            self.moves.append(mv)
-        edges = []
-        for i, mv in enumerate(self.moves):
-            for (kind, pos), j in sorted(mv.items()):
-                if kind == "s":
-                    edges.append((i, j))
-        self.edges = edges
+        self.edges = [(i, j) for i, mv in enumerate(self.moves)
+                      for (kind, _), j in sorted(mv.items()) if kind == "s"]
         self._cubes = None
 
     def step(self, i: int, move) -> int:
@@ -314,22 +313,7 @@ class Fragment:
         return verts + list(self.cubes)
 
     def components(self) -> list:
-        parent = list(range(len(self.vertices)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-        groups = {}
-        for i in range(len(self.vertices)):
-            groups.setdefault(find(i), []).append(i)
-        return sorted(groups.values())
+        return connected_groups(range(len(self.vertices)), self.edges)
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
@@ -364,7 +348,9 @@ def explore(seeds, band, chi_floor=None, characters=(),
     chi_floor is an optional (Character, threshold) pair; vertices below
     the threshold are not entered. Exploration is deterministic: seeds in
     input order, then moves in split-then-merge, foot-ascending order, and
-    truncation by max_vertices keeps any shorter run as a prefix.
+    truncation by max_vertices keeps any shorter run as a prefix. The move
+    maps found here are handed to the Fragment, which applies only the
+    unknown splits of the vertices left unexpanded.
     """
     p, q = band
     if not 1 <= p <= q:
@@ -374,50 +360,55 @@ def explore(seeds, band, chi_floor=None, characters=(),
         chi_floor = (char, Fraction(threshold))
 
     def admissible(d):
-        if chi_floor is None:
-            return True
-        return chi(chi_floor[0], d) >= chi_floor[1]
+        return chi_floor is None or chi(chi_floor[0], d) >= chi_floor[1]
 
-    vertices = []
-    seen = {}
+    vertices, index, moves = [], {}, []
     truncated = False
     for d in seeds:
         check_vertex(d, band)
         if not admissible(d):
             raise ValueError(f"seed below the character floor: {d}")
-        if d.canon in seen:
+        if d in index:
             continue
         if len(vertices) >= max_vertices:
             truncated = True
             break
-        seen[d.canon] = len(vertices)
+        index[d] = len(vertices)
         vertices.append(d)
+        moves.append({})
 
-    frontier = list(range(len(vertices)))
-    radius_completed = 0
-    radius = 0
-    while frontier and not truncated:
+    # BFS levels are runs of consecutive indices, expanded in index order;
+    # each edge is applied once and recorded at both ends
+    level = range(len(vertices))
+    radius = radius_completed = expanded = 0
+    while level and not truncated:
         if max_radius is not None and radius >= max_radius:
             break
-        nxt = []
-        for i in frontier:
-            d = vertices[i]
+        for i in level:
+            d, mv = vertices[i], moves[i]
             for move in moves_in_band(d, band):
-                y = apply_move(d, move)
-                if y.canon in seen or not admissible(y):
+                if move in mv:
                     continue
-                if len(vertices) >= max_vertices:
-                    truncated = True
-                    break
-                seen[y.canon] = len(vertices)
-                nxt.append(len(vertices))
-                vertices.append(y)
+                y = apply_move(d, move)
+                j = index.get(y)
+                if j is None:
+                    if not admissible(y):
+                        continue
+                    if len(vertices) >= max_vertices:
+                        truncated = True
+                        break
+                    j = index[y] = len(vertices)
+                    vertices.append(y)
+                    moves.append({})
+                mv[move] = j
+                moves[j][invert_move(move)] = i
             if truncated:
                 break
+            expanded = i + 1
         radius += 1
         if not truncated:
             radius_completed = radius
-        frontier = nxt
+        level = range(level.stop, len(vertices))
 
     provenance = {
         "seeds": [d.canon for d in seeds],
@@ -431,7 +422,8 @@ def explore(seeds, band, chi_floor=None, characters=(),
         "radius_completed": radius_completed,
     }
     return Fragment(vertices, band, chi_floor=chi_floor,
-                    characters=characters, provenance=provenance)
+                    characters=characters, provenance=provenance,
+                    _explored=(index, moves, expanded))
 
 
 # ---------------------------------------------------------------------------
@@ -497,25 +489,10 @@ def nerve_data(frag: Fragment) -> dict:
     cell_component = {}
     piece_components = {}
     for lab, members in sorted(piece_cells.items()):
-        parent = {ci: ci for ci in members}
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
         touch = {}
-        for ci in members:
-            for v in corner_lists[ci]:
-                other = touch.setdefault(v, ci)
-                ri, rj = find(other), find(ci)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
-        comps = {}
-        for ci in members:
-            comps.setdefault(find(ci), []).append(ci)
-        ordered = sorted(comps.values())
+        pairs = ((touch.setdefault(v, ci), ci)
+                 for ci in members for v in corner_lists[ci])
+        ordered = connected_groups(members, pairs)
         piece_components[lab] = ordered
         for k, comp in enumerate(ordered):
             for ci in comp:

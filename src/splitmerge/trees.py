@@ -9,12 +9,15 @@ Text grammar (whitespace insignificant):
     Tree   := "*" | "(" Tree "," Tree ")"
     Forest := "[" Tree ("," Tree)* "]"
 
-Rendering is canonical: no whitespace, "*" for leaves.
+Rendering is canonical: no whitespace, "*" for leaves. Parsed trees nest at
+most MAX_DEPTH carets deep, which keeps the recursive tree walkers, and the
+product of two such diagrams, within Python's default recursion limit.
 """
 
 from __future__ import annotations
 
 LEAF: tuple = ()
+MAX_DEPTH = 256
 
 
 def is_leaf(t) -> bool:
@@ -132,16 +135,19 @@ class _Scanner:
             raise ParseError(
                 f"trailing input {self.text[self.pos]!r}", self.pos)
 
-    def tree(self):
+    def tree(self, depth: int = 0):
         ch = self.peek()
         if ch == "*":
             self.pos += 1
             return LEAF
         if ch == "(":
+            if depth == MAX_DEPTH:
+                raise ParseError(
+                    f"tree nested deeper than {MAX_DEPTH} carets", self.pos)
             self.pos += 1
-            left = self.tree()
+            left = self.tree(depth + 1)
             self.expect(",")
-            right = self.tree()
+            right = self.tree(depth + 1)
             self.expect(")")
             return (left, right)
         shown = repr(ch) if ch else "end of input"
@@ -319,14 +325,8 @@ def _tree_pieces(small, big, out: list):
     _tree_pieces(small[1], big[1], out)
 
 
-def graft_pieces(small, big) -> list:
-    """The subtrees of big hanging below each leaf of small, leaf order."""
-    out: list = []
-    _tree_pieces(small, big, out)
-    return out
-
-
 def forest_graft_pieces(small, big) -> list:
+    """The subtrees of big hanging below each leaf of small, leaf order."""
     if len(small) != len(big):
         raise ValueError("forests must have the same number of trees")
     out: list = []

@@ -16,7 +16,6 @@ from splitmerge.characters import (
     count_left,
     count_right,
     epsilon,
-    feet,
     refined_compare,
     refined_height,
 )
@@ -67,8 +66,8 @@ class TestChi:
         assert chi(Character(1, 1), parse_diagram("[*]/[*]")) == 0
 
     def test_feet(self):
-        assert feet(parse_diagram("[*]/[*]")) == 1
-        assert feet(parse_diagram("[(*,*)]/[*,*]")) == 2
+        assert parse_diagram("[*]/[*]").feet == 1
+        assert parse_diagram("[(*,*)]/[*,*]").feet == 2
 
     @given(rngs())
     @settings(max_examples=100)
@@ -96,7 +95,7 @@ class TestMoveDeltas:
         a, b = Fraction(2), Fraction(3)
         c = Character(a, b)
         x = reduce(random_vertex(rng, rng.randint(4, 6), 4))
-        n = feet(x)
+        n = x.feet
         expected = {
             ("s", 1): -a,
             ("s", n): -b,

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from splitmerge.cli import build_parser, main
+from splitmerge.trees import MAX_DEPTH
 
 
 def run(*argv):
@@ -40,6 +41,22 @@ class TestDiagramCommands:
     def test_parse_error_exits_two(self):
         code, _, err = run("reduce", "[((*,*),*)]/[(*,*)]")
         assert code == 2 and "error" in err
+
+    def test_too_deep_tree_is_parse_error(self):
+        deep = "(" * 1200 + "*" + ",*)" * 1200
+        code, out, err = run("reduce", f"[{deep}]/[*" + ",*" * 1200 + "]")
+        assert code == 2 and not out
+        assert "nested deeper than" in err
+
+    def test_product_at_depth_cap(self):
+        # left vine over right vine: the product grafts one onto the other,
+        # doubling the depth of the intermediate forests
+        k = MAX_DEPTH
+        left = "(" * k + "*" + ",*)" * k
+        right = "(*," * k + "*" + ")" * k
+        d = f"[{left}]/[{right}]"
+        code, out, _ = run("mul", d, d)
+        assert code == 0 and out.startswith("[")
 
     def test_mul_dimension_mismatch(self):
         code, _, err = run("mul", "[(*,*)]/[*,*]", "[*]/[*]")
@@ -129,6 +146,23 @@ class TestExplore:
         code, _, err = run("explore", "--seed", "[(*,*)]/[*,*]")
         assert code == 2
 
+    def test_char_without_floor_is_usage_error(self):
+        code, out, err = run("explore", "--seed", "[(*,*)]/[*,*]",
+                             "--band", "2,4", "--char", "9,9")
+        assert code == 2 and not out
+        assert "--char" in err and "--chi-min" in err
+
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--limit", "0", "positive"),
+        ("--limit", "-5", "positive"),
+        ("--radius", "-3", "nonnegative"),
+    ])
+    def test_bad_budget_is_usage_error(self, flag, value, expected):
+        code, out, err = run("explore", "--seed", "[(*,*)]/[*,*]",
+                             "--band", "2,4", flag, value)
+        assert code == 2 and not out
+        assert f"argument {flag}: expected a {expected} integer" in err
+
 
 class TestVerify:
     def test_unknown_claim(self):
@@ -175,6 +209,18 @@ class TestVerify:
         code, out, err = run("verify", "matching-connectivity", flag, value)
         assert code == 2 and not out
         assert f"argument {flag}: expected a positive integer" in err
+
+    def test_flags_the_claim_does_not_take_are_rejected(self):
+        code, out, err = run("verify", "diagram-calculus", "--n-max", "3",
+                             "--char", "9,9")
+        assert code == 2 and not out
+        assert "does not take --n-max, --char" in err
+        assert "it accepts --limit" in err
+
+    def test_claim_without_flags_rejects_limit(self):
+        code, out, err = run("verify", "morse-lemma-instance", "--limit", "3")
+        assert code == 2 and not out
+        assert "it accepts no flags" in err
 
     def test_all_claims_registered(self):
         from splitmerge.verify import RUNNERS

@@ -16,6 +16,7 @@ from splitmerge.diagrams import (
     invert_move,
     is_elementary,
     is_reduced,
+    merge_diagram,
     merge_feet,
     mirror_diagram,
     multiply,
@@ -28,8 +29,10 @@ from splitmerge.diagrams import (
     reduce,
     reducible_positions,
     render_diagram,
+    split_diagram,
     split_foot,
 )
+from splitmerge.steinfarley import moves_in_band
 from splitmerge.trees import LEAF, forest_num_leaves, parse_forest
 
 
@@ -248,6 +251,22 @@ class TestMoves:
             y = apply_move(x, mv)
             back = apply_move(y, invert_move(mv))
             assert back == x
+
+    @given(rngs())
+    @settings(max_examples=150)
+    def test_surgery_equals_multiplication(self, rng):
+        x = random_vertex(rng, rng.randint(1, 6), rng.randint(0, 8))
+        for i in range(1, x.feet + 1):
+            assert split_foot(x, i) == multiply(x, split_diagram(x.feet, i))
+        for i in range(1, x.feet):
+            assert merge_feet(x, i) == multiply(x, merge_diagram(x.feet, i))
+
+    @given(rngs())
+    @settings(max_examples=150)
+    def test_inverse_move_returns(self, rng):
+        x = random_vertex(rng, rng.randint(1, 6), rng.randint(0, 8))
+        for mv in moves_in_band(x, (1, x.feet + 1)):
+            assert apply_move(apply_move(x, mv), invert_move(mv)) == x
 
     def test_merge_can_cancel(self):
         d = parse_diagram("[((*,*),*)]/[*,*,*]")

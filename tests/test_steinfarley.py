@@ -14,12 +14,14 @@ from splitmerge.complexes import (
 )
 from splitmerge.diagrams import (
     Diagram,
+    apply_move,
     parse_diagram,
     random_vertex,
     reduce,
     render_diagram,
 )
 from splitmerge.steinfarley import (
+    Fragment,
     L_value,
     R_value,
     apply_labels,
@@ -30,6 +32,7 @@ from splitmerge.steinfarley import (
     descending_link,
     explore,
     link_of,
+    moves_in_band,
     neighbors,
     nerve,
     nerve_data,
@@ -219,6 +222,46 @@ class TestExplore:
         frag = explore([x], (2, 4), max_vertices=60)
         for i, j in frag.edges:
             assert abs(frag.feet_values[i] - frag.feet_values[j]) == 1
+
+
+class TestOnePass:
+    """explore hands its BFS moves to Fragment; the result must equal the
+    fragment induced on the same vertices from scratch."""
+
+    @given(rngs(), st.sampled_from([None, 0, 1, 3]))
+    @settings(max_examples=60)
+    def test_equals_induced_build(self, rng, radius):
+        p = rng.randint(1, 3)
+        band = (p, p + rng.randint(0, 4))
+        seeds = [random_vertex(rng, rng.randint(*band), rng.randint(0, 5))
+                 for _ in range(rng.randint(1, 3))]
+        floor = None
+        if rng.random() < 0.4:
+            c = Character(rng.randint(-2, 3), rng.randint(-2, 3))
+            floor = (c, min(chi(c, s) for s in seeds) - rng.randint(0, 2))
+        frag = explore(seeds, band, chi_floor=floor,
+                       characters=(Character(1, 1),),
+                       max_vertices=rng.choice([1, 4, 25, 150, 400]),
+                       max_radius=radius)
+        induced = Fragment(frag.vertices, band, chi_floor=frag.chi_floor,
+                           characters=frag.characters,
+                           provenance=frag.provenance)
+        assert frag.moves == induced.moves
+        assert frag.edges == induced.edges
+        assert frag.cubes == induced.cubes
+        assert frag.to_json() == induced.to_json()
+        assert frag.index == {d: i for i, d in enumerate(frag.vertices)}
+        for i, d in enumerate(frag.vertices):
+            targets = {move: frag.index.get(apply_move(d, move))
+                       for move in moves_in_band(d, band)}
+            assert frag.moves[i] == {move: j for move, j in targets.items()
+                                     if j is not None}
+
+    def test_duplicate_vertex_rejected(self):
+        x = parse_diagram("[(*,*)]/[*,*]")
+        y = parse_diagram("[((*,*),*)]/[*,*,*]")
+        with pytest.raises(ValueError, match="duplicate vertex"):
+            Fragment([x, y, parse_diagram("[(*,*)]/[*,*]")], (2, 4))
 
 
 class TestCubes:
