@@ -80,7 +80,7 @@ def cmd_explore(args) -> int:
     band = _parse_band(args.band)
     floor = None
     if args.chi_min is not None:
-        floor = (Character.parse(args.char or "1,0"), Fraction(args.chi_min))
+        floor = (Character.parse(args.char or "1,0"), args.chi_min)
     elif args.char is not None:
         raise ValueError("--char sets the floor's character and needs "
                          "--chi-min")
@@ -119,6 +119,14 @@ def _int_at_least(low: int, what: str):
 
 
 _positive_int = _int_at_least(1, "positive")
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or p/q fraction, got {text!r}") from None
 
 
 def cmd_verify(args) -> int:
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--char", default=None,
                    help="character for the floor (with --chi-min; "
                         "default 1,0)")
-    p.add_argument("--chi-min", default=None,
+    p.add_argument("--chi-min", type=_fraction, default=None,
                    help="drop vertices with character value below this")
     p.add_argument("--limit", type=_positive_int, default=100000,
                    help="vertex budget")

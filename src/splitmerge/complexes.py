@@ -4,12 +4,15 @@ Complexes are stored by their maximal simplices over hashable labels. The
 labels appearing in practice are tagged tuples ("v", i) and ("e", i) for
 foot/foot-pair positions, frozensets of those (vertices of matching
 complexes of complexes), and (side, value, component) triples for nerves.
+label_key orders labels once, in SimplicialComplex.vertices; simplices,
+components and chain-complex cells are ordered by vertex positions there.
 
 The second half of the module builds matching complexes of linear graphs and
 the combinatorial model of ascending links of cube-complex vertices: labels
 ("v", i) (split foot i) and ("e", i) (merge feet i, i+1) span a simplex when
 their foot footprints are pairwise disjoint and the whole implied cube stays
-inside the foot-count band.
+inside the foot-count band; the band caps prune the recursion that lists
+the maximal disjoint families.
 """
 
 from __future__ import annotations
@@ -125,6 +128,7 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple:
+        """The vertices in label_key order, which fixes every simplex order."""
         cached = self._vertices
         if cached is None:
             vs = set()
@@ -147,9 +151,10 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
     def k_simplices(self, k: int) -> list:
-        """The k-dimensional simplices in canonical order."""
+        """The k-simplices, ordered by their vertices' positions in vertices."""
+        pos = {v: i for i, v in enumerate(self.vertices)}
         out = [s for s in self.simplices() if len(s) == k + 1]
-        out.sort(key=lambda s: tuple(sorted(label_key(x) for x in s)))
+        out.sort(key=lambda s: sorted(pos[x] for x in s))
         return out
 
     def f_vector(self) -> tuple:
@@ -178,11 +183,8 @@ class SimplicialComplex:
     # -- connectivity ------------------------------------------------------
 
     def components(self) -> list:
-        """Vertex sets of connected components, canonically ordered."""
-        comps = [sorted(g, key=label_key)
-                 for g in connected_groups(self.vertices, self.facets)]
-        comps.sort(key=lambda g: label_key(g[0]))
-        return comps
+        """Vertex lists of connected components, in the order of vertices."""
+        return connected_groups(self.vertices, self.facets)
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1
@@ -285,28 +287,32 @@ def linear_graph(n: int) -> SimplicialComplex:
         [[("v", i), ("v", i + 1)] for i in range(1, n)])
 
 
-def _disjoint_family_complex(items) -> SimplicialComplex:
+def _disjoint_family_complex(items, fits=None) -> SimplicialComplex:
     """Complex whose simplices are sets of items with disjoint footprints.
 
-    items: list of (label, footprint) with footprint a frozenset. Labels
-    pairwise distinct. Vertices with overlapping footprints never span a
-    simplex; the empty complex results from an empty item list.
+    items: list of (label, footprint) with footprint a nonempty frozenset.
+    Labels pairwise distinct; an empty item list gives the empty complex.
+    fits, a predicate on label lists closed under subsets, prunes the
+    recursion exactly. Only maximal families are recorded.
     """
-    n = len(items)
-    simplices: list = []
+    facets: list = []
 
     def grow(start: int, current: list, used: frozenset):
-        for k in range(start, n):
-            label, foot = items[k]
+        maximal = True
+        for k, (label, foot) in enumerate(items):
             if used & foot:
                 continue
             current.append(label)
-            simplices.append(frozenset(current))
-            grow(k + 1, current, used | foot)
+            if fits is None or fits(current):
+                maximal = False
+                if k >= start:
+                    grow(k + 1, current, used | foot)
             current.pop()
+        if current and maximal:
+            facets.append(frozenset(current))
 
     grow(0, [], frozenset())
-    return SimplicialComplex(simplices)
+    return SimplicialComplex(facets)
 
 
 def general_matching_complex(k: SimplicialComplex) -> SimplicialComplex:
@@ -314,15 +320,12 @@ def general_matching_complex(k: SimplicialComplex) -> SimplicialComplex:
 
     Vertices are the simplices of k themselves (as frozenset labels).
     """
-    base = sorted(k.simplices(),
-                  key=lambda s: tuple(sorted(label_key(x) for x in s)))
-    return _disjoint_family_complex([(s, s) for s in base])
+    return _disjoint_family_complex([(s, s) for s in k.simplices()])
 
 
 def matching_complex(k: SimplicialComplex) -> SimplicialComplex:
     """Complex of matchings of the 1-skeleton of k."""
-    base = k.k_simplices(1)
-    return _disjoint_family_complex([(s, s) for s in base])
+    return _disjoint_family_complex([(s, s) for s in k.k_simplices(1)])
 
 
 def gm_linear(n: int) -> SimplicialComplex:
@@ -333,7 +336,6 @@ def gm_linear(n: int) -> SimplicialComplex:
     """
     items = [(("v", i), frozenset([i])) for i in range(1, n + 1)]
     items += [(("e", i), frozenset([i, i + 1])) for i in range(1, n)]
-    items.sort(key=lambda kv: label_key(kv[0]))
     return _disjoint_family_complex(items)
 
 
@@ -382,28 +384,21 @@ def ascending_link_model(n: int, character: Character, secondary: int,
 
     A set of moves spans a simplex when footprints are disjoint and the
     whole cube they span stays inside the band: n + #splits <= q and
-    n - #merges >= p.
+    n - #merges >= p. The band caps prune the disjoint-family recursion.
     """
     p, q = band
     if not p <= n <= q:
         raise ValueError(f"feet {n} outside band [{p},{q}]")
-    items = []
-    for i in range(1, n + 1):
-        if _ascending(n, character, secondary, ("v", i)) and n + 1 <= q:
-            items.append((("v", i), frozenset([i])))
-    for i in range(1, n):
-        if _ascending(n, character, secondary, ("e", i)) and n - 1 >= p:
-            items.append((("e", i), frozenset([i, i + 1])))
-    items.sort(key=lambda kv: label_key(kv[0]))
+    items = [(("v", i), frozenset([i])) for i in range(1, n + 1)]
+    items += [(("e", i), frozenset([i, i + 1])) for i in range(1, n)]
+    items = [(label, foot) for label, foot in items
+             if _ascending(n, character, secondary, label)]
 
-    full = _disjoint_family_complex(items)
-    admissible = []
-    for s in full.simplices():
-        splits = sum(1 for lab in s if lab[0] == "v")
-        merges = len(s) - splits
-        if n + splits <= q and n - merges >= p:
-            admissible.append(s)
-    return SimplicialComplex(admissible)
+    def in_band(family) -> bool:
+        splits = sum(1 for lab in family if lab[0] == "v")
+        return n + splits <= q and n - (len(family) - splits) >= p
+
+    return _disjoint_family_complex(items, in_band)
 
 
 def descending_link_model(n: int, character: Character, secondary: int,

@@ -9,13 +9,16 @@ no unit entry remains goes through the dense Smith normal form, which
 supplies the torsion (after Dumas, Saunders and Villard, JSC 32 (2001)).
 The dense Smith normal form and the exact-rational rank route are the
 independent oracles; the latter never looks at the elimination code.
-Simplicial chain complexes come from SimplicialComplex objects; cubical
-ones from explored fragments of the diagram cube complex, with a
+Simplicial chain complexes come from SimplicialComplex objects, whose
+vertices tuple fixes the order of cells and of each cell's vertices;
+cubical ones from explored fragments of the diagram cube complex, with a
 staircase-triangulation subdivision available as a third cross-check.
 
 pi1_trivial builds an edge-path presentation from a spanning tree and
 simplifies it with a bounded Tietze loop; it answers "trivial",
 "nontrivial" (only on homological evidence) or "inconclusive".
+homology_report and connectivity_evidence hand the H1 they computed to the
+same Tietze step instead of calling pi1_trivial.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import heapq
 from fractions import Fraction
 from math import gcd
 
-from .complexes import SimplicialComplex, label_key
+from .complexes import SimplicialComplex
 from .diagrams import split_foot
 
 
@@ -168,10 +171,6 @@ class ChainComplex:
         for k in range(len(boundaries) - 1):
             _check_composes_to_zero(boundaries[k], boundaries[k + 1], k)
 
-    @property
-    def top_dim(self) -> int:
-        return len(self.dims) - 1
-
 
 def _check_composes_to_zero(a, b, k):
     # a: columns of boundary k+1, b: columns of boundary k+2
@@ -281,18 +280,19 @@ def betti_via_rational_ranks(chain: ChainComplex) -> list:
 
 def simplicial_chain_complex(complex_: SimplicialComplex,
                              top: int | None = None) -> ChainComplex:
-    """Ordered-simplex chain complex; vertices sorted by canonical label order."""
+    """Ordered-simplex chain complex.
+
+    cells[k] lists complex_.k_simplices(k) in that order, each as a tuple
+    in the order of complex_.vertices.
+    """
     dim = complex_.dim()
     if top is not None:
         dim = min(dim, top)
     if dim < 0:
         return ChainComplex([], [], cells=[])
-    cells = []
-    for k in range(dim + 1):
-        ordered = [tuple(sorted(s, key=label_key))
-                   for s in complex_.k_simplices(k)]
-        ordered.sort(key=lambda s: tuple(label_key(x) for x in s))
-        cells.append(ordered)
+    pos = {v: i for i, v in enumerate(complex_.vertices)}.__getitem__
+    cells = [[tuple(sorted(s, key=pos)) for s in complex_.k_simplices(k)]
+             for k in range(dim + 1)]
     dims = [len(c) for c in cells]
     boundaries = []
     for k in range(1, dim + 1):
@@ -469,7 +469,8 @@ def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
                     pi1_budget: int = 20000) -> dict:
     nonempty = not complex_.is_empty()
     comps = complex_.components() if nonempty else []
-    res = homology(simplicial_chain_complex(complex_))
+    chain = simplicial_chain_complex(complex_)
+    res = homology(chain)
     betti = [r["betti"] for r in res]
     torsion = [r["torsion"] for r in res]
     reduced = list(betti)
@@ -484,7 +485,7 @@ def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
         "pi1": None,
     }
     if with_pi1 and nonempty and len(comps) == 1:
-        report["pi1"] = pi1_trivial(complex_, budget=pi1_budget)
+        report["pi1"] = _pi1_verdict(chain, res, pi1_budget)
     return report
 
 
@@ -500,45 +501,45 @@ def pi1_trivial(complex_: SimplicialComplex, budget: int = 20000) -> str:
         raise ValueError("pi1 of the empty complex is undefined")
     if not complex_.is_connected():
         raise ValueError("pi1 needs a connected complex")
-
     chain = simplicial_chain_complex(complex_, top=2)
-    res = homology(chain)
+    return _pi1_verdict(chain, homology(chain), budget)
+
+
+def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
+    """pi1_trivial's verdict for a connected complex, given its simplicial
+    chain complex through degree >= 2 and that complex's homology."""
     if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
         return "nontrivial"
-
-    verts = list(complex_.vertices)
-    edges = [tuple(sorted(s, key=label_key))
-             for s in complex_.k_simplices(1)]
-    if not edges:
+    if len(chain.cells) < 2:
         return "trivial"
-    adjacency: dict = {v: [] for v in verts}
+    # vertex positions; cells list each simplex in increasing position
+    pos = {v: i for i, (v,) in enumerate(chain.cells[0])}
+    edges = [(pos[u], pos[v]) for u, v in chain.cells[1]]
+    adjacency: list = [[] for _ in pos]
     for u, v in edges:
         adjacency[u].append(v)
         adjacency[v].append(u)
     tree = set()
-    seen = {verts[0]}
-    queue = [verts[0]]
+    seen = {0}
+    queue = [0]
     while queue:
         u = queue.pop(0)
-        for w in sorted(adjacency[u], key=label_key):
+        for w in sorted(adjacency[u]):
             if w not in seen:
                 seen.add(w)
-                tree.add(tuple(sorted((u, w), key=label_key)))
+                tree.add((min(u, w), max(u, w)))
                 queue.append(w)
     gens = {e: i + 1 for i, e in enumerate(e for e in edges if e not in tree)}
 
     def edge_word(u, v) -> list:
-        e = tuple(sorted((u, v), key=label_key))
-        g = gens.get(e)
+        g = gens.get((min(u, v), max(u, v)))
         if g is None:
             return []
-        return [g if e == (u, v) else -g]
+        return [g if u < v else -g]
 
-    relators = []
-    for s in complex_.k_simplices(2):
-        a, b, c = sorted(s, key=label_key)
-        word = edge_word(a, b) + edge_word(b, c) + edge_word(c, a)
-        relators.append(word)
+    triangles = chain.cells[2] if len(chain.cells) > 2 else []
+    relators = [edge_word(a, b) + edge_word(b, c) + edge_word(c, a)
+                for a, b, c in (map(pos.get, s) for s in triangles)]
 
     alive = set(gens.values())
     steps = 0
@@ -635,7 +636,8 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
         checks.append({"name": "connected", "ok": ncomp == 1,
                        "detail": f"{ncomp} components"})
         if ncomp == 1 and k >= 1:
-            res = homology(simplicial_chain_complex(complex_, top=k + 1))
+            chain = simplicial_chain_complex(complex_, top=k + 1)
+            res = homology(chain)
             for i in range(1, k + 1):
                 if i < len(res):
                     betti = res[i]["betti"]
@@ -646,7 +648,7 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
                 checks.append({
                     "name": f"H{i}_zero", "ok": ok,
                     "detail": f"betti={betti} torsion={torsion}"})
-            pi1 = pi1_trivial(complex_, budget=pi1_budget)
+            pi1 = _pi1_verdict(chain, res, pi1_budget)
             checks.append({"name": "pi1", "ok": pi1 != "nontrivial",
                            "detail": pi1})
     elif k >= 0:

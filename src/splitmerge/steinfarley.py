@@ -132,16 +132,10 @@ def link_of(x: Diagram, band) -> SimplicialComplex:
 
 
 def _label_directions(x: Diagram, spec: MorseSpec) -> dict:
-    p, q = spec.band
-    f = x.feet
-    out = {}
-    if f + 1 <= q:
-        for i in range(1, f + 1):
-            out[("v", i)] = refined_compare(spec, split_foot(x, i), x)
-    if f - 1 >= p:
-        for i in range(1, f):
-            out[("e", i)] = refined_compare(spec, merge_feet(x, i), x)
-    return out
+    move = {"s": split_foot, "m": merge_feet}
+    return {("v" if kind == "s" else "e", i):
+            refined_compare(spec, move[kind](x, i), x)
+            for kind, i in moves_in_band(x, spec.band)}
 
 
 def ascending_link(x: Diagram, spec: MorseSpec, down: bool = False
@@ -151,14 +145,8 @@ def ascending_link(x: Diagram, spec: MorseSpec, down: bool = False
     Heights are computed on the actual neighbor diagrams, independently of
     the combinatorial link model.
     """
-    want = -1 if down else 1
-    direction = _label_directions(x, spec)
-    simplices = []
-    for w in cofaces(x, spec.band):
-        labels = word_labels(w)
-        if labels and all(direction[lab] == want for lab in labels):
-            simplices.append(labels)
-    return SimplicialComplex(simplices)
+    return SimplicialComplex([s for s in map(
+        word_labels, monotone_cofaces(x, spec, down)) if s])
 
 
 def descending_link(x: Diagram, spec: MorseSpec) -> SimplicialComplex:

@@ -246,14 +246,15 @@ def add_caret(f, i: int):
     return f[:k] + (_tree_add_caret(f[k], i - off),) + f[k + 1:]
 
 
-def _tree_terminal_pairs(t, offset: int, out: list):
+def _tree_terminal_pairs(t, offset: int, out: list) -> int:
+    """Append t's terminal-caret leaf indices to out; return t's leaf count."""
     if t == ():
-        return
+        return 1
     if t[0] == () and t[1] == ():
         out.append(offset)
-        return
-    _tree_terminal_pairs(t[0], offset, out)
-    _tree_terminal_pairs(t[1], offset + num_leaves(t[0]), out)
+        return 2
+    left = _tree_terminal_pairs(t[0], offset, out)
+    return left + _tree_terminal_pairs(t[1], offset + left, out)
 
 
 def terminal_pairs(f) -> set:
@@ -261,31 +262,36 @@ def terminal_pairs(f) -> set:
     out: list = []
     acc = 0
     for t in f:
-        _tree_terminal_pairs(t, acc, out)
-        acc += num_leaves(t)
+        acc += _tree_terminal_pairs(t, acc, out)
     return set(out)
 
 
 def _tree_remove_terminal(t, i: int):
+    """(t with its caret over leaves i, i+1 collapsed, None), or (t, leaf
+    count of t) when all of t's leaves come before leaf i."""
     if t == ():
-        raise ValueError("no caret here")
-    if t[0] == () and t[1] == ():
-        if i != 0:
-            raise ValueError("not the terminal caret at this index")
-        return LEAF
-    nl = num_leaves(t[0])
-    if i + 1 < nl:
-        return (_tree_remove_terminal(t[0], i), t[1])
-    if i >= nl:
-        return (t[0], _tree_remove_terminal(t[1], i - nl))
-    raise ValueError("leaves not under a common caret")
+        if i == 0:
+            raise ValueError("no caret over this leaf and the next")
+        return t, 1
+    if i == 0 and t[0] == () and t[1] == ():
+        return LEAF, None
+    left, nl = _tree_remove_terminal(t[0], i)
+    if nl is None:
+        return (left, t[1]), None
+    right, nr = _tree_remove_terminal(t[1], i - nl)
+    if nr is None:
+        return (t[0], right), None
+    return t, nl + nr
 
 
 def remove_terminal_caret(f, i: int):
     """Collapse the caret over leaves i, i+1 back to a single leaf."""
     k = tree_containing_leaf(f, i)
     off = leaf_starts(f)[k]
-    return f[:k] + (_tree_remove_terminal(f[k], i - off),) + f[k + 1:]
+    tree, missed = _tree_remove_terminal(f[k], i - off)
+    if missed is not None:
+        raise ValueError(f"no terminal caret at leaf {i}")
+    return f[:k] + (tree,) + f[k + 1:]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .complexes import (SimplicialComplex, ascending_link_model, cone,
                         move_delta, shift_labels)
 from .homology import (betti_via_rational_ranks, cubical_chain_complex,
                        fragment_pair_homology, homology, homology_report,
-                       pi1_trivial, relative_homology, simplicial_chain_complex,
+                       relative_homology, simplicial_chain_complex,
                        subdivision_complex)
 from .steinfarley import (ascending_link, descending_link, explore, link_of,
                           word_labels, apply_labels, monotone_cofaces)
@@ -212,13 +212,13 @@ def run_matching_connectivity(n_max: int = 11) -> dict:
                f"connected={m.is_connected()}, expected={expected_connected}")
         bound = (n - 2) // 3 - 1
         if bound >= 0:
-            rep = homology_report(m)
+            rep = homology_report(m, with_pi1=n >= 8)
             flat = all(rep["betti_reduced"][i] == 0 and not rep["torsion"][i]
                        for i in range(min(bound + 1, len(rep["betti"]))))
             _check(checks, f"acyclic-below-bound-{n}", flat,
                    f"reduced betti {rep['betti_reduced']}, bound {bound}")
         if n >= 8:
-            _check(checks, f"pi1-trivial-{n}", pi1_trivial(m) == "trivial")
+            _check(checks, f"pi1-trivial-{n}", rep["pi1"] == "trivial")
         if n >= 5:
             st1 = m.star(("e", 1))
             st2 = m.star(("e", 2))

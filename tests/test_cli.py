@@ -163,6 +163,14 @@ class TestExplore:
         assert code == 2 and not out
         assert f"argument {flag}: expected a {expected} integer" in err
 
+    @pytest.mark.parametrize("value", ["1/0", "abc", "1/2/3"])
+    def test_bad_floor_is_usage_error(self, value):
+        code, out, err = run("explore", "--seed", "[(*,*)]/[*,*]",
+                             "--band", "2,4", "--chi-min", value)
+        assert code == 2 and not out
+        assert "error:" in err and "argument --chi-min" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_unknown_claim(self):

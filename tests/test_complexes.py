@@ -1,6 +1,7 @@
 """Simplicial complexes, matching complexes, and closed-form link models."""
 
 import itertools
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -9,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 from splitmerge.characters import Character
 from splitmerge.complexes import (
     SimplicialComplex,
+    _disjoint_family_complex,
     ascending_link_model,
     cone,
     descending_link_model,
     general_matching_complex,
     gm_linear,
     join,
+    label_key,
     linear_graph,
     m_linear,
     matching_complex,
@@ -313,3 +316,113 @@ class TestAscendingModels:
         k = ascending_link_model(n, Character(a, b), sec, (2, n + 2))
         gm = gm_linear(n)
         assert set(k.simplices()) <= set(gm.simplices())
+
+
+# labels of every kind label_key orders, mixed within one complex
+MIXED_LABELS = st.sampled_from([
+    0, 1, 7, "a", "b", v(1), v(2), e(1), ("x", 1, 2),
+    fs(v(1)), fs(v(1), e(2))])
+
+
+@st.composite
+def mixed_complexes(draw):
+    facets = draw(st.lists(st.sets(MIXED_LABELS, min_size=1, max_size=4),
+                           min_size=1, max_size=6))
+    return SimplicialComplex(facets)
+
+
+def canonical_key(simplex):
+    return tuple(sorted(label_key(x) for x in simplex))
+
+
+class TestSimplexOrder:
+    """One order: every list of simplices follows SimplicialComplex.vertices."""
+
+    @given(mixed_complexes())
+    @settings(max_examples=150)
+    def test_vertices_and_k_simplices_in_label_key_order(self, k):
+        assert list(k.vertices) == sorted(k.vertices, key=label_key)
+        for d in range(k.dim() + 1):
+            want = sorted((s for s in k.simplices() if len(s) == d + 1),
+                          key=canonical_key)
+            assert k.k_simplices(d) == want
+
+    @given(mixed_complexes())
+    @settings(max_examples=150)
+    def test_components_in_label_key_order(self, k):
+        # oracle: graph search from each vertex in label_key order
+        adjacent = {x: set() for x in k.vertices}
+        for f in k.facets:
+            for x in f:
+                adjacent[x] |= f
+        want, seen = [], set()
+        for start in sorted(k.vertices, key=label_key):
+            if start in seen:
+                continue
+            comp, stack = set(), [start]
+            while stack:
+                x = stack.pop()
+                if x not in comp:
+                    comp.add(x)
+                    stack.extend(adjacent[x] - comp)
+            seen |= comp
+            want.append(sorted(comp, key=label_key))
+        assert k.components() == want
+
+
+def all_disjoint_families(items) -> SimplicialComplex:
+    """Oracle: list every family of items with disjoint footprints."""
+    simplices = []
+
+    def grow(start, current, used):
+        for k in range(start, len(items)):
+            label, foot = items[k]
+            if not used & foot:
+                simplices.append(frozenset(current + [label]))
+                grow(k + 1, current + [label], used | foot)
+
+    grow(0, [], frozenset())
+    return SimplicialComplex(simplices)
+
+
+def build_then_filter_model(n, character, secondary, band):
+    """Oracle: the unpruned disjoint-family complex, then the band filter."""
+    p, q = band
+    items = []
+    for label, foot in ([(v(i), fs(i)) for i in range(1, n + 1)]
+                        + [(e(i), fs(i, i + 1)) for i in range(1, n)]):
+        d0, d1 = move_delta(n, label)
+        dchi = character.a * d0 + character.b * d1
+        dfeet = 1 if label[0] == "v" else -1
+        if dchi > 0 or (dchi == 0 and secondary * dfeet > 0):
+            items.append((label, foot))
+    admissible = []
+    for s in all_disjoint_families(items).simplices():
+        splits = sum(1 for lab in s if lab[0] == "v")
+        if n + splits <= q and n - (len(s) - splits) >= p:
+            admissible.append(s)
+    return SimplicialComplex(admissible)
+
+
+WEIGHTS = st.sampled_from([-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-1, 3)])
+
+
+class TestPrunedFamilies:
+    @given(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=3),
+                    max_size=9))
+    @settings(max_examples=150)
+    def test_maximal_families_match_all_families(self, feet):
+        items = [(("i", k), frozenset(f)) for k, f in enumerate(feet)]
+        assert _disjoint_family_complex(items) == all_disjoint_families(items)
+
+    @given(st.integers(1, 9), st.integers(0, 4), st.integers(0, 4),
+           WEIGHTS, WEIGHTS, st.sampled_from([1, -1]))
+    @settings(max_examples=300)
+    def test_model_equals_build_then_filter(self, n, below, above, a, b,
+                                            sec):
+        band = (max(1, n - below), n + above)
+        char = Character(a, b)
+        assert ascending_link_model(n, char, sec, band) == \
+            build_then_filter_model(n, char, sec, band)
+        assert descending_link_model(n, char, sec, band) == \
+            build_then_filter_model(n, char.negated(), -sec, band)

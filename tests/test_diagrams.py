@@ -33,7 +33,8 @@ from splitmerge.diagrams import (
     split_foot,
 )
 from splitmerge.steinfarley import moves_in_band
-from splitmerge.trees import LEAF, forest_num_leaves, parse_forest
+from splitmerge.trees import (LEAF, MAX_DEPTH, forest_num_leaves, left_vine,
+                              parse_forest, right_vine)
 
 
 def rngs():
@@ -109,6 +110,13 @@ class TestReduce:
     def test_expansion_reduces_back(self, d, rng):
         r = reduce(d)
         assert reduce(random_expansion(rng, r, 4)) == r
+
+    def test_deep_vines_cancel(self):
+        # 2 * MAX_DEPTH common carets, cancelled one at a time
+        k = MAX_DEPTH
+        a = Diagram((left_vine(k),), (left_vine(k),))
+        b = Diagram((right_vine(k),), (right_vine(k),))
+        assert render_diagram(multiply(a, b)) == "[*]/[*]"
 
     def test_expand_at_inverts_cancel_at(self):
         d = parse_diagram("[(*,*)]/[*,*]")

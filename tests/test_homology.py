@@ -1,5 +1,6 @@
 """Integral chain complexes, homology, and the dual-route rank oracle."""
 
+import importlib
 import random
 
 import pytest
@@ -30,6 +31,9 @@ from splitmerge.homology import (
     subdivision_complex,
 )
 from splitmerge.steinfarley import explore
+
+# the package re-exports homology(), which shadows the module attribute
+homology_module = importlib.import_module("splitmerge.homology")
 
 
 def fs(*labels):
@@ -220,6 +224,50 @@ class TestPi1:
     def test_tiny_budget_inconclusive_or_resolves(self):
         k = SimplicialComplex.boundary_sphere(range(5))
         assert pi1_trivial(k, budget=1) in {"trivial", "inconclusive"}
+
+
+@st.composite
+def connected_complexes(draw):
+    """Random complexes on a path of up to 8 vertices, so always connected,
+    with ints, strings and tagged tuples as labels."""
+    labels = draw(st.permutations(
+        [0, 1, 2, "a", "b", ("v", 1), ("e", 1), ("v", 2)]))
+    n = draw(st.integers(1, len(labels)))
+    labels = labels[:n]
+    facets = [[labels[i], labels[i + 1]] for i in range(n - 1)] or [labels]
+    facets += draw(st.lists(st.sets(st.sampled_from(labels), min_size=1,
+                                    max_size=4), max_size=8))
+    return SimplicialComplex(facets)
+
+
+class TestPi1FromReports:
+    """Reports reuse their H1 for pi1; the verdict equals pi1_trivial's."""
+
+    @given(connected_complexes(), st.sampled_from([1, 2, 5, 20000]))
+    @settings(max_examples=200)
+    @example(SimplicialComplex([fs(1, 2), fs(2, 3), fs(1, 3)]), 20000)
+    @example(SimplicialComplex.boundary_sphere(range(5)), 1)
+    def test_reports_agree_with_pi1_trivial(self, k, budget):
+        want = pi1_trivial(k, budget=budget)
+        assert connectivity_evidence(k, 1, pi1_budget=budget)["pi1"] == want
+        assert connectivity_evidence(k, 2, pi1_budget=budget)["pi1"] == want
+        rep = homology_report(k, with_pi1=True, pi1_budget=budget)
+        assert rep["pi1"] == want
+
+    def test_one_homology_pass_per_report(self, monkeypatch):
+        calls = []
+        real = homology_module.homology
+
+        def counted(chain):
+            calls.append(chain)
+            return real(chain)
+
+        monkeypatch.setattr(homology_module, "homology", counted)
+        monkeypatch.setattr(homology_module, "pi1_trivial", None)
+        k = cone(m_linear(6), "apex")
+        assert connectivity_evidence(k, 1)["pi1"] == "trivial"
+        assert homology_report(k, with_pi1=True)["pi1"] == "trivial"
+        assert len(calls) == 2
 
 
 class TestRelative:

@@ -150,6 +150,17 @@ class TestSurgery:
         f = (((LEAF, LEAF), LEAF), (LEAF, LEAF))
         assert terminal_pairs(f) == {0, 3}
 
+    @given(st.lists(trees(8), min_size=1, max_size=3))
+    def test_remove_terminal_caret_only_at_terminal_pairs(self, f):
+        f = tuple(f)
+        pairs = terminal_pairs(f)
+        for i in range(-1, forest_num_leaves(f) + 1):
+            if i in pairs:
+                assert add_caret(remove_terminal_caret(f, i), i) == f
+            else:
+                with pytest.raises((ValueError, IndexError)):
+                    remove_terminal_caret(f, i)
+
     def test_tree_union(self):
         a = ((LEAF, LEAF), LEAF)
         b = (LEAF, (LEAF, LEAF))
