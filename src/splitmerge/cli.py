@@ -77,14 +77,13 @@ def cmd_chi(args) -> int:
 
 def cmd_explore(args) -> int:
     seeds = [parse_diagram(s) for s in args.seed]
-    band = _parse_band(args.band)
     floor = None
     if args.chi_min is not None:
         floor = (Character.parse(args.char or "1,0"), args.chi_min)
     elif args.char is not None:
         raise ValueError("--char sets the floor's character and needs "
                          "--chi-min")
-    frag = explore(seeds, band, chi_floor=floor,
+    frag = explore(seeds, args.band, chi_floor=floor,
                    max_vertices=args.limit,
                    max_radius=args.radius)
     summary = (f"{len(frag.vertices)} vertices, {len(frag.edges)} edges, "
@@ -94,11 +93,13 @@ def cmd_explore(args) -> int:
     return 0
 
 
-def _parse_band(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'p,q', got {text!r}")
-    return (int(parts[0]), int(parts[1]))
+def _band(text: str) -> tuple:
+    try:
+        p, q = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'p,q' with integers p and q, got {text!r}") from None
+    return (p, q)
 
 
 def _flag_name(key: str) -> str:
@@ -200,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="breadth-first fragment of the banded complex")
     p.add_argument("--seed", action="append", required=True,
                    help="seed vertex diagram (repeatable)")
-    p.add_argument("--band", required=True, help="foot-count band 'p,q'")
+    p.add_argument("--band", type=_band, required=True,
+                   help="foot-count band 'p,q'")
     p.add_argument("--char", default=None,
                    help="character for the floor (with --chi-min; "
                         "default 1,0)")

@@ -47,6 +47,19 @@ class Diagram:
         object.__setattr__(self, "plus", plus)
         object.__setattr__(self, "_canon", None)
 
+    @classmethod
+    def _make(cls, minus, plus) -> "Diagram":
+        """Trusted constructor for forests built from valid diagrams.
+
+        Skips validation and the leaf-count check; only surgery and
+        composition of already validated diagrams may call it.
+        """
+        d = object.__new__(cls)
+        object.__setattr__(d, "minus", minus)
+        object.__setattr__(d, "plus", plus)
+        object.__setattr__(d, "_canon", None)
+        return d
+
     def __setattr__(self, name, value):
         raise AttributeError("Diagram is immutable")
 
@@ -104,8 +117,8 @@ def reducible_positions(d: Diagram) -> list:
 
 def cancel_at(d: Diagram, i: int) -> Diagram:
     """Cancel the common terminal caret over leaves i, i+1."""
-    return Diagram(remove_terminal_caret(d.minus, i),
-                   remove_terminal_caret(d.plus, i))
+    return Diagram._make(remove_terminal_caret(d.minus, i),
+                         remove_terminal_caret(d.plus, i))
 
 
 def reduce(d: Diagram) -> Diagram:
@@ -127,7 +140,7 @@ def is_reduced(d: Diagram) -> bool:
 
 def expand_at(d: Diagram, i: int) -> Diagram:
     """Unreduced representative: add a caret over leaf i on both sides."""
-    return Diagram(add_caret(d.minus, i), add_caret(d.plus, i))
+    return Diagram._make(add_caret(d.minus, i), add_caret(d.plus, i))
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +160,11 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
     common = forest_union(d1.plus, d2.minus)
     minus = graft(d1.minus, forest_graft_pieces(d1.plus, common))
     plus = graft(d2.plus, forest_graft_pieces(d2.minus, common))
-    return reduce(Diagram(minus, plus))
+    return reduce(Diagram._make(minus, plus))
 
 
 def inverse(d: Diagram) -> Diagram:
-    return Diagram(d.plus, d.minus)
+    return Diagram._make(d.plus, d.minus)
 
 
 def identity(n: int) -> Diagram:
@@ -227,10 +240,10 @@ def split_foot(d: Diagram, i: int) -> Diagram:
     t = d.plus[i - 1]
     if is_caret(t):
         plus = d.plus[:i - 1] + (t[0], t[1]) + d.plus[i:]
-        return Diagram(d.minus, plus)
+        return Diagram._make(d.minus, plus)
     j = leaf_starts(d.plus)[i - 1]
     plus = d.plus[:i - 1] + (LEAF, LEAF) + d.plus[i:]
-    return Diagram(add_caret(d.minus, j), plus)
+    return Diagram._make(add_caret(d.minus, j), plus)
 
 
 def merge_feet(d: Diagram, i: int) -> Diagram:
@@ -249,9 +262,9 @@ def merge_feet(d: Diagram, i: int) -> Diagram:
         if j in terminal_pairs(d.minus):
             minus = remove_terminal_caret(d.minus, j)
             plus = d.plus[:i - 1] + (LEAF,) + d.plus[i + 1:]
-            return Diagram(minus, plus)
+            return Diagram._make(minus, plus)
     plus = d.plus[:i - 1] + ((t1, t2),) + d.plus[i + 1:]
-    return Diagram(d.minus, plus)
+    return Diagram._make(d.minus, plus)
 
 
 def apply_move(d: Diagram, move) -> Diagram:
@@ -271,7 +284,8 @@ def invert_move(move):
 
 def mirror_diagram(d: Diagram) -> Diagram:
     """Left-right reflection; an automorphism of the calculus."""
-    return Diagram(trees.mirror_forest(d.minus), trees.mirror_forest(d.plus))
+    return Diagram._make(trees.mirror_forest(d.minus),
+                         trees.mirror_forest(d.plus))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ Coface words are strings over I (foot untouched), L (foot split) and V
 (two adjacent feet merged); reading left to right, I and L consume one
 foot and V consumes two. Cubes inside a fragment are stored from their
 fewest-feet corner, whose word therefore uses only I and L.
+
+Ascending (descending) links are read off the actual neighbor diagrams:
+each banded move is compared by refined height with the vertex, and a
+letter whose move does not strictly ascend (descend) is pruned inside the
+coface recursion, with every word below it. This route shares no code with
+the disjoint-family models of complexes, which tests compare it against.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 from .diagrams import (Diagram, apply_move, invert_move, is_reduced,
                        merge_feet, split_foot)
 from .characters import (MorseSpec, chi, chi0, chi1, count_left, count_right,
-                         refined_compare)
+                         refined_height)
 from .complexes import SimplicialComplex, connected_groups
 
 
@@ -67,6 +73,16 @@ def cofaces(x: Diagram, band) -> list:
 
     The trivial all-I word (the vertex itself) is included.
     """
+    return _coface_words(x, band)
+
+
+def _coface_words(x: Diagram, band, allowed=None) -> list:
+    """Banded coface words at x, depth first, I before L before V.
+
+    allowed, when given, is the set of link labels a word may use: an L at
+    foot i needs ("v", i) in it and a V at feet i, i+1 needs ("e", i). A
+    rejected letter is pruned with every word below it.
+    """
     f = x.feet
     p, q = band
     if not p <= f <= q:
@@ -81,11 +97,13 @@ def cofaces(x: Diagram, band) -> list:
         prefix.append("I")
         grow(i + 1, prefix, splits, merges)
         prefix.pop()
-        if f + splits + 1 <= q:
+        if f + splits + 1 <= q and (allowed is None
+                                    or ("v", i + 1) in allowed):
             prefix.append("L")
             grow(i + 1, prefix, splits + 1, merges)
             prefix.pop()
-        if i + 2 <= f and f - merges - 1 >= p:
+        if i + 2 <= f and f - merges - 1 >= p and (allowed is None
+                                                   or ("e", i + 1) in allowed):
             prefix.append("V")
             grow(i + 2, prefix, splits, merges + 1)
             prefix.pop()
@@ -132,10 +150,15 @@ def link_of(x: Diagram, band) -> SimplicialComplex:
 
 
 def _label_directions(x: Diagram, spec: MorseSpec) -> dict:
+    """Link label of each banded move -> -1, 0 or +1 as the refined height
+    of the neighbor it reaches compares to x's."""
     move = {"s": split_foot, "m": merge_feet}
-    return {("v" if kind == "s" else "e", i):
-            refined_compare(spec, move[kind](x, i), x)
-            for kind, i in moves_in_band(x, spec.band)}
+    h = refined_height(spec, x)
+    directions = {}
+    for kind, i in moves_in_band(x, spec.band):
+        hy = refined_height(spec, move[kind](x, i))
+        directions["v" if kind == "s" else "e", i] = (hy > h) - (hy < h)
+    return directions
 
 
 def ascending_link(x: Diagram, spec: MorseSpec, down: bool = False
@@ -143,7 +166,8 @@ def ascending_link(x: Diagram, spec: MorseSpec, down: bool = False
     """Subcomplex of the banded link on cofaces all of whose moves ascend.
 
     Heights are computed on the actual neighbor diagrams, independently of
-    the combinatorial link model.
+    the combinatorial link model; a non-ascending letter is pruned inside
+    the coface recursion, so no word through it is ever listed.
     """
     return SimplicialComplex([s for s in map(
         word_labels, monotone_cofaces(x, spec, down)) if s])
@@ -157,12 +181,12 @@ def monotone_cofaces(x: Diagram, spec: MorseSpec, down: bool = False) -> list:
     """Coface words whose moves all strictly ascend (or descend).
 
     The trivial word qualifies vacuously; the result is the closed star of
-    x in the ascending (descending) direction.
+    x in the ascending (descending) direction, in the order of cofaces.
     """
     want = -1 if down else 1
-    direction = _label_directions(x, spec)
-    return [w for w in cofaces(x, spec.band)
-            if all(direction[lab] == want for lab in word_labels(w))]
+    return _coface_words(x, spec.band, {
+        label for label, d in _label_directions(x, spec).items()
+        if d == want})
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Each runner rebuilds its inputs from scratch, performs a fixed list of
 checks at the sizes given by its defaults, and returns a JSON-ready report
 {"claim", "ok", "checks", "parameters"}. Runs are deterministic: every
-randomized runner takes an explicit seed.
+randomized runner takes an explicit seed. A runner whose only failed checks
+are ones a budget stopped short of deciding (a pi1 probe that ran out, an
+exploration too small to fill a sample) raises RuntimeError instead: the
+claim is inconclusive, not false.
 """
 
 from __future__ import annotations
@@ -35,7 +38,14 @@ def _check(checks: list, name: str, ok, detail="") -> bool:
     return bool(ok)
 
 
-def _report(claim: str, checks: list, parameters: dict) -> dict:
+def _report(claim: str, checks: list, parameters: dict,
+            unsettled=None) -> dict:
+    """The claim's report; unsettled maps a check name to the budget that
+    kept it from being decided. RuntimeError when only such checks failed."""
+    failed = [c["name"] for c in checks if not c["ok"]]
+    if failed and unsettled and all(name in unsettled for name in failed):
+        raise RuntimeError("; ".join(f"{name}: {unsettled[name]}"
+                                     for name in failed))
     return {
         "claim": claim,
         "ok": all(c["ok"] for c in checks),
@@ -238,6 +248,8 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
     characters = [Character(-1, 0), Character(-1, 1), Character(-2, 3),
                   Character(-1, -1)]
     checks = []
+    unsettled = {}
+    ran_out = f"pi1 budget {pi1_budget} ran out"
 
     n_param = 7
     band = (2, n_param)
@@ -251,13 +263,17 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
                 apex = ("v", 1)
                 rep = homology_report(k, with_pi1=True,
                                       pi1_budget=pi1_budget)
-                cone_ok = (apex in k.vertices and k.is_cone_with_apex(apex)
-                           and all(b == 0 for b in rep["betti_reduced"])
-                           and all(not t for t in rep["torsion"])
-                           and rep["pi1"] == "trivial")
-                _check(checks, f"m1-{char}-feet-{f}-cone", cone_ok,
+                acyclic_cone = (apex in k.vertices
+                                and k.is_cone_with_apex(apex)
+                                and all(b == 0 for b in rep["betti_reduced"])
+                                and all(not t for t in rep["torsion"]))
+                name = f"m1-{char}-feet-{f}-cone"
+                _check(checks, name,
+                       acyclic_cone and rep["pi1"] == "trivial",
                        f"reduced betti {rep['betti_reduced']}, "
                        f"pi1 {rep['pi1']}")
+                if acyclic_cone and rep["pi1"] == "inconclusive":
+                    unsettled[name] = ran_out
         if char.b < 0:
             f = n_param - 1
             k = ascending_link_model(f, char, -1, band)
@@ -270,14 +286,16 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
                                 middle)
             rep = homology_report(contractible, with_pi1=True,
                                   pi1_budget=pi1_budget)
-            join_ok = (frozenset([v_first, v_last]) not in k
-                       and k == join(poles, middle)
-                       and k == contractible.remove_open_star(
-                           (v_first, v_last))
-                       and all(b == 0 for b in rep["betti_reduced"])
-                       and rep["pi1"] == "trivial")
-            _check(checks, f"m1-{char}-feet-{f}-pole-join", join_ok,
+            acyclic_join = (frozenset([v_first, v_last]) not in k
+                            and k == join(poles, middle)
+                            and k == contractible.remove_open_star(
+                                (v_first, v_last))
+                            and all(b == 0 for b in rep["betti_reduced"]))
+            name = f"m1-{char}-feet-{f}-pole-join"
+            _check(checks, name, acyclic_join and rep["pi1"] == "trivial",
                    f"link f-vector {k.f_vector()}")
+            if acyclic_join and rep["pi1"] == "inconclusive":
+                unsettled[name] = ran_out
 
     n_param = 10
     band = (2, n_param)
@@ -296,38 +314,54 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
 
     return _report("long-interval-ascending", checks, {
         "characters": [str(c) for c in characters],
-        "bands": [[2, 7], [2, 10]], "pi1_budget": pi1_budget})
+        "bands": [[2, 7], [2, 10]], "pi1_budget": pi1_budget}, unsettled)
 
 
 # ---------------------------------------------------------------------------
 # 7. ascending links nonempty in the narrow band
 
-def run_ascending_nonempty(seed: int = DEFAULT_SEED,
-                           per_combo: int = 50) -> dict:
-    band = (3, 4)
-    characters = [Character(1, 0), Character(0, 1)]
+def _cross_check_links(claim: str, band, characters, per_key: str,
+                       per_feet: int, max_vertices: int, model_name: str,
+                       model_ok) -> dict:
+    """Check each ascending link model, then compare it with the links of
+    up to per_feet explored vertices of each foot count in the band; the
+    report records per_feet under per_key."""
+    p, q = band
     checks = []
-    frag = explore([_band_seed_vertex(3)], band, max_vertices=per_combo * 8)
-    by_feet = {3: [], 4: []}
+    unsettled = {}
+    frag = explore([_band_seed_vertex(p)], band, max_vertices=max_vertices)
+    by_feet = {f: [] for f in range(p, q + 1)}
     for i, x in enumerate(frag.vertices):
         rows = by_feet[frag.feet_values[i]]
-        if len(rows) < per_combo:
+        if len(rows) < per_feet:
             rows.append(x)
     for char in characters:
         spec = MorseSpec(char, 1, band)
-        for f in (3, 4):
+        for f in range(p, q + 1):
             model = ascending_link_model(f, char, 1, band)
-            _check(checks, f"model-nonempty-{char}-feet-{f}",
-                   not model.is_empty(), f"f-vector {model.f_vector()}")
+            _check(checks, f"model-{model_name}-{char}-feet-{f}",
+                   model_ok(model), f"f-vector {model.f_vector()}")
             sample = by_feet[f]
             bad = [x.canon for x in sample
                    if ascending_link(x, spec) != model]
-            _check(checks, f"cross-check-{char}-feet-{f}",
-                   len(sample) >= per_combo and not bad,
+            name = f"cross-check-{char}-feet-{f}"
+            _check(checks, name, len(sample) >= per_feet and not bad,
                    f"{len(sample)} vertices, {len(bad)} mismatches")
-    return _report("ascending-nonempty", checks, {
-        "seed": seed, "band": list(band), "per_combo": per_combo,
-        "characters": [str(c) for c in characters]})
+            if len(sample) < per_feet and not bad:
+                unsettled[name] = (
+                    f"{len(frag.vertices)} explored vertices held "
+                    f"{len(sample)} of the {per_feet} sample vertices with "
+                    f"{f} feet")
+    return _report(claim, checks, {
+        "band": list(band), per_key: per_feet,
+        "characters": [str(c) for c in characters]}, unsettled)
+
+
+def run_ascending_nonempty(per_combo: int = 50) -> dict:
+    return _cross_check_links(
+        "ascending-nonempty", (3, 4), [Character(1, 0), Character(0, 1)],
+        "per_combo", per_combo, per_combo * 8, "nonempty",
+        lambda model: not model.is_empty())
 
 
 # ---------------------------------------------------------------------------
@@ -367,33 +401,12 @@ def run_l_invariant_disconnection(max_vertices: int = 5000) -> dict:
 # ---------------------------------------------------------------------------
 # 9. ascending links connected for positive two-coefficient characters
 
-def run_ascending_connected(seed: int = DEFAULT_SEED,
-                            per_feet: int = 25) -> dict:
-    band = (4, 7)
-    characters = [Character(1, 1), Character(2, 1), Character(1, 3)]
-    checks = []
-    frag = explore([_band_seed_vertex(4)], band, max_vertices=per_feet * 30)
-    by_feet = {f: [] for f in range(4, 8)}
-    for i, x in enumerate(frag.vertices):
-        rows = by_feet[frag.feet_values[i]]
-        if len(rows) < per_feet:
-            rows.append(x)
-    for char in characters:
-        spec = MorseSpec(char, 1, band)
-        for f in range(4, 8):
-            model = ascending_link_model(f, char, 1, band)
-            _check(checks, f"model-connected-{char}-feet-{f}",
-                   not model.is_empty() and model.is_connected(),
-                   f"f-vector {model.f_vector()}")
-            sample = by_feet[f]
-            bad = [x.canon for x in sample
-                   if ascending_link(x, spec) != model]
-            _check(checks, f"cross-check-{char}-feet-{f}",
-                   len(sample) >= per_feet and not bad,
-                   f"{len(sample)} vertices, {len(bad)} mismatches")
-    return _report("ascending-connected", checks, {
-        "seed": seed, "band": list(band), "per_feet": per_feet,
-        "characters": [str(c) for c in characters]})
+def run_ascending_connected(per_feet: int = 25) -> dict:
+    return _cross_check_links(
+        "ascending-connected", (4, 7),
+        [Character(1, 1), Character(2, 1), Character(1, 3)],
+        "per_feet", per_feet, per_feet * 30, "connected",
+        lambda model: not model.is_empty() and model.is_connected())
 
 
 # ---------------------------------------------------------------------------

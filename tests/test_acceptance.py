@@ -69,6 +69,7 @@ def test_06_long_interval_ascending():
 def test_07_ascending_nonempty():
     r = _run("ascending-nonempty")
     assert r["parameters"]["per_combo"] == 50
+    assert "seed" not in r["parameters"]
 
 
 def test_08_l_invariant_disconnection():
@@ -77,7 +78,9 @@ def test_08_l_invariant_disconnection():
 
 
 def test_09_ascending_connected():
-    _run("ascending-connected")
+    r = _run("ascending-connected")
+    assert r["parameters"]["per_feet"] == 25
+    assert "seed" not in r["parameters"]
 
 
 def test_10_nerve_cycle():

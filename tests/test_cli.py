@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from splitmerge import verify as verify_mod
 from splitmerge.cli import build_parser, main
+from splitmerge.complexes import SimplicialComplex
 from splitmerge.trees import MAX_DEPTH
 
 
@@ -163,6 +165,14 @@ class TestExplore:
         assert code == 2 and not out
         assert f"argument {flag}: expected a {expected} integer" in err
 
+    @pytest.mark.parametrize("value", ["a,b", "2", "2,3,4", "2.5,4", ""])
+    def test_bad_band_is_usage_error(self, value):
+        code, out, err = run("explore", "--seed", "[(*,*)]/[*,*]",
+                             "--band", value)
+        assert code == 2 and not out
+        assert "error: argument --band: expected 'p,q'" in err
+        assert "invalid literal" not in err
+
     @pytest.mark.parametrize("value", ["1/0", "abc", "1/2/3"])
     def test_bad_floor_is_usage_error(self, value):
         code, out, err = run("explore", "--seed", "[(*,*)]/[*,*]",
@@ -204,6 +214,42 @@ class TestVerify:
         assert code == 3
         assert j["verdict"] == "inconclusive"
         assert "error" in j
+
+    def test_exhausted_pi1_budget_is_inconclusive(self):
+        code, out, _ = run("--json", "verify", "long-interval-ascending",
+                           "--limit", "1")
+        j = json.loads(out)
+        assert code == 3 and j["verdict"] == "inconclusive"
+        assert "-cone: pi1 budget 1 ran out" in j["error"]
+        assert "-pole-join: pi1 budget 1 ran out" in j["error"]
+
+    def test_failure_beside_exhausted_pi1_budget_still_fails(self,
+                                                             monkeypatch):
+        real = verify_mod.homology_report
+
+        def cyclic_report(k, **kwargs):
+            rep = real(k, **kwargs)
+            rep["betti_reduced"] = [1] + rep["betti_reduced"][1:]
+            return rep
+
+        monkeypatch.setattr(verify_mod, "homology_report", cyclic_report)
+        code, out, _ = run("verify", "long-interval-ascending", "--limit", "1")
+        assert code == 1
+        assert out.strip().splitlines()[-1] == "FAIL long-interval-ascending"
+
+    def test_short_sample_is_inconclusive(self):
+        code, out, _ = run("verify", "ascending-connected", "--limit", "1")
+        assert code == 3
+        assert out.startswith("INCONCLUSIVE ascending-connected: ")
+        assert ("cross-check-1,3-feet-7: 30 explored vertices held 0 of "
+                "the 1 sample vertices with 7 feet") in out
+
+    def test_mismatch_beside_short_sample_still_fails(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "ascending_link",
+                            lambda x, spec: SimplicialComplex([]))
+        code, out, _ = run("verify", "ascending-connected", "--limit", "1")
+        assert code == 1
+        assert "FAIL cross-check-1,1-feet-4  (1 vertices, 1 mismatches)" in out
 
     @pytest.mark.parametrize("flag", ["--band", "--chi-min", "--radius"])
     def test_unused_flags_rejected(self, flag):

@@ -289,3 +289,49 @@ class TestMoves:
     def test_group_element_shape(self, rng):
         g = random_group_element(rng, 6)
         assert g.heads == 1 and g.feet == 1 and is_reduced(g)
+
+
+class TestTrustedConstructor:
+    """Surgery and composition build their results with Diagram._make,
+    which skips validation; every result must pass the public one."""
+
+    @given(rngs())
+    @settings(max_examples=150)
+    def test_results_pass_full_validation(self, rng):
+        x = random_vertex(rng, rng.randint(1, 6), rng.randint(0, 8))
+        results = [split_foot(x, i) for i in range(1, x.feet + 1)]
+        results += [merge_feet(x, i) for i in range(1, x.feet)]
+        d = random_diagram(rng, rng.randint(1, 3), rng.randint(1, 3),
+                           rng.randint(0, 8))
+        results += [expand_at(d, i)
+                    for i in range(forest_num_leaves(d.minus))]
+        e = random_expansion(rng, d, rng.randint(0, 3))
+        results += [cancel_at(e, i) for i in reducible_positions(e)]
+        g = random_group_element(rng, rng.randint(0, 8))
+        h = random_group_element(rng, rng.randint(0, 8))
+        results += [multiply(g, h), multiply(x, inverse(x)),
+                    inverse(d), mirror_diagram(d)]
+        for r in results:
+            checked = Diagram(r.minus, r.plus)
+            assert checked == r and hash(checked) == hash(r)
+            assert checked.canon == r.canon
+
+    @pytest.mark.parametrize("minus, plus", [
+        ((), (LEAF,)),
+        ([LEAF], [LEAF]),
+        (((LEAF,),), (LEAF,)),
+        (((LEAF, LEAF, LEAF),), (LEAF, LEAF, LEAF)),
+        (("*",), ("*",)),
+        (((LEAF, LEAF),), (LEAF,)),
+    ])
+    def test_public_constructor_rejects_bad_forests(self, minus, plus):
+        with pytest.raises(ValueError):
+            Diagram(minus, plus)
+
+    @pytest.mark.parametrize("text", [
+        "[(*,*)]/[*]", "[]/[*]", "[(*)]/[*]", "[(*,*,*)]/[*,*,*]",
+        "[*]/[*]x", "[*]",
+    ])
+    def test_parser_rejects_bad_forests(self, text):
+        with pytest.raises(ValueError):
+            parse_diagram(text)

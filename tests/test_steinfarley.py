@@ -1,11 +1,13 @@
 """Lazy cube-complex exploration: neighbors, cubes, links, covers."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitmerge.characters import Character, MorseSpec, chi, refined_height
+from splitmerge.characters import (Character, MorseSpec, chi, refined_compare,
+                                   refined_height)
 from splitmerge.complexes import (
     SimplicialComplex,
     ascending_link_model,
@@ -32,6 +34,7 @@ from splitmerge.steinfarley import (
     descending_link,
     explore,
     link_of,
+    monotone_cofaces,
     moves_in_band,
     neighbors,
     nerve,
@@ -159,6 +162,46 @@ class TestLinks:
         spec = MorseSpec(Character(-1, 0), -1, (2, 7))
         lk = ascending_link(x, spec)
         assert set(lk.vertices) == {("e", i) for i in range(2, 7)}
+
+
+def filtered_monotone_cofaces(x, spec, down):
+    """The build-then-filter route: list every banded coface word, then keep
+    those all of whose moves strictly ascend (descend) on the neighbor."""
+    want = -1 if down else 1
+    direction = {}
+    for kind, i in moves_in_band(x, spec.band):
+        y = apply_move(x, (kind, i))
+        direction["v" if kind == "s" else "e", i] = refined_compare(spec, y, x)
+    return [w for w in cofaces(x, spec.band)
+            if all(direction[lab] == want for lab in word_labels(w))]
+
+
+class TestPrunedCofaces:
+    coefficients = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-1, 3)]
+
+    @given(rngs(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_filter_over_every_coface(self, rng, down):
+        feet = rng.randint(2, 8)
+        x = random_vertex(rng, feet, rng.randint(0, 10))
+        char = Character(rng.choice(self.coefficients),
+                         rng.choice(self.coefficients))
+        band = (rng.randint(2, feet), feet + rng.randint(0, 4))
+        spec = MorseSpec(char, rng.choice([1, -1]), band)
+        words = filtered_monotone_cofaces(x, spec, down)
+        assert monotone_cofaces(x, spec, down) == words
+        link = ascending_link(x, spec, down)
+        assert link == SimplicialComplex(
+            [labels for labels in map(word_labels, words) if labels])
+
+    def test_mixed_word_is_pruned(self):
+        # chi0 drops on splitting foot 1 and ties on foot 2, where the feet
+        # secondary breaks the tie upwards: LL climbs one way, falls the other
+        x = parse_diagram("[(*,*)]/[*,*]")
+        spec = MorseSpec(Character(1, 0), 1, (2, 4))
+        assert cofaces(x, spec.band) == ["II", "IL", "LI", "LL"]
+        assert monotone_cofaces(x, spec) == ["II", "IL"]
+        assert monotone_cofaces(x, spec, down=True) == ["II", "LI"]
 
 
 class TestExplore:
