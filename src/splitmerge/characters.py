@@ -7,12 +7,18 @@ excess on the plus side over the minus side, and a general character is a
 rational combination a*chi0 + b*chi1. On one-head-one-foot diagrams these are
 group homomorphisms to the rationals; on arbitrary diagrams they are
 invariants of the reduced form usable as Morse heights.
+
+Heights that are only compared are compared as scaled integers: with D the
+lcm of the denominators of a and b, (A, B) = (a*D, b*D) gives D times the
+height, and D > 0 keeps order, sign and gap ratios. Fractions appear only
+where a value is printed or returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .trees import left_depth, right_depth
 
@@ -37,14 +43,22 @@ def chi1(d) -> int:
 
 @dataclass(frozen=True)
 class Character:
-    """Rational combination a*chi0 + b*chi1."""
+    """Rational combination a*chi0 + b*chi1.
+
+    scale D and ints (A, B) = (a*D, b*D) are the integer form; they are not
+    fields, so equality, hashing, printing and JSON see only a and b.
+    """
 
     a: Fraction
     b: Fraction
 
     def __init__(self, a, b):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        a, b = Fraction(a), Fraction(b)
+        scale = lcm(a.denominator, b.denominator)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "ints", (int(a * scale), int(b * scale)))
 
     @classmethod
     def parse(cls, text: str) -> "Character":
@@ -117,11 +131,7 @@ def refined_compare(spec: MorseSpec, x, y) -> int:
     """-1, 0 or +1 as x's refined height compares to y's."""
     hx = refined_height(spec, x)
     hy = refined_height(spec, y)
-    if hx < hy:
-        return -1
-    if hx > hy:
-        return 1
-    return 0
+    return (hx > hy) - (hx < hy)
 
 
 def check_morse_on_fragment(spec: MorseSpec, fragment) -> list:
@@ -132,18 +142,21 @@ def check_morse_on_fragment(spec: MorseSpec, fragment) -> list:
     separates the endpoints). Returns a list of (i, j, reason) tuples;
     empty means the property holds.
     """
-    eps = epsilon(spec.character)
-    a = spec.character.a
-    b = spec.character.b
+    char = spec.character
+    eps = epsilon(char)
+    a, b = char.ints
+    gap = int(eps * char.scale)
     out = []
     c0 = fragment.chi0_values
     c1 = fragment.chi1_values
     ft = fragment.feet_values
     for i, j in fragment.edges:
-        dchi = a * (c0[j] - c0[i]) + b * (c1[j] - c1[i])
-        if dchi != 0:
-            if abs(dchi) < eps:
-                out.append((i, j, f"0 < |dchi| = {abs(dchi)} < {eps}"))
+        # scaled by char.scale, so the gap test runs on integers
+        dchi = abs(a * (c0[j] - c0[i]) + b * (c1[j] - c1[i]))
+        if dchi:
+            if dchi < gap:
+                out.append((i, j, f"0 < |dchi| = "
+                           f"{Fraction(dchi, char.scale)} < {eps}"))
         elif ft[i] == ft[j]:
             out.append((i, j, "chi tie with equal feet"))
     return out

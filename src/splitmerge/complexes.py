@@ -12,12 +12,12 @@ the combinatorial model of ascending links of cube-complex vertices: labels
 ("v", i) (split foot i) and ("e", i) (merge feet i, i+1) span a simplex when
 their foot footprints are pairwise disjoint and the whole implied cube stays
 inside the foot-count band; the band caps prune the recursion that lists
-the maximal disjoint families.
+the maximal disjoint families. Footprints are int bitmasks, and a move's
+direction is the sign of its height change in the character's scaled
+integer form, so the model compares integers only.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .characters import Character
 
@@ -165,9 +165,6 @@ class SimplicialComplex:
             return ()
         return tuple(counts.get(k, 0) for k in range(1, max(counts) + 1))
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** (len(s) - 1) for s in self.simplices())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
@@ -287,32 +284,49 @@ def linear_graph(n: int) -> SimplicialComplex:
         [[("v", i), ("v", i + 1)] for i in range(1, n)])
 
 
-def _disjoint_family_complex(items, fits=None) -> SimplicialComplex:
+def _disjoint_family_complex(items, caps=None) -> SimplicialComplex:
     """Complex whose simplices are sets of items with disjoint footprints.
 
-    items: list of (label, footprint) with footprint a nonempty frozenset.
+    items: list of (label, footprint) with footprint a nonzero int bitmask.
     Labels pairwise distinct; an empty item list gives the empty complex.
-    fits, a predicate on label lists closed under subsets, prunes the
-    recursion exactly. Only maximal families are recorded.
+    caps, when given, maps label[0] of every label to the most items of
+    that kind a family may hold; the counts left travel down the recursion.
+    Only maximal families are recorded.
     """
     facets: list = []
+    room = dict(caps) if caps is not None else None
 
-    def grow(start: int, current: list, used: frozenset):
+    def grow(start: int, current: list, used: int):
         maximal = True
         for k, (label, foot) in enumerate(items):
-            if used & foot:
+            if used & foot or (room is not None and not room[label[0]]):
                 continue
-            current.append(label)
-            if fits is None or fits(current):
-                maximal = False
-                if k >= start:
-                    grow(k + 1, current, used | foot)
-            current.pop()
+            maximal = False
+            if k >= start:
+                current.append(label)
+                if room is not None:
+                    room[label[0]] -= 1
+                grow(k + 1, current, used | foot)
+                if room is not None:
+                    room[label[0]] += 1
+                current.pop()
         if current and maximal:
             facets.append(frozenset(current))
 
-    grow(0, [], frozenset())
+    grow(0, [], 0)
     return SimplicialComplex(facets)
+
+
+def _bitmask_items(simplices, vertices) -> list:
+    """(simplex, bitmask of its vertices' positions) for each simplex."""
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    return [(s, sum(bit[v] for v in s)) for s in simplices]
+
+
+def _path_items(n: int, splits: bool = True) -> list:
+    """("v", i) over foot i and ("e", i) over feet i, i+1 of an n-path."""
+    items = [(("v", i), 1 << i) for i in range(1, n + 1)] if splits else []
+    return items + [(("e", i), 3 << i) for i in range(1, n)]
 
 
 def general_matching_complex(k: SimplicialComplex) -> SimplicialComplex:
@@ -320,12 +334,14 @@ def general_matching_complex(k: SimplicialComplex) -> SimplicialComplex:
 
     Vertices are the simplices of k themselves (as frozenset labels).
     """
-    return _disjoint_family_complex([(s, s) for s in k.simplices()])
+    return _disjoint_family_complex(
+        _bitmask_items(k.simplices(), k.vertices))
 
 
 def matching_complex(k: SimplicialComplex) -> SimplicialComplex:
     """Complex of matchings of the 1-skeleton of k."""
-    return _disjoint_family_complex([(s, s) for s in k.k_simplices(1)])
+    return _disjoint_family_complex(
+        _bitmask_items(k.k_simplices(1), k.vertices))
 
 
 def gm_linear(n: int) -> SimplicialComplex:
@@ -334,15 +350,12 @@ def gm_linear(n: int) -> SimplicialComplex:
     ("v", i) stands for the singleton {v_i}; ("e", i) for the edge
     {v_i, v_{i+1}}.
     """
-    items = [(("v", i), frozenset([i])) for i in range(1, n + 1)]
-    items += [(("e", i), frozenset([i, i + 1])) for i in range(1, n)]
-    return _disjoint_family_complex(items)
+    return _disjoint_family_complex(_path_items(n))
 
 
 def m_linear(n: int) -> SimplicialComplex:
     """Matching complex of the n-path, with ("e", i) labels."""
-    items = [(("e", i), frozenset([i, i + 1])) for i in range(1, n)]
-    return _disjoint_family_complex(items)
+    return _disjoint_family_complex(_path_items(n, splits=False))
 
 
 def shift_labels(k: SimplicialComplex, delta: int) -> SimplicialComplex:
@@ -369,7 +382,8 @@ def move_delta(n: int, label) -> tuple:
 
 def _ascending(n: int, character: Character, secondary: int, label) -> bool:
     d0, d1 = move_delta(n, label)
-    dchi = character.a * d0 + character.b * d1
+    a, b = character.ints
+    dchi = a * d0 + b * d1
     if dchi > 0:
         return True
     if dchi < 0:
@@ -389,16 +403,9 @@ def ascending_link_model(n: int, character: Character, secondary: int,
     p, q = band
     if not p <= n <= q:
         raise ValueError(f"feet {n} outside band [{p},{q}]")
-    items = [(("v", i), frozenset([i])) for i in range(1, n + 1)]
-    items += [(("e", i), frozenset([i, i + 1])) for i in range(1, n)]
-    items = [(label, foot) for label, foot in items
+    items = [(label, foot) for label, foot in _path_items(n)
              if _ascending(n, character, secondary, label)]
-
-    def in_band(family) -> bool:
-        splits = sum(1 for lab in family if lab[0] == "v")
-        return n + splits <= q and n - (len(family) - splits) >= p
-
-    return _disjoint_family_complex(items, in_band)
+    return _disjoint_family_complex(items, {"v": q - n, "e": n - p})
 
 
 def descending_link_model(n: int, character: Character, secondary: int,

@@ -24,7 +24,6 @@ from .trees import (
     graft,
     is_caret,
     is_leaf,
-    leaf_starts,
     remove_terminal_caret,
     render_forest,
     terminal_pairs,
@@ -34,7 +33,8 @@ from .trees import (
 class Diagram:
     """Immutable split-merge diagram with cached canonical text form."""
 
-    __slots__ = ("minus", "plus", "_canon")
+    # _nbr_chi stays unset until steinfarley keeps a neighbor table there
+    __slots__ = ("minus", "plus", "_canon", "_nbr_chi")
 
     def __init__(self, minus, plus):
         trees.validate_forest(minus)
@@ -190,11 +190,6 @@ def generator(i: int) -> Diagram:
     return Diagram((minus,), (plus,))
 
 
-def is_elementary(f) -> bool:
-    """True when every tree of the forest is a leaf or a single caret."""
-    return all(is_leaf(t) or (is_leaf(t[0]) and is_leaf(t[1])) for t in f)
-
-
 def poset_leq(d1: Diagram, d2: Diagram):
     """Witness forest C with d1 * [C / trivial] == d2, or None.
 
@@ -212,28 +207,12 @@ def poset_leq(d1: Diagram, d2: Diagram):
 # ---------------------------------------------------------------------------
 # single split / merge moves on the feet
 
-def split_diagram(n: int, i: int) -> Diagram:
-    """Elementary diagram with n heads splitting foot i (1-based) into two."""
-    if not 1 <= i <= n:
-        raise ValueError(f"foot {i} out of range 1..{n}")
-    minus = (LEAF,) * (i - 1) + ((LEAF, LEAF),) + (LEAF,) * (n - i)
-    return Diagram(minus, (LEAF,) * (n + 1))
-
-
-def merge_diagram(n: int, i: int) -> Diagram:
-    """Elementary diagram with n heads merging feet i, i+1 (1-based)."""
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"foot pair ({i},{i + 1}) out of range")
-    plus = (LEAF,) * (i - 1) + ((LEAF, LEAF),) + (LEAF,) * (n - 1 - i)
-    return Diagram((LEAF,) * n, plus)
-
-
 def split_foot(d: Diagram, i: int) -> Diagram:
     """d composed with a split of foot i, computed surgically.
 
-    Equals multiply(d, split_diagram(d.feet, i)); d must be reduced and the
-    result is again reduced (a single split never creates a cancellable
-    caret).
+    Equals multiply(d, s), where s has d.feet heads, all single leaves, and
+    one caret under head i; d must be reduced and the result is again
+    reduced (a single split never creates a cancellable caret).
     """
     if not 1 <= i <= d.feet:
         raise ValueError(f"foot {i} out of range 1..{d.feet}")
@@ -241,7 +220,7 @@ def split_foot(d: Diagram, i: int) -> Diagram:
     if is_caret(t):
         plus = d.plus[:i - 1] + (t[0], t[1]) + d.plus[i:]
         return Diagram._make(d.minus, plus)
-    j = leaf_starts(d.plus)[i - 1]
+    j = forest_num_leaves(d.plus[:i - 1])
     plus = d.plus[:i - 1] + (LEAF, LEAF) + d.plus[i:]
     return Diagram._make(add_caret(d.minus, j), plus)
 
@@ -249,20 +228,22 @@ def split_foot(d: Diagram, i: int) -> Diagram:
 def merge_feet(d: Diagram, i: int) -> Diagram:
     """d composed with a merge of feet i, i+1, computed surgically.
 
-    Equals multiply(d, merge_diagram(d.feet, i)); d must be reduced. When
-    both feet are single leaves sitting under a terminal caret of the minus
-    side, the merge cancels that caret; a single merge never cascades.
+    Equals multiply(d, m), where m has d.feet single-leaf heads and one
+    caret joining feet i and i+1; d must be reduced. When both feet are
+    single leaves sitting under a terminal caret of the minus side, the
+    merge cancels that caret; a single merge never cascades.
     """
     if not 1 <= i <= d.feet - 1:
         raise ValueError(f"foot pair ({i},{i + 1}) out of range")
     t1 = d.plus[i - 1]
     t2 = d.plus[i]
     if is_leaf(t1) and is_leaf(t2):
-        j = leaf_starts(d.plus)[i - 1]
-        if j in terminal_pairs(d.minus):
-            minus = remove_terminal_caret(d.minus, j)
-            plus = d.plus[:i - 1] + (LEAF,) + d.plus[i + 1:]
-            return Diagram._make(minus, plus)
+        try:  # cancel the minus caret over both feet, if there is one
+            return Diagram._make(remove_terminal_caret(
+                d.minus, forest_num_leaves(d.plus[:i - 1])),
+                d.plus[:i - 1] + (LEAF,) + d.plus[i + 1:])
+        except ValueError:
+            pass
     plus = d.plus[:i - 1] + ((t1, t2),) + d.plus[i + 1:]
     return Diagram._make(d.minus, plus)
 

@@ -16,16 +16,20 @@ each banded move is compared by refined height with the vertex, and a
 letter whose move does not strictly ascend (descend) is pruned inside the
 coface recursion, with every word below it. This route shares no code with
 the disjoint-family models of complexes, which tests compare it against.
+The (chi0, chi1) of a vertex and of all its neighbors are computed once per
+vertex and shared by both links and every spec; heights are compared in
+the character's scaled integer form, as is the explore floor, so Fractions
+appear only in the values a Fragment prints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .diagrams import (Diagram, apply_move, invert_move, is_reduced,
                        merge_feet, split_foot)
-from .characters import (MorseSpec, chi, chi0, chi1, count_left, count_right,
-                         refined_height)
+from .characters import MorseSpec, chi0, chi1, count_left, count_right
 from .complexes import SimplicialComplex, connected_groups
 
 
@@ -149,14 +153,32 @@ def link_of(x: Diagram, band) -> SimplicialComplex:
     return SimplicialComplex([s for s in simplices if s])
 
 
+def _neighbor_table(x: Diagram) -> tuple:
+    """Flat (chi0, chi1) of x, then of split_foot(x, i) for i = 1..f, then
+    of merge_feet(x, i) for i = 1..f-1; built once and kept on x."""
+    try:
+        return x._nbr_chi
+    except AttributeError:
+        f = x.feet
+        ys = ([x] + [split_foot(x, i) for i in range(1, f + 1)]
+              + [merge_feet(x, i) for i in range(1, f)])
+        table = tuple(c for y in ys for c in (chi0(y), chi1(y)))
+        object.__setattr__(x, "_nbr_chi", table)
+        return table
+
+
 def _label_directions(x: Diagram, spec: MorseSpec) -> dict:
     """Link label of each banded move -> -1, 0 or +1 as the refined height
     of the neighbor it reaches compares to x's."""
-    move = {"s": split_foot, "m": merge_feet}
-    h = refined_height(spec, x)
+    table = _neighbor_table(x)
+    a, b = spec.character.ints
+    f, sec = x.feet, spec.secondary
+    h = (a * table[0] + b * table[1], sec * f)
     directions = {}
     for kind, i in moves_in_band(x, spec.band):
-        hy = refined_height(spec, move[kind](x, i))
+        # split i sits at 2i, merge i after the f splits, at 2(f + i)
+        k, df = (2 * i, 1) if kind == "s" else (2 * (f + i), -1)
+        hy = (a * table[k] + b * table[k + 1], sec * (f + df))
         directions["v" if kind == "s" else "e", i] = (hy > h) - (hy < h)
     return directions
 
@@ -237,14 +259,11 @@ class Fragment:
         self.feet_values = [d.feet for d in self.vertices]
         self.L_values = [L_value(d) for d in self.vertices]
         self.R_values = [R_value(d) for d in self.vertices]
-        self.chi_values = {}
-        tracked = list(self.characters)
-        if chi_floor is not None and chi_floor[0] not in tracked:
-            tracked.append(chi_floor[0])
-        for char in tracked:
-            self.chi_values[str(char)] = [
-                char.a * c0 + char.b * c1
-                for c0, c1 in zip(self.chi0_values, self.chi1_values)]
+        tracked = self.characters + ((chi_floor[0],) if chi_floor else ())
+        self.chi_values = {str(c): [
+            Fraction(c.ints[0] * c0 + c.ints[1] * c1, c.scale)
+            for c0, c1 in zip(self.chi0_values, self.chi1_values)]
+            for c in tracked}
         self.edges = [(i, j) for i, mv in enumerate(self.moves)
                       for (kind, _), j in sorted(mv.items()) if kind == "s"]
         self._cubes = None
@@ -370,9 +389,11 @@ def explore(seeds, band, chi_floor=None, characters=(),
     if chi_floor is not None:
         char, threshold = chi_floor
         chi_floor = (char, Fraction(threshold))
+        # chi >= t exactly when the scaled height reaches ceil(t * scale)
+        (fa, fb), floor = char.ints, math.ceil(chi_floor[1] * char.scale)
 
     def admissible(d):
-        return chi_floor is None or chi(chi_floor[0], d) >= chi_floor[1]
+        return chi_floor is None or fa * chi0(d) + fb * chi1(d) >= floor
 
     vertices, index, moves = [], {}, []
     truncated = False

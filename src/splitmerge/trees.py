@@ -209,25 +209,6 @@ def validate_forest(f):
 # ---------------------------------------------------------------------------
 # leaf-indexed surgery
 
-def leaf_starts(f) -> list:
-    """Global index of the first leaf of each tree."""
-    starts = []
-    acc = 0
-    for t in f:
-        starts.append(acc)
-        acc += num_leaves(t)
-    return starts
-
-
-def tree_containing_leaf(f, i: int) -> int:
-    acc = 0
-    for k, t in enumerate(f):
-        acc += num_leaves(t)
-        if i < acc:
-            return k
-    raise IndexError(f"leaf {i} out of range")
-
-
 def _tree_add_caret(t, i: int):
     if t == ():
         if i != 0:
@@ -241,9 +222,10 @@ def _tree_add_caret(t, i: int):
 
 def add_caret(f, i: int):
     """Replace global leaf i with a caret over two fresh leaves."""
-    k = tree_containing_leaf(f, i)
-    off = leaf_starts(f)[k]
-    return f[:k] + (_tree_add_caret(f[k], i - off),) + f[k + 1:]
+    for k, t in enumerate(f):
+        if k == len(f) - 1 or i < (n := num_leaves(t)):
+            return f[:k] + (_tree_add_caret(t, i),) + f[k + 1:]
+        i -= n
 
 
 def _tree_terminal_pairs(t, offset: int, out: list) -> int:
@@ -286,12 +268,13 @@ def _tree_remove_terminal(t, i: int):
 
 def remove_terminal_caret(f, i: int):
     """Collapse the caret over leaves i, i+1 back to a single leaf."""
-    k = tree_containing_leaf(f, i)
-    off = leaf_starts(f)[k]
-    tree, missed = _tree_remove_terminal(f[k], i - off)
-    if missed is not None:
-        raise ValueError(f"no terminal caret at leaf {i}")
-    return f[:k] + (tree,) + f[k + 1:]
+    j = i
+    for k, t in enumerate(f):
+        tree, missed = _tree_remove_terminal(t, j)
+        if missed is None:
+            return f[:k] + (tree,) + f[k + 1:]
+        j -= missed
+    raise ValueError(f"no terminal caret at leaf {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +293,6 @@ def forest_union(f, g):
     if len(f) != len(g):
         raise ValueError("forests must have the same number of trees")
     return tuple(tree_union(a, b) for a, b in zip(f, g))
-
-
-def tree_contains(small, big) -> bool:
-    """True when big refines small (small is a rooted prefix of big)."""
-    if small == ():
-        return True
-    if big == ():
-        return False
-    return tree_contains(small[0], big[0]) and tree_contains(small[1], big[1])
 
 
 def _tree_pieces(small, big, out: list):
@@ -357,15 +331,6 @@ def graft(f, pieces):
 
 # ---------------------------------------------------------------------------
 # randomized constructions (used for testing and verification sampling)
-
-def random_tree(rng, carets: int):
-    t = LEAF
-    n = 1
-    for _ in range(carets):
-        t = _tree_add_caret(t, rng.randrange(n))
-        n += 1
-    return t
-
 
 def random_forest(rng, trees: int, carets: int):
     f = (LEAF,) * trees

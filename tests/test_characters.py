@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,3 +184,100 @@ class TestMorseGap:
         for i, j in frag.edges:
             x, y = frag.vertices[i], frag.vertices[j]
             assert refined_compare(spec, x, y) != 0
+
+
+COEFFICIENTS = st.one_of(
+    st.just(Fraction(0)), st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+def fraction_morse_check(spec, fragment):
+    """The gap check in exact rationals: the oracle of the integer one."""
+    eps = epsilon(spec.character)
+    a, b = spec.character.a, spec.character.b
+    c0, c1, ft = (fragment.chi0_values, fragment.chi1_values,
+                  fragment.feet_values)
+    out = []
+    for i, j in fragment.edges:
+        dchi = a * (c0[j] - c0[i]) + b * (c1[j] - c1[i])
+        if dchi != 0:
+            if abs(dchi) < eps:
+                out.append((i, j, f"0 < |dchi| = {abs(dchi)} < {eps}"))
+        elif ft[i] == ft[j]:
+            out.append((i, j, "chi tie with equal feet"))
+    return out
+
+
+def sign(x):
+    return (x > 0) - (x < 0)
+
+
+class TestIntegerForm:
+    @given(COEFFICIENTS, COEFFICIENTS)
+    @settings(max_examples=200)
+    def test_scaled_coefficients(self, a, b):
+        c = Character(a, b)
+        big_a, big_b = c.ints
+        assert isinstance(big_a, int) and isinstance(big_b, int)
+        assert c.scale > 0
+        assert Fraction(big_a, c.scale) == a and Fraction(big_b, c.scale) == b
+
+    @given(COEFFICIENTS, COEFFICIENTS,
+           st.tuples(*[st.integers(-9, 9)] * 4))
+    @settings(max_examples=300)
+    def test_sign_of_height_difference(self, a, b, counts):
+        c = Character(a, b)
+        big_a, big_b = c.ints
+        x0, x1, y0, y1 = counts
+        exact = (a * y0 + b * y1) - (a * x0 + b * x1)
+        scaled = (big_a * y0 + big_b * y1) - (big_a * x0 + big_b * x1)
+        assert sign(scaled) == sign(exact)
+        assert scaled == exact * c.scale
+
+    def test_one_zero_coefficient(self):
+        c = Character(0, Fraction(-2, 3))
+        assert (c.scale, c.ints) == (3, (0, -2))
+
+    def test_integer_form_is_not_a_field(self):
+        c = Character(Fraction(2, 4), -1)
+        assert c == Character(Fraction(1, 2), -1)
+        assert hash(c) == hash(Character(Fraction(1, 2), -1))
+        assert repr(c) == "Character(a=Fraction(1, 2), b=Fraction(-1, 1))"
+        assert str(c) == "1/2,-1" and c.to_json() == {"a": "1/2", "b": "-1"}
+
+
+FRAGMENTS = {}
+
+
+def small_fragment(band):
+    if band not in FRAGMENTS:
+        seed = reduce(random_vertex(random.Random(band[1]), band[0], 3))
+        FRAGMENTS[band] = explore([seed], band, max_vertices=150)
+    return FRAGMENTS[band]
+
+
+class TestIntegerGapCheck:
+    @given(COEFFICIENTS, COEFFICIENTS, st.sampled_from([1, -1]),
+           st.sampled_from([(2, 4), (3, 5)]))
+    @settings(max_examples=120)
+    def test_equals_fraction_oracle(self, a, b, sec, band):
+        if a == b == 0:
+            return
+        spec = MorseSpec(Character(a, b), sec, band)
+        frag = small_fragment(band)
+        assert check_morse_on_fragment(spec, frag) == \
+            fraction_morse_check(spec, frag)
+
+    def test_violation_message(self):
+        frag = SimpleNamespace(chi0_values=[0, 1], chi1_values=[0, 1],
+                               feet_values=[2, 3], edges=[(0, 1)])
+        spec = MorseSpec(Character(Fraction(1, 2), Fraction(-1, 3)), 1,
+                         (2, 3))
+        expected = [(0, 1, "0 < |dchi| = 1/6 < 1/3")]
+        assert check_morse_on_fragment(spec, frag) == expected
+        assert fraction_morse_check(spec, frag) == expected
+
+    def test_zero_character_still_rejected(self):
+        with pytest.raises(ValueError):
+            check_morse_on_fragment(MorseSpec(Character(0, 0), 1, (2, 3)),
+                                    small_fragment((2, 4)))

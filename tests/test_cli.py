@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,6 +287,29 @@ class TestVerify:
         # registered ids are accepted by the parser and runnable by name
         assert len(RUNNERS) == 12
         del parser
+
+
+def run_module(*argv):
+    """Run ``python -m splitmerge`` from the checkout's src directory."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "splitmerge", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestModuleEntryPoint:
+    def test_reduce(self):
+        proc = run_module("reduce", "[((*,*),*)]/[(*,*),*]")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[(*,*)]/[*,*]"
+
+    def test_bad_band_exits_2(self):
+        proc = run_module("explore", "--seed", "[(*,*)]/[*,*]",
+                          "--band", "2")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
 
 
 class TestParser:

@@ -14,9 +14,7 @@ from splitmerge.diagrams import (
     identity,
     inverse,
     invert_move,
-    is_elementary,
     is_reduced,
-    merge_diagram,
     merge_feet,
     mirror_diagram,
     multiply,
@@ -29,7 +27,6 @@ from splitmerge.diagrams import (
     reduce,
     reducible_positions,
     render_diagram,
-    split_diagram,
     split_foot,
 )
 from splitmerge.steinfarley import moves_in_band
@@ -39,6 +36,23 @@ from splitmerge.trees import (LEAF, MAX_DEPTH, forest_num_leaves, left_vine,
 
 def rngs():
     return st.integers(0, 2**32 - 1).map(random.Random)
+
+
+def is_elementary(f) -> bool:
+    """True when every tree of the forest is a leaf or a single caret."""
+    return all(t == LEAF or t == (LEAF, LEAF) for t in f)
+
+
+def split_diagram(n: int, i: int) -> Diagram:
+    """Elementary diagram with n heads splitting foot i (1-based) into two."""
+    minus = (LEAF,) * (i - 1) + ((LEAF, LEAF),) + (LEAF,) * (n - i)
+    return Diagram(minus, (LEAF,) * (n + 1))
+
+
+def merge_diagram(n: int, i: int) -> Diagram:
+    """Elementary diagram with n heads merging feet i, i+1 (1-based)."""
+    plus = (LEAF,) * (i - 1) + ((LEAF, LEAF),) + (LEAF,) * (n - 1 - i)
+    return Diagram((LEAF,) * n, plus)
 
 
 def diagram_strategy(max_extra=8):

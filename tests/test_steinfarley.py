@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitmerge import complexes as complexes_mod
+from splitmerge import steinfarley as steinfarley_mod
 from splitmerge.characters import (Character, MorseSpec, chi, refined_compare,
                                    refined_height)
 from splitmerge.complexes import (
@@ -26,6 +28,7 @@ from splitmerge.steinfarley import (
     Fragment,
     L_value,
     R_value,
+    _label_directions,
     apply_labels,
     ascending_link,
     check_vertex,
@@ -422,3 +425,69 @@ class TestNerve:
         # every cell lands in one piece per carried label
         for cell, labels in zip(data["cells"], data["labels"]):
             assert set(labels) == cover_assign(cell, frag)
+
+
+COEFFICIENTS = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-1, 3)]
+
+
+class TestNeighborTable:
+    @given(rngs())
+    @settings(max_examples=150, deadline=None)
+    def test_directions_equal_refined_compare(self, rng):
+        feet = rng.randint(2, 8)
+        x = random_vertex(rng, feet, rng.randint(0, 10))
+        spec = MorseSpec(Character(rng.choice(COEFFICIENTS),
+                                   rng.choice(COEFFICIENTS)),
+                         rng.choice([1, -1]),
+                         (rng.randint(2, feet), feet + rng.randint(0, 4)))
+        expected = {("v" if kind == "s" else "e", i):
+                    refined_compare(spec, apply_move(x, (kind, i)), x)
+                    for kind, i in moves_in_band(x, spec.band)}
+        assert _label_directions(x, spec) == expected
+
+    def test_one_table_for_both_links_and_every_spec(self, monkeypatch):
+        applied = []
+        for name in ("split_foot", "merge_feet"):
+            original = getattr(steinfarley_mod, name)
+
+            def counted(d, i, name=name, original=original):
+                applied.append((name, d, i))
+                return original(d, i)
+
+            monkeypatch.setattr(steinfarley_mod, name, counted)
+        x = random_vertex(random.Random(21), 5, 6)
+        up = MorseSpec(Character(Fraction(1, 2), -1), 1, (3, 7))
+        down = MorseSpec(Character(-2, 3), -1, (2, 8))
+        asc = ascending_link(x, up)
+        desc = descending_link(x, down)
+        on_x = [(name, i) for name, d, i in applied if d is x]
+        assert len(on_x) == len(set(on_x)) == 2 * x.feet - 1
+        assert asc == ascending_link_model(5, up.character, 1, up.band)
+        assert desc == descending_link_model(5, down.character, -1, down.band)
+
+    def test_route_does_not_use_move_delta(self, monkeypatch):
+        x = random_vertex(random.Random(22), 4, 5)
+        spec = MorseSpec(Character(-1, 2), 1, (2, 6))
+        model = ascending_link_model(4, spec.character, 1, spec.band)
+
+        def refuse(n, label):
+            raise AssertionError("the cofaces route called move_delta")
+
+        monkeypatch.setattr(complexes_mod, "move_delta", refuse)
+        assert ascending_link(x, spec) == model
+
+
+class TestIntegerFloor:
+    @given(rngs(), st.sampled_from(COEFFICIENTS),
+           st.sampled_from(COEFFICIENTS),
+           st.fractions(min_value=-1, max_value=0, max_denominator=6))
+    @settings(max_examples=150, deadline=None)
+    def test_floor_matches_fraction_heights(self, rng, a, b, below):
+        char = Character(a, b)
+        x = random_vertex(rng, rng.randint(2, 5), rng.randint(0, 8))
+        threshold = chi(char, x) + below
+        band = (2, 6)
+        frag = explore([x], band, chi_floor=(char, threshold), max_radius=1)
+        expected = [x] + [y for y in neighbors(x, band)
+                          if chi(char, y) >= threshold]
+        assert frag.vertices == expected

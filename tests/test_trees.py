@@ -15,7 +15,6 @@ from splitmerge.trees import (
     graft,
     is_caret,
     is_leaf,
-    leaf_starts,
     left_depth,
     left_vine,
     mirror_forest,
@@ -25,17 +24,40 @@ from splitmerge.trees import (
     parse_forest,
     parse_tree,
     random_forest,
-    random_tree,
     remove_terminal_caret,
     render_forest,
     render_tree,
     right_depth,
     right_vine,
     terminal_pairs,
-    tree_contains,
     tree_union,
     validate_forest,
 )
+
+
+def leaf_starts(f) -> list:
+    """Global index of the first leaf of each tree."""
+    starts, acc = [], 0
+    for t in f:
+        starts.append(acc)
+        acc += num_leaves(t)
+    return starts
+
+
+def tree_contains(small, big) -> bool:
+    """True when big refines small (small is a rooted prefix of big)."""
+    if small == LEAF:
+        return True
+    if big == LEAF:
+        return False
+    return tree_contains(small[0], big[0]) and tree_contains(small[1], big[1])
+
+
+def random_tree(rng, carets: int):
+    t = LEAF
+    for n in range(1, carets + 1):
+        t = add_caret((t,), rng.randrange(n))[0]
+    return t
 
 
 def trees(max_leaves=16):
