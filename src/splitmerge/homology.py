@@ -16,7 +16,11 @@ staircase-triangulation subdivision available as a third cross-check.
 
 pi1_trivial builds an edge-path presentation from a spanning tree and
 simplifies it with a bounded Tietze loop; it answers "trivial",
-"nontrivial" (only on homological evidence) or "inconclusive".
+"nontrivial" (only on homological evidence) or "inconclusive". Each budget
+unit is one move: a kill (a relator of length 1), else a substitution (a
+relator of length 2 over two generators), both naming the generator of the
+relator's last letter; else the smallest generator used exactly once goes
+with its relator.
 homology_report and connectivity_evidence hand the H1 they computed to the
 same Tietze step instead of calling pi1_trivial.
 """
@@ -24,6 +28,7 @@ same Tietze step instead of calling pi1_trivial.
 from __future__ import annotations
 
 import heapq
+from collections import Counter, deque
 from fractions import Fraction
 from math import gcd
 
@@ -377,7 +382,6 @@ def subdivision_complex(fragment) -> SimplicialComplex:
     simplices: list = [[i] for i in range(len(fragment.vertices))]
     for base, word in fragment.cubes:
         positions = _cube_positions(word)
-        chains: list = [(base, [base])]
         # grow chains one split at a time, in every insertion order
         def extend(vertex: int, taken: tuple, chain: list):
             if len(taken) == len(positions):
@@ -400,16 +404,13 @@ def quotient_chain_complex(chain: ChainComplex, dropped) -> ChainComplex:
     the boundary (checked), i.e. describe an actual subcomplex.
     """
     n = len(chain.dims)
-    keep = []
-    for k in range(n):
-        drop_k = dropped[k] if k < len(dropped) else set()
-        keep.append([i for i in range(chain.dims[k]) if i not in drop_k])
+    dropped = list(dropped)[:n] + [set()] * (n - len(dropped))
+    keep = [[i for i in range(chain.dims[k]) if i not in dropped[k]]
+            for k in range(n)]
     for k in range(1, n):
-        drop_k = dropped[k] if k < len(dropped) else set()
-        drop_prev = dropped[k - 1] if k - 1 < len(dropped) else set()
         columns = chain.boundaries[k - 1]
-        for j in drop_k:
-            if any(i not in drop_prev for i in columns[j]):
+        for j in dropped[k]:
+            if any(i not in dropped[k - 1] for i in columns[j]):
                 raise ValueError(
                     "dropped cells are not closed under the boundary")
     dims = [len(k_) for k_ in keep]
@@ -505,9 +506,20 @@ def pi1_trivial(complex_: SimplicialComplex, budget: int = 20000) -> str:
     return _pi1_verdict(chain, homology(chain), budget)
 
 
+def _free_reduce(word) -> list:
+    out: list = []
+    for x in word:
+        if out and out[-1] == -x:
+            out.pop()
+        else:
+            out.append(x)
+    return out
+
+
 def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
     """pi1_trivial's verdict for a connected complex, given its simplicial
-    chain complex through degree >= 2 and that complex's homology."""
+    chain complex through degree >= 2 and that complex's homology. One
+    budget unit is one Tietze move on the spanning-tree presentation."""
     if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
         return "nontrivial"
     if len(chain.cells) < 2:
@@ -521,99 +533,51 @@ def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
         adjacency[v].append(u)
     tree = set()
     seen = {0}
-    queue = [0]
+    queue = deque([0])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for w in sorted(adjacency[u]):
             if w not in seen:
                 seen.add(w)
-                tree.add((min(u, w), max(u, w)))
+                tree.add((u, w) if u < w else (w, u))
                 queue.append(w)
     gens = {e: i + 1 for i, e in enumerate(e for e in edges if e not in tree)}
-
-    def edge_word(u, v) -> list:
-        g = gens.get((min(u, v), max(u, v)))
-        if g is None:
-            return []
-        return [g if u < v else -g]
-
     triangles = chain.cells[2] if len(chain.cells) > 2 else []
-    relators = [edge_word(a, b) + edge_word(b, c) + edge_word(c, a)
-                for a, b, c in (map(pos.get, s) for s in triangles)]
-
+    # a < b < c; three distinct edges give a freely reduced word
+    words = ([gens.get((a, b), 0), gens.get((b, c), 0), -gens.get((a, c), 0)]
+             for a, b, c in (map(pos.get, s) for s in triangles))
+    relators = [w for w in ([x for x in w if x] for w in words) if w]
     alive = set(gens.values())
-    steps = 0
-
-    def free_reduce(word: list) -> list:
-        out: list = []
-        for x in word:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return out
-
-    while steps < budget:
-        steps += 1
-        relators = [free_reduce(w) for w in relators]
-        relators = [w for w in relators if w]
+    for _ in range(budget):
         if not alive:
             break
-        acted = False
-        # killed generator: relator of length 1
-        for w in relators:
-            if len(w) == 1:
-                g = abs(w[0])
-                relators = [[x for x in r if abs(x) != g] for r in relators]
-                alive.discard(g)
-                acted = True
-                break
-        if acted:
+        named = next((i for i, w in enumerate(relators) if len(w) == 1), None)
+        if named is None:
+            named = next((i for i, w in enumerate(relators) if len(w) == 2
+                          and abs(w[0]) != abs(w[1])), None)
+        if named is not None:
+            # kill or substitute: the last letter x of w is (rest)^-1
+            w = relators.pop(named)
+            x, rest = w[-1], w[:-1]
+            g = abs(x)
+            sub = {x: [-y for y in reversed(rest)], -x: rest}
+            for i, r in enumerate(relators):
+                if g in r or -g in r:
+                    relators[i] = _free_reduce(
+                        z for y in r for z in sub.get(y, (y,)))
+            relators = [r for r in relators if r]
+            alive.discard(g)
             continue
-        # substitution: relator of length 2 names one generator by another
-        for w in relators:
-            if len(w) == 2 and abs(w[0]) != abs(w[1]):
-                g = abs(w[1])
-                # w[0]^s * w[1]^t = 1  =>  g = (w[0]-part)^-1 adjusted
-                rep = [-w[0]] if w[1] > 0 else [w[0]]
-                new_relators = []
-                for r in relators:
-                    if r is w:
-                        continue
-                    nr: list = []
-                    for x in r:
-                        if x == g:
-                            nr.extend(rep)
-                        elif x == -g:
-                            nr.extend(-y for y in reversed(rep))
-                        else:
-                            nr.append(x)
-                    new_relators.append(nr)
-                relators = new_relators
-                alive.discard(g)
-                acted = True
-                break
-        if acted:
-            continue
-        # generator used exactly once anywhere: solve its relator for it
-        usage: dict = {}
-        for idx, r in enumerate(relators):
-            for x in r:
-                usage.setdefault(abs(x), []).append(idx)
-        for g in sorted(alive):
-            used = usage.get(g, [])
-            if len(used) == 1:
-                idx = used[0]
-                relators = [r for i, r in enumerate(relators) if i != idx]
-                alive.discard(g)
-                acted = True
-                break
-            if not used:
-                # generator with no relations left: group is nontrivial-free
-                return "inconclusive"
-        if not acted:
+        # else the smallest generator used once goes with its relator
+        usage = Counter(abs(x) for r in relators for x in r)
+        g = min((g for g in alive if usage[g] < 2), default=None)
+        if g is None:
             break
-
+        if not usage[g]:
+            # generator with no relations left: group is nontrivial-free
+            return "inconclusive"
+        relators = [r for r in relators if g not in r and -g not in r]
+        alive.discard(g)
     return "trivial" if not alive else "inconclusive"
 
 

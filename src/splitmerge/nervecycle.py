@@ -246,63 +246,43 @@ def validate_certificate(cert: CycleCertificate,
     check("labels-alternate", sides == ["R", "L", "R", "L"]
           and len(set(cert.labels)) == 4, f"labels = {cert.labels}")
 
-    admissible = True
-    for path in paths:
-        for v in path:
+    def scan(name, faults, passed=""):
+        # faults yields failure messages; the first one, if any, is reported
+        fault = next(faults, None)
+        return check(name, fault is None, passed if fault is None else fault)
+
+    def vertex_faults():
+        for v in (v for path in paths for v in path):
             try:
                 check_vertex(v, band)
             except ValueError as exc:
-                admissible = check("vertices-admissible", False, str(exc))
-                break
+                yield str(exc)
+                continue
             if chi(character, v) < 0:
-                admissible = check("vertices-admissible", False,
-                                   f"character negative at {v}")
-                break
-        if not admissible:
-            break
-    if admissible:
-        check("vertices-admissible", True,
-              f"{sum(len(p) for p in paths)} path vertices")
+                yield f"character negative at {v}"
 
-    closed = all(
+    def label_faults():
+        for path, (side, value) in zip(paths, cert.labels):
+            for v in path:
+                if not _gate(v, side, value):
+                    yield f"vertex {v} outside ({side},{value})"
+            for u, v in zip(path, path[1:]):
+                if not _gate(u if u.feet > v.feet else v, side, value):
+                    yield f"edge {u} -- {v} outside ({side},{value})"
+
+    admissible = scan("vertices-admissible", vertex_faults(),
+                      f"{sum(len(p) for p in paths)} path vertices")
+    closed = (len(witnesses) == len(paths) == 4 and all(paths) and all(
         paths[i][0] == witnesses[i]
         and paths[i][-1] == witnesses[(i + 1) % 4]
-        for i in range(4))
+        for i in range(4)))
     check("paths-close-cycle", closed)
-
-    adjacent = True
-    for path in paths:
-        for u, v in zip(path, path[1:]):
-            found = any(apply_move(u, move) == v
-                        for move in moves_in_band(u, band))
-            if not found:
-                adjacent = check("paths-adjacent", False,
-                                 f"{u} and {v} are not neighbors")
-                break
-        if not adjacent:
-            break
-    if adjacent:
-        check("paths-adjacent", True)
-
-    gates_ok = True
-    for path, (side, value) in zip(paths, cert.labels):
-        for v in path:
-            if not _gate(v, side, value):
-                gates_ok = check("paths-inside-label", False,
-                                 f"vertex {v} outside ({side},{value})")
-                break
-        if not gates_ok:
-            break
-        for u, v in zip(path, path[1:]):
-            top = u if u.feet > v.feet else v
-            if not _gate(top, side, value):
-                gates_ok = check("paths-inside-label", False,
-                                 f"edge {u} -- {v} outside ({side},{value})")
-                break
-        if not gates_ok:
-            break
-    if gates_ok:
-        check("paths-inside-label", True)
+    scan("paths-adjacent", (
+        f"{u} and {v} are not neighbors"
+        for path in paths for u, v in zip(path, path[1:])
+        if not any(apply_move(u, move) == v
+                   for move in moves_in_band(u, band))))
+    scan("paths-inside-label", label_faults())
 
     cycle_ok = False
     if admissible and closed:

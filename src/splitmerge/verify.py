@@ -54,6 +54,12 @@ def _report(claim: str, checks: list, parameters: dict,
     }
 
 
+def _same_betti(a: list, b: list) -> bool:
+    """Equal Betti lists once the shorter is padded with zeros."""
+    width = max(len(a), len(b))
+    return a + [0] * (width - len(a)) == b + [0] * (width - len(b))
+
+
 def _band_seed_vertex(p: int) -> Diagram:
     """A canonical reduced vertex with exactly p feet."""
     if p == 1:
@@ -486,11 +492,8 @@ def run_homology_oracle(seed: int = DEFAULT_SEED, n_random: int = 50,
         cubical = [r["betti"] for r in homology(cubical_chain_complex(frag))]
         simplicial = [r["betti"] for r in homology(
             simplicial_chain_complex(subdivision_complex(frag)))]
-        width = max(len(cubical), len(simplicial))
-        cubical += [0] * (width - len(cubical))
-        simplicial += [0] * (width - len(simplicial))
         sizes.append(len(frag.vertices))
-        if cubical != simplicial:
+        if not _same_betti(cubical, simplicial):
             frag_bad += 1
     _check(checks, "cubical-matches-subdivision", frag_bad == 0,
            f"fragment sizes {sizes}, {frag_bad} disagreements")
@@ -510,15 +513,10 @@ def run_morse_lemma_instance() -> dict:
     top = Diagram((right_vine(6),), (left_vine(3), LEAF, LEAF, LEAF))
     checks = []
 
-    seen = {top.canon: top}
-    for word in monotone_cofaces(top, spec, down=True):
-        labels = word_labels(word)
-        for mask in range(1, 1 << len(labels)):
-            subset = tuple(lab for k, lab in enumerate(labels)
-                           if mask & (1 << k))
-            corner = apply_labels(top, subset)
-            seen.setdefault(corner.canon, corner)
-    vertices = [seen[c] for c in sorted(seen)]
+    # the closed descending star holds every sub-word, so every corner
+    corners = {apply_labels(top, word_labels(w))
+               for w in monotone_cofaces(top, spec, down=True)}
+    vertices = sorted(corners, key=lambda d: d.canon)
     frag = explore(vertices, band, characters=(char,), max_radius=0)
 
     squares = [c for c in frag.cubes if c[1].count("L") == 2]
@@ -553,10 +551,8 @@ def run_morse_lemma_instance() -> dict:
     sub_low = sub.full_subcomplex([i for i in below])
     rel_simplicial = relative_homology(sub, sub_low)
     simp_betti = [r["betti"] for r in rel_simplicial]
-    width = max(len(rel_betti), len(simp_betti))
     _check(checks, "subdivision-pair-agrees",
-           rel_betti + [0] * (width - len(rel_betti))
-           == simp_betti + [0] * (width - len(simp_betti)),
+           _same_betti(rel_betti, simp_betti),
            f"subdivision relative betti {simp_betti}")
 
     return _report("morse-lemma-instance", checks, {

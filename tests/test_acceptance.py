@@ -5,6 +5,8 @@ PASS/FAIL line (visible under pytest -s or in the failure report).
 """
 
 import functools
+import json
+from pathlib import Path
 
 import pytest
 
@@ -101,3 +103,23 @@ def test_reports_carry_provenance(claim):
     report = _report(claim)
     assert report["claim"] == claim
     assert isinstance(report["parameters"], dict) and report["parameters"]
+
+
+GOLDEN = Path(__file__).parent / "data" / "claim_reports.json"
+
+
+@functools.lru_cache(maxsize=None)
+def _golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("claim", CLAIMS)
+def test_reports_match_golden(claim):
+    """Same reports, same JSON: each report serializes exactly as the one in
+    tests/data/claim_reports.json. A change that means to alter a report
+    rewrites that file with json.dump(reports, f, indent=1, sort_keys=True),
+    reports being {claim: run_claim(claim)} over RUNNERS."""
+    def text(report):
+        return json.dumps(report, indent=1, sort_keys=True)
+
+    assert text(_report(claim)) == text(_golden()[claim])

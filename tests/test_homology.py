@@ -270,6 +270,172 @@ class TestPi1FromReports:
         assert len(calls) == 2
 
 
+def _reference_pi1_verdict(chain, res, budget):
+    """The Tietze loop as it stood before kill and substitution became one
+    move, kept verbatim so the meaning of one budget unit stays fixed."""
+    if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
+        return "nontrivial"
+    if len(chain.cells) < 2:
+        return "trivial"
+    # vertex positions; cells list each simplex in increasing position
+    pos = {v: i for i, (v,) in enumerate(chain.cells[0])}
+    edges = [(pos[u], pos[v]) for u, v in chain.cells[1]]
+    adjacency: list = [[] for _ in pos]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    tree = set()
+    seen = {0}
+    queue = [0]
+    while queue:
+        u = queue.pop(0)
+        for w in sorted(adjacency[u]):
+            if w not in seen:
+                seen.add(w)
+                tree.add((min(u, w), max(u, w)))
+                queue.append(w)
+    gens = {e: i + 1 for i, e in enumerate(e for e in edges if e not in tree)}
+
+    def edge_word(u, v) -> list:
+        g = gens.get((min(u, v), max(u, v)))
+        if g is None:
+            return []
+        return [g if u < v else -g]
+
+    triangles = chain.cells[2] if len(chain.cells) > 2 else []
+    relators = [edge_word(a, b) + edge_word(b, c) + edge_word(c, a)
+                for a, b, c in (map(pos.get, s) for s in triangles)]
+
+    alive = set(gens.values())
+    steps = 0
+
+    def free_reduce(word: list) -> list:
+        out: list = []
+        for x in word:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+        return out
+
+    while steps < budget:
+        steps += 1
+        relators = [free_reduce(w) for w in relators]
+        relators = [w for w in relators if w]
+        if not alive:
+            break
+        acted = False
+        # killed generator: relator of length 1
+        for w in relators:
+            if len(w) == 1:
+                g = abs(w[0])
+                relators = [[x for x in r if abs(x) != g] for r in relators]
+                alive.discard(g)
+                acted = True
+                break
+        if acted:
+            continue
+        # substitution: relator of length 2 names one generator by another
+        for w in relators:
+            if len(w) == 2 and abs(w[0]) != abs(w[1]):
+                g = abs(w[1])
+                # w[0]^s * w[1]^t = 1  =>  g = (w[0]-part)^-1 adjusted
+                rep = [-w[0]] if w[1] > 0 else [w[0]]
+                new_relators = []
+                for r in relators:
+                    if r is w:
+                        continue
+                    nr: list = []
+                    for x in r:
+                        if x == g:
+                            nr.extend(rep)
+                        elif x == -g:
+                            nr.extend(-y for y in reversed(rep))
+                        else:
+                            nr.append(x)
+                    new_relators.append(nr)
+                relators = new_relators
+                alive.discard(g)
+                acted = True
+                break
+        if acted:
+            continue
+        # generator used exactly once anywhere: solve its relator for it
+        usage: dict = {}
+        for idx, r in enumerate(relators):
+            for x in r:
+                usage.setdefault(abs(x), []).append(idx)
+        for g in sorted(alive):
+            used = usage.get(g, [])
+            if len(used) == 1:
+                idx = used[0]
+                relators = [r for i, r in enumerate(relators) if i != idx]
+                alive.discard(g)
+                acted = True
+                break
+            if not used:
+                # generator with no relations left: group is nontrivial-free
+                return "inconclusive"
+        if not acted:
+            break
+
+    return "trivial" if not alive else "inconclusive"
+
+
+PI1_BUDGETS = list(range(41)) + [100, 1000, 20000]
+
+
+def dunce_hat():
+    """A triangle with its sides glued by the word a a a^-1, subdivided so
+    that it is simplicial: contractible but not collapsible, and its
+    spanning-tree presentation needs a substitution, not only kills."""
+    rim = ["P", "x", "y", "P", "x", "y", "P", "y", "x"]
+    ring = [f"i{k}" for k in range(9)]
+    facets = []
+    for k in range(9):
+        n = (k + 1) % 9
+        facets += [[rim[k], rim[n], ring[k]], [rim[n], ring[k], ring[n]],
+                   [ring[k], ring[n], "c"]]
+    return SimplicialComplex(facets)
+
+
+class TestTietzeStepAgainstReference:
+    """_pi1_verdict gives the reference loop's verdict at every budget, so
+    one budget unit (what long-interval-ascending --limit counts) keeps its
+    meaning."""
+
+    @staticmethod
+    def verdicts(k, verdict):
+        # an empty homology list skips the H1 shortcut, so the loop also
+        # runs on presentations of groups with nonzero H1
+        chain = simplicial_chain_complex(k, top=2)
+        return [verdict(chain, res, b) for res in (homology(chain), [])
+                for b in PI1_BUDGETS]
+
+    def assert_same(self, k):
+        assert (self.verdicts(k, homology_module._pi1_verdict)
+                == self.verdicts(k, _reference_pi1_verdict))
+
+    @given(connected_complexes())
+    @settings(max_examples=300, deadline=None)
+    @example(SimplicialComplex.boundary_sphere(range(6)))
+    def test_random_complexes(self, k):
+        self.assert_same(k)
+
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_matching_complexes(self, n):
+        self.assert_same(m_linear(n))
+
+    def test_cone(self):
+        self.assert_same(cone(m_linear(6), "apex"))
+
+    def test_dunce_hat(self):
+        k = dunce_hat()
+        assert homology_report(k)["betti_reduced"] == [0, 0, 0]
+        assert pi1_trivial(k) == "trivial"
+        self.assert_same(k)
+
+
 class TestRelative:
     def test_pair_with_itself_vanishes(self):
         k = gm_linear(3)

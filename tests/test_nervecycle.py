@@ -1,5 +1,6 @@
 """Quadrilateral nerve-cycle certificates: construction and replay."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -107,6 +108,22 @@ class TestCertificateValue:
         )
         rep = validate_certificate(broken)
         assert not rep["ok"]
+
+    @pytest.mark.parametrize("shape", [
+        "three-witnesses", "three-paths", "empty-path", "fifth-empty-path"])
+    def test_validator_fails_malformed_shapes(self, shape):
+        cert = find_nerve_cycle(Character(1, 1))
+        change = {
+            "three-witnesses": {"witnesses": cert.witnesses[:3]},
+            "three-paths": {"paths": cert.paths[:3]},
+            "empty-path": {"paths": ((),) + cert.paths[1:]},
+            "fifth-empty-path": {"paths": cert.paths + ((),)},
+        }[shape]
+        rep = validate_certificate(dataclasses.replace(cert, **change))
+        assert not rep["ok"]
+        closure = [c for c in rep["checks"] if c["name"] == "paths-close-cycle"]
+        assert closure == [{"name": "paths-close-cycle", "ok": False,
+                            "detail": ""}]
 
 
 FORCED_FAILURE = """
