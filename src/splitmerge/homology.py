@@ -10,9 +10,10 @@ supplies the torsion (after Dumas, Saunders and Villard, JSC 32 (2001)).
 The dense Smith normal form and the exact-rational rank route are the
 independent oracles; the latter never looks at the elimination code.
 Simplicial chain complexes come from SimplicialComplex objects, whose
-vertices tuple fixes the order of cells and of each cell's vertices;
-cubical ones from explored fragments of the diagram cube complex, with a
-staircase-triangulation subdivision available as a third cross-check.
+vertices tuple fixes the order of cells and of each cell's vertices.
+Cubical ones take their cells from Fragment.cells() and every boundary
+from the face rule Fragment.faces, as does the staircase subdivision that
+serves as a third cross-check.
 
 pi1_trivial builds an edge-path presentation from a spanning tree and
 simplifies it with a bounded Tietze loop; it answers "trivial",
@@ -30,10 +31,11 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from .complexes import SimplicialComplex
-from .diagrams import split_foot
+from .steinfarley import cube_axes
 
 
 # ---------------------------------------------------------------------------
@@ -312,89 +314,51 @@ def simplicial_chain_complex(complex_: SimplicialComplex,
 # ---------------------------------------------------------------------------
 # cubical route for fragments
 
-def _cube_positions(word: str) -> list:
-    return [i + 1 for i, ch in enumerate(word) if ch == "L"]
-
-
-def _front_word(word: str, p: int) -> str:
-    # splitting foot p widens it into two feet carrying no further splits
-    return word[:p - 1] + "II" + word[p:]
-
-
-def _back_word(word: str, p: int) -> str:
-    return word[:p - 1] + "I" + word[p:]
-
-
 def cubical_chain_complex(fragment) -> ChainComplex:
     """Chain complex of the cube structure carried by a fragment.
 
-    Degree-k cells are the fragment's recorded k-cubes (base, word); the two
-    faces across axis j are the base-side cube (split j omitted) and the
-    far-side cube based at the split neighbor.
+    cells[k] lists the fragment's cells (base, word) with k L letters, in
+    the order of Fragment.cells(); a vertex is (i, all-I word). Across its
+    j-th axis p (j = 1, 2, ...) a cell has the two faces
+    Fragment.faces(base, word, p): the front one with sign (-1)^j, the
+    back one with the opposite sign.
     """
-    by_dim: dict = {}
-    for base, word in fragment.cubes:
-        k = word.count("L")
-        by_dim.setdefault(k, []).append((base, word))
-    top = max(by_dim) if by_dim else 0
-    cells: list = [[(i, "") for i in range(len(fragment.vertices))]]
-    for k in range(1, top + 1):
-        level = sorted(by_dim.get(k, []))
-        cells.append(level)
-    dims = [len(c) for c in cells]
+    # an empty fragment still has its (empty) degree 0
+    cells = [list(level) for _, level in groupby(
+        fragment.cells(), key=lambda cell: cell[1].count("L"))] or [[]]
     boundaries = []
-    for k in range(1, top + 1):
-        index = {}
-        for i, (base, word) in enumerate(cells[k - 1]):
-            if k - 1 == 0:
-                index[(base, None)] = i
-            else:
-                index[(base, word)] = i
+    for k in range(1, len(cells)):
+        index = {cell: i for i, cell in enumerate(cells[k - 1])}
         columns = []
         for base, word in cells[k]:
             col: dict = {}
-            positions = _cube_positions(word)
-            for axis, p in enumerate(positions):
-                sign = (-1) ** (axis + 1)
-                front_base = fragment.step(base, ("s", p))
-                if k == 1:
-                    back_key = (base, None)
-                    front_key = (front_base, None)
-                else:
-                    back_key = (base, _back_word(word, p))
-                    front_key = (front_base, _front_word(word, p))
-                for key, value in ((front_key, sign), (back_key, -sign)):
-                    row = index[key]
+            for j, p in enumerate(cube_axes(word), 1):
+                sign = (-1) ** j
+                back, front = fragment.faces(base, word, p)
+                for face, value in ((front, sign), (back, -sign)):
+                    row = index[face]
                     col[row] = col.get(row, 0) + value
             columns.append({i: v for i, v in col.items() if v})
         boundaries.append(columns)
-    return ChainComplex(dims, boundaries, cells=cells)
+    return ChainComplex([len(c) for c in cells], boundaries, cells=cells)
 
 
 def subdivision_complex(fragment) -> SimplicialComplex:
     """Staircase triangulation of the fragment's cubes, on the same vertices.
 
-    Each k-cube contributes the order complex of its corner lattice: one
-    k-simplex per maximal chain of subsets of its split set. Restriction to
-    a shared face triangulates it the same way, so the union is a complex
-    with homology equal to the cubical one.
+    Each k-cell contributes the order complex of its corner lattice: one
+    k-simplex per maximal chain of subsets of its split set, that is its
+    base followed by a chain of its front face across each axis in turn.
+    Restriction to a shared face triangulates it the same way, so the
+    union is a complex with homology equal to the cubical one.
     """
-    simplices: list = [[i] for i in range(len(fragment.vertices))]
-    for base, word in fragment.cubes:
-        positions = _cube_positions(word)
-        # grow chains one split at a time, in every insertion order
-        def extend(vertex: int, taken: tuple, chain: list):
-            if len(taken) == len(positions):
-                simplices.append(chain)
-                return
-            for p in positions:
-                if p in taken:
-                    continue
-                shift = sum(1 for q in taken if q < p)
-                nxt = fragment.step(vertex, ("s", p + shift))
-                extend(nxt, taken + (p,), chain + [nxt])
-        extend(base, (), [base])
-    return SimplicialComplex(simplices)
+    chains: dict = {}  # cells() lists every face before its cofaces
+    for base, word in fragment.cells():
+        chains[base, word] = [
+            [base] + chain for p in cube_axes(word)
+            for chain in chains[fragment.faces(base, word, p)[1]]] or [[base]]
+    return SimplicialComplex([chain for cell_chains in chains.values()
+                              for chain in cell_chains])
 
 
 def quotient_chain_complex(chain: ChainComplex, dropped) -> ChainComplex:
@@ -427,25 +391,22 @@ def quotient_chain_complex(chain: ChainComplex, dropped) -> ChainComplex:
     return ChainComplex(dims, boundaries)
 
 
+def _pair_homology(chain: ChainComplex, in_sub) -> list:
+    """Homology of chain relative to the cells that pass in_sub."""
+    return homology(quotient_chain_complex(chain, [
+        {i for i, cell in enumerate(level) if in_sub(cell)}
+        for level in chain.cells]))
+
+
 def fragment_pair_homology(fragment, in_sub) -> list:
     """Homology of a fragment relative to a full cubical subcomplex.
 
-    in_sub(vertex_index) picks the subcomplex vertices; a cube belongs to
+    in_sub(vertex_index) picks the subcomplex vertices; a cell belongs to
     the subcomplex when all its corners do. The predicate must actually
     select a subcomplex (checked via boundary closure).
     """
-    chain = cubical_chain_complex(fragment)
-    dropped = []
-    for k, level in enumerate(chain.cells):
-        drop = set()
-        for i, (base, word) in enumerate(level):
-            if k == 0:
-                if in_sub(base):
-                    drop.add(i)
-            elif all(in_sub(c) for c in fragment.corners(base, word)):
-                drop.add(i)
-        dropped.append(drop)
-    return homology(quotient_chain_complex(chain, dropped))
+    return _pair_homology(cubical_chain_complex(fragment), lambda cell: all(
+        map(in_sub, fragment.corners(*cell))))
 
 
 def relative_homology(complex_: SimplicialComplex,
@@ -455,12 +416,8 @@ def relative_homology(complex_: SimplicialComplex,
     for s in sub:
         if s not in complex_:
             raise ValueError("second argument is not a subcomplex")
-    chain = simplicial_chain_complex(complex_)
-    dropped = []
-    for k, level in enumerate(chain.cells):
-        dropped.append({i for i, s in enumerate(level)
-                        if frozenset(s) in sub})
-    return homology(quotient_chain_complex(chain, dropped))
+    return _pair_homology(simplicial_chain_complex(complex_),
+                          lambda s: frozenset(s) in sub)
 
 
 # ---------------------------------------------------------------------------
@@ -568,14 +525,12 @@ def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
             relators = [r for r in relators if r]
             alive.discard(g)
             continue
-        # else the smallest generator used once goes with its relator
+        # else the smallest generator used once goes with its relator; one
+        # used nowhere stays alive, as no move can bring it back
         usage = Counter(abs(x) for r in relators for x in r)
-        g = min((g for g in alive if usage[g] < 2), default=None)
+        g = min((g for g in alive if usage[g] == 1), default=None)
         if g is None:
             break
-        if not usage[g]:
-            # generator with no relations left: group is nontrivial-free
-            return "inconclusive"
         relators = [r for r in relators if g not in r and -g not in r]
         alive.discard(g)
     return "trivial" if not alive else "inconclusive"

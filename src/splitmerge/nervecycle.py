@@ -284,7 +284,6 @@ def validate_certificate(cert: CycleCertificate,
                    for move in moves_in_band(u, band))))
     scan("paths-inside-label", label_faults())
 
-    cycle_ok = False
     if admissible and closed:
         all_vertices = list(dict.fromkeys(v for path in paths for v in path))
         frag = explore(all_vertices, band, chi_floor=(character, 0),
@@ -294,29 +293,16 @@ def validate_certificate(cert: CycleCertificate,
         except AssertionError as exc:
             check("nerve-cycle", False, f"cover invariant failed: {exc}")
         else:
-            by_side = []
-            for w in witnesses:
-                cell_idx = frag.index[w]
-                labs = dict((side, (side, value, comp)) for side, value, comp
-                            in data["cell_nerve_vertices"][cell_idx])
-                by_side.append(labs)
-            v_r2 = by_side[0].get("R")
-            v_l3 = by_side[1].get("L")
-            v_r3 = by_side[2].get("R")
-            v_l2 = by_side[3].get("L")
-            corners = [v_r2, v_l3, v_r3, v_l2]
-            same_component = (
-                None not in corners
-                and by_side[1].get("R") == v_r2
-                and by_side[2].get("L") == v_l3
-                and by_side[3].get("R") == v_r3
-                and by_side[0].get("L") == v_l2)
+            by_side = [{nv[0]: nv for nv in data["cell_nerve_vertices"][
+                frag.index[w]]} for w in witnesses]
             nerve_complex = data["complex"]
-            edges_present = same_component and all(
-                frozenset(e) in nerve_complex for e in (
-                    (v_l2, v_r2), (v_r2, v_l3), (v_l3, v_r3), (v_r3, v_l2)))
-            cycle_ok = (same_component and edges_present
-                        and len(set(corners)) == 4)
+            # corner i is witness i's nerve vertex on side RLRL[i]; witness
+            # i + 1 carries it too, and corners i, i + 1 span a nerve edge
+            corners = [labs.get(side) for labs, side in zip(by_side, "RLRL")]
+            cycle_ok = None not in corners and len(set(corners)) == 4 and all(
+                by_side[(i + 1) % 4].get(side) == corners[i]
+                and frozenset((corners[i], corners[(i + 1) % 4]))
+                in nerve_complex for i, side in enumerate("RLRL"))
             check("nerve-cycle", cycle_ok,
                   f"nerve vertices {sorted(nerve_complex.vertices)}")
     else:

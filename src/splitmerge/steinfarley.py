@@ -8,8 +8,9 @@ fragments of the complex are ever materialized.
 
 Coface words are strings over I (foot untouched), L (foot split) and V
 (two adjacent feet merged); reading left to right, I and L consume one
-foot and V consumes two. Cubes inside a fragment are stored from their
-fewest-feet corner, whose word therefore uses only I and L.
+foot and V consumes two. Cells inside a fragment are stored from their
+fewest-feet corner, whose word therefore uses only I and L (a vertex is its
+all-I word); Fragment.faces is the one face rule for all of them.
 
 Ascending (descending) links are read off the actual neighbor diagrams:
 each banded move is compared by refined height with the vertex, and a
@@ -214,13 +215,23 @@ def monotone_cofaces(x: Diagram, spec: MorseSpec, down: bool = False) -> list:
 # ---------------------------------------------------------------------------
 # fragments
 
+def cube_axes(word: str) -> list:
+    """Axes of a cube word: the 1-based feet its L letters split."""
+    return [i + 1 for i, ch in enumerate(word) if ch == "L"]
+
+
+def _doubled(word: str, p: int) -> str:
+    # the far side of split p: foot p is two feet, neither of them split
+    return word[:p - 1] + "II" + word[p:]
+
+
 class Fragment:
     """Immutable finite window of the cube complex.
 
     Vertices are stored in discovery order, and index maps each vertex
     Diagram (hashed by its two forests) to its position. Edges, moves, and
-    cubes are the ones induced on that vertex set. Cube words use I/L only,
-    read from the cube's fewest-feet corner.
+    cubes are the ones induced on that vertex set. Cell words use I/L only,
+    read from the cell's fewest-feet corner.
     """
 
     __slots__ = ("vertices", "index", "band", "chi_floor", "characters",
@@ -280,68 +291,44 @@ class Fragment:
         return self._cubes
 
     def _find_cubes(self) -> list:
-        present = {}
-
-        def has_cube(i, positions):
-            if not positions:
-                return True
-            key = (i, positions)
-            cached = present.get(key)
-            if cached is not None:
-                return cached
-            m = positions[0]
-            rest = positions[1:]
-            j = self.moves[i].get(("s", m))
-            ok = (j is not None and has_cube(i, rest)
-                  and has_cube(j, tuple(p + 1 for p in rest)))
-            present[key] = ok
-            return ok
-
+        # level k + 1 grows from level k: adding an axis m right of every L
+        # of a k-cube (i, word) gives a cube exactly when the new cube's
+        # front face across m, (step(i, m), word with foot m doubled), is a
+        # k-cube too; the axes left of m keep their positions after split m
+        level = {(i, "I" * f) for i, f in enumerate(self.feet_values)}
         found = []
-        level = []
-        for i, mv in enumerate(self.moves):
-            for kind, pos in sorted(mv):
-                if kind == "s":
-                    level.append((i, (pos,)))
         while level:
-            found.extend(level)
-            nxt = []
-            for i, positions in level:
-                for m in range(positions[-1] + 1, self.feet_values[i] + 1):
-                    if ("s", m) in self.moves[i]:
-                        grown = positions + (m,)
-                        if has_cube(i, grown):
-                            nxt.append((i, grown))
-            level = nxt
-        out = []
-        for i, positions in found:
-            word = "".join("L" if p in positions else "I"
-                           for p in range(1, self.feet_values[i] + 1))
-            out.append((i, word))
-        out.sort(key=lambda c: (c[1].count("L"), c[0], c[1]))
-        return out
+            grown = set()
+            for i, word in level:
+                mv = self.moves[i]
+                for m in range(word.rfind("L") + 2, len(word) + 1):
+                    j = mv.get(("s", m))
+                    if j is not None and (j, _doubled(word, m)) in level:
+                        grown.add((i, word[:m - 1] + "L" + word[m:]))
+            found += sorted(grown)
+            level = grown
+        return found
 
     def corners(self, base: int, word: str) -> list:
-        """Vertex indices of all corners of the cube, base included."""
-        positions = [i + 1 for i, ch in enumerate(word) if ch == "L"]
+        """Vertex indices of the cell's 2^k corners: base (the fewest-feet
+        corner) first, the most-feet corner (every split applied) last. A
+        vertex's only corner is [base]."""
         corners = [base]
-        for p in reversed(positions):
+        for p in reversed(cube_axes(word)):
             corners = corners + [self.step(i, ("s", p)) for i in corners]
         return corners
 
-    def top_corner(self, base: int, word: str) -> int:
-        """Index of the cube's most-feet corner (all splits applied)."""
-        positions = [i + 1 for i, ch in enumerate(word) if ch == "L"]
-        cur = base
-        for p in reversed(positions):
-            cur = self.step(cur, ("s", p))
-        return cur
+    def faces(self, base: int, word: str, p: int) -> tuple:
+        """Back and front faces of the cell across axis p: the L at foot p
+        becomes I at base, and II at the far end of split p."""
+        return ((base, word[:p - 1] + "I" + word[p:]),
+                (self.moves[base]["s", p], _doubled(word, p)))
 
     def cells(self) -> list:
-        """All cells as (base, word): vertices (all-I words) first, then cubes."""
-        verts = [(i, "I" * self.feet_values[i])
-                 for i in range(len(self.vertices))]
-        return verts + list(self.cubes)
+        """Every cell as (base, I/L word), by dimension (the number of L
+        letters), then base, then word. A vertex is (i, all-I word)."""
+        return [(i, "I" * f)
+                for i, f in enumerate(self.feet_values)] + self.cubes
 
     def components(self) -> list:
         return connected_groups(range(len(self.vertices)), self.edges)
@@ -480,7 +467,7 @@ def cover_assign(cell, frag: Fragment) -> set:
     """
     _require_cover_regime(frag)
     base, word = cell
-    x = frag.vertices[frag.top_corner(base, word)]
+    x = frag.vertices[frag.corners(base, word)[-1]]
     labels = set()
     if count_left(x.plus) > 0:
         labels.add(("L", L_value(x)))

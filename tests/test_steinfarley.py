@@ -1,5 +1,7 @@
 """Lazy cube-complex exploration: neighbors, cubes, links, covers."""
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +25,9 @@ from splitmerge.diagrams import (
     random_vertex,
     reduce,
     render_diagram,
+    split_foot,
 )
+from splitmerge.homology import cubical_chain_complex, subdivision_complex
 from splitmerge.steinfarley import (
     Fragment,
     L_value,
@@ -317,7 +321,7 @@ class TestCubes:
         from_cubes = set()
         for base, word in frag.cubes:
             if word.count("L") == 1:
-                top = frag.top_corner(base, word)
+                top = frag.corners(base, word)[-1]
                 from_cubes.add((min(base, top), max(base, top)))
         assert from_cubes == {(min(i, j), max(i, j)) for i, j in frag.edges}
 
@@ -340,6 +344,108 @@ class TestCubes:
                 ]
                 assert hs.count(max(hs)) == 1
                 assert hs.count(min(hs)) == 1
+
+
+def random_fragment(rng, max_vertices):
+    """A fragment on a random band, p = 1 included, maybe under a character
+    floor, maybe cut short by a vertex budget or a radius."""
+    p = rng.randint(1, 3)
+    band = (p, p + rng.randint(0, 4))
+    seeds = [random_vertex(rng, rng.randint(*band), rng.randint(0, 5))
+             for _ in range(rng.randint(1, 3))]
+    floor = None
+    if rng.random() < 0.4:
+        c = Character(rng.randint(-2, 3), rng.randint(-2, 3))
+        floor = (c, min(chi(c, s) for s in seeds) - rng.randint(0, 2))
+    return explore(seeds, band, chi_floor=floor,
+                   max_vertices=rng.choice([4, 25, max_vertices, max_vertices]),
+                   max_radius=rng.choice([None, None, 0, 2, 4]))
+
+
+def staircase_reference(frag):
+    """The staircase triangulation as first written: a cube's chains grow
+    one split at a time in every insertion order, each split shifted right
+    by the splits already taken to its left."""
+    simplices = [[i] for i in range(len(frag.vertices))]
+    for base, word in frag.cubes:
+        positions = [i + 1 for i, ch in enumerate(word) if ch == "L"]
+
+        def extend(vertex, taken, chain):
+            if len(taken) == len(positions):
+                simplices.append(chain)
+                return
+            for p in positions:
+                if p not in taken:
+                    shift = sum(1 for q in taken if q < p)
+                    nxt = frag.step(vertex, ("s", p + shift))
+                    extend(nxt, taken + (p,), chain + [nxt])
+        extend(base, (), [base])
+    return SimplicialComplex(simplices)
+
+
+class TestCubeLayer:
+    """Cubes, chain cells and the subdivision against routes that share no
+    code with Fragment's face rule."""
+
+    @staticmethod
+    def brute_force_cubes(frag):
+        # every I/L word at every vertex whose 2^k corners, reached by
+        # split_foot, all lie in the fragment
+        split = functools.lru_cache(maxsize=None)(split_foot)
+        cubes = []
+        for i, d in enumerate(frag.vertices):
+            for word in map("".join, itertools.product("IL", repeat=d.feet)):
+                corners = [d]
+                for p in reversed([k + 1 for k, ch in enumerate(word)
+                                   if ch == "L"]):
+                    corners += [split(c, p) for c in corners]
+                if "L" in word and all(c in frag.index for c in corners):
+                    cubes.append((i, word))
+        return sorted(cubes, key=lambda c: (c[1].count("L"), c[0], c[1]))
+
+    @given(rngs())
+    @settings(max_examples=40)
+    def test_cubes_are_every_cube(self, rng):
+        frag = random_fragment(rng, 120)
+        assert frag.cubes == self.brute_force_cubes(frag)
+
+    @pytest.mark.parametrize("seed, band, cap", [
+        ("[((*,*),*)]/[*,*,*]", (3, 7), 200), ("[*]/[*]", (1, 7), 300)])
+    def test_cubes_are_every_cube_with_3_cubes(self, seed, band, cap):
+        frag = explore([parse_diagram(seed)], band, max_vertices=cap)
+        assert any(word.count("L") == 3 for _, word in frag.cubes)
+        assert frag.cubes == self.brute_force_cubes(frag)
+
+    @given(rngs())
+    @settings(max_examples=30)
+    def test_chain_cells_are_fragment_cells(self, rng):
+        frag = random_fragment(rng, 150)
+        cells = cubical_chain_complex(frag).cells
+        assert [cell for level in cells for cell in level] == frag.cells()
+        assert all(word.count("L") == k for k, level in enumerate(cells)
+                   for _, word in level)
+
+    @given(rngs())
+    @settings(max_examples=30)
+    def test_subdivision_matches_insertion_order_chains(self, rng):
+        frag = random_fragment(rng, 150)
+        assert (subdivision_complex(frag).facets
+                == staircase_reference(frag).facets)
+
+    def test_empty_fragment_keeps_degree_zero(self):
+        frag = explore([], (2, 4))
+        assert cubical_chain_complex(frag).dims == [0]
+        assert subdivision_complex(frag).is_empty()
+
+    def test_top_corner_is_last(self):
+        x = parse_diagram("[(*,*)]/[*,*]")
+        frag = explore([x], (2, 6), max_vertices=150)
+        for base, word in frag.cells():
+            top = frag.vertices[frag.corners(base, word)[-1]]
+            assert top.feet == frag.feet_values[base] + word.count("L")
+            assert top == apply_labels(frag.vertices[base],
+                                       [("v", p) for p in range(1, len(word) + 1)
+                                        if word[p - 1] == "L"])
 
 
 class TestLRInvariants:
