@@ -6,6 +6,9 @@ foot/foot-pair positions, frozensets of those (vertices of matching
 complexes of complexes), and (side, value, component) triples for nerves.
 label_key orders labels once, in SimplicialComplex.vertices; simplices,
 components and chain-complex cells are ordered by vertex positions there.
+Builders whose families are maximal by construction (the disjoint-family
+models here and the link routes of steinfarley) go through the trusted
+SimplicialComplex._from_facets; every other family goes through _maximal.
 
 The second half of the module builds matching complexes of linear graphs and
 the combinatorial model of ascending links of cube-complex vertices: labels
@@ -18,6 +21,8 @@ integer form, so the model compares integers only.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .characters import Character
 
@@ -72,28 +77,41 @@ def connected_groups(items, blocks) -> list:
 
 
 def _maximal(sets):
-    """Maximal elements of a collection of frozensets."""
-    by_size = sorted(set(sets), key=len, reverse=True)
+    """Maximal elements of a collection of frozensets; each candidate is
+    compared only with the kept sets through its rarest vertex."""
     kept: list = []
-    for s in by_size:
-        if not any(s < t for t in kept):
+    containing: dict = {}  # vertex -> kept sets holding it
+    for s in sorted(set(sets), key=len, reverse=True):
+        rivals = min((containing.get(x, ()) for x in s), key=len,
+                     default=kept)
+        if not any(s < t for t in rivals):
             kept.append(s)
+            for x in s:
+                containing.setdefault(x, []).append(s)
     return frozenset(kept)
 
 
 class SimplicialComplex:
     """Immutable complex built from any generating family of simplices."""
 
-    __slots__ = ("facets", "_simplices", "_vertices")
+    __slots__ = ("facets", "_vertices")
 
     def __init__(self, simplices):
         gen = [frozenset(s) for s in simplices]
-        for s in gen:
-            if not s:
-                raise ValueError("simplices must be nonempty")
+        if not all(gen):
+            raise ValueError("simplices must be nonempty")
         object.__setattr__(self, "facets", _maximal(gen))
-        object.__setattr__(self, "_simplices", None)
         object.__setattr__(self, "_vertices", None)
+
+    @classmethod
+    def _from_facets(cls, facets) -> "SimplicialComplex":
+        """Trusted constructor: facets must be distinct, nonempty, pairwise
+        incomparable frozensets. Skips _maximal and the emptiness check;
+        only builders whose families are maximal by construction call it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "facets", frozenset(facets))
+        object.__setattr__(self, "_vertices", None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
@@ -117,14 +135,7 @@ class SimplicialComplex:
     # -- basic queries ----------------------------------------------------
 
     def simplices(self) -> frozenset:
-        cached = self._simplices
-        if cached is None:
-            out = set()
-            for f in self.facets:
-                _add_subsets(f, out)
-            cached = frozenset(out)
-            object.__setattr__(self, "_simplices", cached)
-        return cached
+        return frozenset(self._labelled(self._position_faces(self.dim())))
 
     @property
     def vertices(self) -> tuple:
@@ -151,19 +162,27 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
     def k_simplices(self, k: int) -> list:
-        """The k-simplices, ordered by their vertices' positions in vertices."""
+        """The k-simplices, in _position_faces order (by vertex positions)."""
+        return self._labelled(self._position_faces(k)[k:])
+
+    def _position_faces(self, top: int) -> list:
+        """Faces of dimension 0..min(top, dim()), one sorted list each, as
+        increasing tuples of vertex positions taken from each facet."""
         pos = {v: i for i, v in enumerate(self.vertices)}
-        out = [s for s in self.simplices() if len(s) == k + 1]
-        out.sort(key=lambda s: sorted(pos[x] for x in s))
-        return out
+        levels: list = [set() for _ in range(min(top, self.dim()) + 1)]
+        for f in self.facets:
+            ps = sorted(pos[x] for x in f)
+            for k in range(min(len(ps), len(levels))):
+                levels[k].update(combinations(ps, k + 1))
+        return [sorted(level) for level in levels]
+
+    def _labelled(self, levels) -> list:
+        vs = self.vertices
+        return [frozenset(vs[i] for i in face)
+                for level in levels for face in level]
 
     def f_vector(self) -> tuple:
-        counts = {}
-        for s in self.simplices():
-            counts[len(s)] = counts.get(len(s), 0) + 1
-        if not counts:
-            return ()
-        return tuple(counts.get(k, 0) for k in range(1, max(counts) + 1))
+        return tuple(map(len, self._position_faces(self.dim())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
@@ -241,16 +260,6 @@ class SimplicialComplex:
         }
 
 
-def _add_subsets(s: frozenset, out: set):
-    if s in out:
-        return
-    out.add(s)
-    for x in s:
-        sub = s - {x}
-        if sub:
-            _add_subsets(sub, out)
-
-
 def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:
     """Simplicial join; the vertex sets must be disjoint."""
     if not k1.facets:
@@ -291,30 +300,32 @@ def _disjoint_family_complex(items, caps=None) -> SimplicialComplex:
     Labels pairwise distinct; an empty item list gives the empty complex.
     caps, when given, maps label[0] of every label to the most items of
     that kind a family may hold; the counts left travel down the recursion.
-    Only maximal families are recorded.
+    Only maximal families are recorded, each once, as _from_facets needs.
     """
     facets: list = []
     room = dict(caps) if caps is not None else None
 
     def grow(start: int, current: list, used: int):
         maximal = True
-        for k, (label, foot) in enumerate(items):
+        for k in range(start, len(items)):
+            label, foot = items[k]
             if used & foot or (room is not None and not room[label[0]]):
                 continue
             maximal = False
-            if k >= start:
-                current.append(label)
-                if room is not None:
-                    room[label[0]] -= 1
-                grow(k + 1, current, used | foot)
-                if room is not None:
-                    room[label[0]] += 1
-                current.pop()
-        if current and maximal:
+            current.append(label)
+            if room is not None:
+                room[label[0]] -= 1
+            grow(k + 1, current, used | foot)
+            if room is not None:
+                room[label[0]] += 1
+            current.pop()
+        if current and maximal and not any(
+                not used & foot and (room is None or room[label[0]])
+                for label, foot in items[:start]):
             facets.append(frozenset(current))
 
     grow(0, [], 0)
-    return SimplicialComplex(facets)
+    return SimplicialComplex._from_facets(facets)
 
 
 def _bitmask_items(simplices, vertices) -> list:

@@ -287,28 +287,28 @@ def betti_via_rational_ranks(chain: ChainComplex) -> list:
 
 def simplicial_chain_complex(complex_: SimplicialComplex,
                              top: int | None = None) -> ChainComplex:
-    """Ordered-simplex chain complex.
+    """Ordered-simplex chain complex through degree top (default: all).
 
     cells[k] lists complex_.k_simplices(k) in that order, each as a tuple
-    in the order of complex_.vertices.
+    in the order of complex_.vertices. The faces come from the facets, as
+    tuples of vertex positions, and only up to min(dim, top) are built.
     """
     dim = complex_.dim()
     if top is not None:
         dim = min(dim, top)
     if dim < 0:
         return ChainComplex([], [], cells=[])
-    pos = {v: i for i, v in enumerate(complex_.vertices)}.__getitem__
-    cells = [[tuple(sorted(s, key=pos)) for s in complex_.k_simplices(k)]
-             for k in range(dim + 1)]
-    dims = [len(c) for c in cells]
+    faces = complex_._position_faces(dim)
+    vs = complex_.vertices
     boundaries = []
     for k in range(1, dim + 1):
-        index = {s: i for i, s in enumerate(cells[k - 1])}
+        index = {face: i for i, face in enumerate(faces[k - 1])}
         boundaries.append([
-            {index[simplex[:i] + simplex[i + 1:]]: -1 if i % 2 else 1
-             for i in range(len(simplex))}
-            for simplex in cells[k]])
-    return ChainComplex(dims, boundaries, cells=cells)
+            {index[face[:i] + face[i + 1:]]: -1 if i % 2 else 1
+             for i in range(k + 1)}
+            for face in faces[k]])
+    return ChainComplex([len(level) for level in faces], boundaries, cells=[
+        [tuple(vs[i] for i in face) for face in level] for level in faces])
 
 
 # ---------------------------------------------------------------------------

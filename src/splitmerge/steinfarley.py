@@ -15,8 +15,9 @@ all-I word); Fragment.faces is the one face rule for all of them.
 Ascending (descending) links are read off the actual neighbor diagrams:
 each banded move is compared by refined height with the vertex, and a
 letter whose move does not strictly ascend (descend) is pruned inside the
-coface recursion, with every word below it. This route shares no code with
-the disjoint-family models of complexes, which tests compare it against.
+coface recursion, with every word below it, and only the maximal words,
+the link's facets, are listed. This route shares no code with the
+disjoint-family models of complexes, which tests compare it against.
 The (chi0, chi1) of a vertex and of all its neighbors are computed once per
 vertex and shared by both links and every spec; heights are compared in
 the character's scaled integer form, as is the explore floor, so Fractions
@@ -81,39 +82,51 @@ def cofaces(x: Diagram, band) -> list:
     return _coface_words(x, band)
 
 
-def _coface_words(x: Diagram, band, allowed=None) -> list:
+def _coface_words(x: Diagram, band, allowed=None, maximal=False) -> list:
     """Banded coface words at x, depth first, I before L before V.
 
     allowed, when given, is the set of link labels a word may use: an L at
     foot i needs ("v", i) in it and a V at feet i, i+1 needs ("e", i). A
-    rejected letter is pruned with every word below it.
+    rejected letter is pruned with every word below it. maximal keeps only
+    the words no listed word extends: no single I -> L and no single
+    II -> V is allowed and within the band caps. One change is enough to
+    test, as every subset of a listed family is listed.
     """
     f = x.feet
     p, q = band
     if not p <= f <= q:
         raise ValueError(f"vertex has {f} feet, outside band {band}")
+    # bit i: an L at foot i (a V at feet i, i + 1) is allowed
+    split_ok, merge_ok = (2 << f) - 2, (1 << f) - 2
+    if allowed is not None:
+        split_ok = sum(1 << i for kind, i in allowed if kind == "v")
+        merge_ok = sum(1 << i for kind, i in allowed if kind == "e")
     words: list = []
 
-    def grow(i, prefix, splits, merges):
-        # i feet consumed so far; a V consumes two of them
+    def grow(i, prefix, splits, merges, free):
+        # i feet consumed so far, a V consuming two; splits and merges are
+        # the moves the band still allows; free has bit j when foot j is
+        # untouched. A maximal branch stops once a free split or merge
+        # stays allowed however the f - i feet left are used
+        if maximal and (free & split_ok and splits > f - i or
+                        free & free >> 1 & merge_ok and merges > (f - i) // 2):
+            return
         if i == f:
             words.append("".join(prefix))
             return
         prefix.append("I")
-        grow(i + 1, prefix, splits, merges)
+        grow(i + 1, prefix, splits, merges, free | 2 << i)
         prefix.pop()
-        if f + splits + 1 <= q and (allowed is None
-                                    or ("v", i + 1) in allowed):
+        if splits and split_ok >> i & 2:
             prefix.append("L")
-            grow(i + 1, prefix, splits + 1, merges)
+            grow(i + 1, prefix, splits - 1, merges, free)
             prefix.pop()
-        if i + 2 <= f and f - merges - 1 >= p and (allowed is None
-                                                   or ("e", i + 1) in allowed):
+        if i + 2 <= f and merges and merge_ok >> i & 2:
             prefix.append("V")
-            grow(i + 2, prefix, splits, merges + 1)
+            grow(i + 2, prefix, splits, merges - 1, free)
             prefix.pop()
 
-    grow(0, [], 0, 0)
+    grow(0, [], q - f, f - p, 0)
     return words
 
 
@@ -149,9 +162,14 @@ def apply_labels(x: Diagram, labels) -> Diagram:
 
 
 def link_of(x: Diagram, band) -> SimplicialComplex:
-    """Banded link of a vertex: one simplex per nontrivial coface word."""
-    simplices = [word_labels(w) for w in cofaces(x, band)]
-    return SimplicialComplex([s for s in simplices if s])
+    """Banded link of a vertex: one simplex per nontrivial coface word,
+    built from the maximal words alone."""
+    return _facet_complex(_coface_words(x, band, maximal=True))
+
+
+def _facet_complex(words) -> SimplicialComplex:
+    return SimplicialComplex._from_facets(
+        s for s in map(frozenset, map(word_labels, words)) if s)
 
 
 def _neighbor_table(x: Diagram) -> tuple:
@@ -190,10 +208,11 @@ def ascending_link(x: Diagram, spec: MorseSpec, down: bool = False
 
     Heights are computed on the actual neighbor diagrams, independently of
     the combinatorial link model; a non-ascending letter is pruned inside
-    the coface recursion, so no word through it is ever listed.
+    the coface recursion, so no word through it is ever listed, and only
+    the maximal words become simplices.
     """
-    return SimplicialComplex([s for s in map(
-        word_labels, monotone_cofaces(x, spec, down)) if s])
+    return _facet_complex(_coface_words(
+        x, spec.band, _monotone_labels(x, spec, down), maximal=True))
 
 
 def descending_link(x: Diagram, spec: MorseSpec) -> SimplicialComplex:
@@ -206,10 +225,14 @@ def monotone_cofaces(x: Diagram, spec: MorseSpec, down: bool = False) -> list:
     The trivial word qualifies vacuously; the result is the closed star of
     x in the ascending (descending) direction, in the order of cofaces.
     """
+    return _coface_words(x, spec.band, _monotone_labels(x, spec, down))
+
+
+def _monotone_labels(x: Diagram, spec: MorseSpec, down: bool) -> set:
+    """Labels of the banded moves that strictly ascend (or descend)."""
     want = -1 if down else 1
-    return _coface_words(x, spec.band, {
-        label for label, d in _label_directions(x, spec).items()
-        if d == want})
+    return {label for label, d in _label_directions(x, spec).items()
+            if d == want}
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +489,11 @@ def cover_assign(cell, frag: Fragment) -> set:
     In the cover regime at least one label is always emitted.
     """
     _require_cover_regime(frag)
-    base, word = cell
-    x = frag.vertices[frag.corners(base, word)[-1]]
+    return _cover_labels(frag.vertices[frag.corners(*cell)[-1]])
+
+
+def _cover_labels(x: Diagram) -> set:
+    """cover_assign's labels, given the cell's most-feet corner x."""
     labels = set()
     if count_left(x.plus) > 0:
         labels.add(("L", L_value(x)))
@@ -488,8 +514,11 @@ def nerve_data(frag: Fragment) -> dict:
     different values never touch a common vertex.
     """
     cells = frag.cells()
-    labels = [tuple(sorted(cover_assign(c, frag))) for c in cells]
+    if cells:
+        _require_cover_regime(frag)
     corner_lists = [frag.corners(base, word) for base, word in cells]
+    labels = [tuple(sorted(_cover_labels(frag.vertices[corners[-1]])))
+              for corners in corner_lists]
 
     by_corner_side = {}
     for ci, labs in enumerate(labels):

@@ -289,14 +289,27 @@ class TestVerify:
         del parser
 
 
-def run_module(*argv):
-    """Run ``python -m splitmerge`` from the checkout's src directory."""
+def run_python(*argv):
+    """Run the interpreter with the checkout's src directory on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=src + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "splitmerge", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def run_module(*argv):
+    """Run ``python -m splitmerge`` from the checkout's src directory."""
+    return run_python("-m", "splitmerge", *argv)
+
+
+class TestReadme:
+    def test_library_example_runs(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("```python\n", 1)[1]
+        proc = run_python("-c", block.split("```", 1)[0])
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestModuleEntryPoint:

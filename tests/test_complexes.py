@@ -11,6 +11,7 @@ from splitmerge.characters import Character
 from splitmerge.complexes import (
     SimplicialComplex,
     _disjoint_family_complex,
+    _maximal,
     ascending_link_model,
     cone,
     descending_link_model,
@@ -431,3 +432,41 @@ class TestPrunedFamilies:
             build_then_filter_model(n, char, sec, band)
         assert descending_link_model(n, char, sec, band) == \
             build_then_filter_model(n, char.negated(), -sec, band)
+
+
+def parent_maximal(sets):
+    """_maximal as it stood before the vertex index, kept verbatim."""
+    by_size = sorted(set(sets), key=len, reverse=True)
+    kept: list = []
+    for s in by_size:
+        if not any(s < t for t in kept):
+            kept.append(s)
+    return frozenset(kept)
+
+
+class TestTrustedFacets:
+    @given(st.lists(st.frozensets(st.integers(0, 7), max_size=5),
+                    max_size=14).flatmap(lambda sets: st.permutations(
+                        # nested subsets and duplicates ride along
+                        sets + [frozenset(sorted(s)[::2]) for s in sets]
+                        + sets[:3])))
+    @settings(max_examples=300)
+    def test_indexed_maximal_equals_quadratic(self, family):
+        assert _maximal(family) == parent_maximal(family)
+
+    @given(st.integers(1, 9), st.integers(0, 4), st.integers(0, 6),
+           WEIGHTS, WEIGHTS, st.sampled_from([1, -1]))
+    @settings(max_examples=200)
+    def test_models_are_built_from_facets(self, n, below, above, a, b, sec):
+        band = (max(1, n - below), n + above)
+        char = Character(a, b)
+        for k in (ascending_link_model(n, char, sec, band),
+                  descending_link_model(n, char, sec, band),
+                  gm_linear(n), m_linear(n)):
+            assert _maximal(k.facets) == k.facets
+
+    @given(mixed_complexes())
+    @settings(max_examples=100)
+    def test_matching_complexes_are_built_from_facets(self, k):
+        for m in (matching_complex(k), general_matching_complex(k)):
+            assert _maximal(m.facets) == m.facets

@@ -240,6 +240,72 @@ def connected_complexes(draw):
     return SimplicialComplex(facets)
 
 
+def _add_subsets(s: frozenset, out: set):
+    if s in out:
+        return
+    out.add(s)
+    for x in s:
+        sub = s - {x}
+        if sub:
+            _add_subsets(sub, out)
+
+
+def parent_simplicial_chain_complex(complex_, top=None):
+    """(dims, boundaries, cells) of the builder as it stood before faces
+    came from facets: every simplex by recursive subsets of the facets,
+    each degree sorted by vertex positions (the old simplices and
+    k_simplices), kept verbatim."""
+    def k_simplices(k):
+        simplices = set()
+        for f in complex_.facets:
+            _add_subsets(f, simplices)
+        pos = {v: i for i, v in enumerate(complex_.vertices)}
+        out = [s for s in simplices if len(s) == k + 1]
+        out.sort(key=lambda s: sorted(pos[x] for x in s))
+        return out
+
+    dim = complex_.dim()
+    if top is not None:
+        dim = min(dim, top)
+    if dim < 0:
+        return [], [], []
+    pos = {v: i for i, v in enumerate(complex_.vertices)}.__getitem__
+    cells = [[tuple(sorted(s, key=pos)) for s in k_simplices(k)]
+             for k in range(dim + 1)]
+    dims = [len(c) for c in cells]
+    boundaries = []
+    for k in range(1, dim + 1):
+        index = {s: i for i, s in enumerate(cells[k - 1])}
+        boundaries.append([
+            {index[simplex[:i] + simplex[i + 1:]]: -1 if i % 2 else 1
+             for i in range(len(simplex))}
+            for simplex in cells[k]])
+    return dims, boundaries, cells
+
+
+class TestChainsFromFacets:
+    @given(st.one_of(connected_complexes(), st.lists(
+        st.sets(st.integers(0, 9), min_size=1, max_size=5),
+        max_size=8).map(SimplicialComplex)),
+        st.sampled_from([None, 0, 1, 2, 3]))
+    @settings(max_examples=300)
+    def test_equals_parent_builder(self, k, top):
+        cc = simplicial_chain_complex(k, top)
+        assert (cc.dims, cc.boundaries, cc.cells) == \
+            parent_simplicial_chain_complex(k, top)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_m_linear_equals_parent_builder(self, n):
+        for top in (None, 0, 1, 2, 3):
+            cc = simplicial_chain_complex(m_linear(n), top)
+            assert (cc.dims, cc.boundaries, cc.cells) == \
+                parent_simplicial_chain_complex(m_linear(n), top)
+
+    def test_empty_complex(self):
+        cc = simplicial_chain_complex(SimplicialComplex.empty())
+        assert (cc.dims, cc.boundaries, cc.cells) == ([], [], [])
+
+
 class TestPi1FromReports:
     """Reports reuse their H1 for pi1; the verdict equals pi1_trivial's."""
 

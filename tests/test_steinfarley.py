@@ -201,6 +201,37 @@ class TestPrunedCofaces:
         assert link == SimplicialComplex(
             [labels for labels in map(word_labels, words) if labels])
 
+    @given(rngs())
+    @settings(max_examples=300, deadline=None)
+    def test_facet_routes_equal_generic_build(self, rng):
+        # the link routes build from maximal words through the trusted
+        # constructor; the generic constructor over every word must agree
+        def generic(words):
+            return SimplicialComplex(
+                [labels for labels in map(word_labels, words) if labels])
+
+        feet = rng.randint(2, 8)
+        x = random_vertex(rng, feet, rng.randint(0, 10))
+        char = Character(rng.choice(self.coefficients),
+                         rng.choice(self.coefficients))
+        sec = rng.choice([1, -1])
+        band = (rng.choice([2, rng.randint(2, feet)]),
+                feet + rng.choice([0, 1, rng.randint(2, 2 * feet)]))
+        spec = MorseSpec(char, sec, band)
+        built = [ascending_link_model(feet, char, sec, band),
+                 descending_link_model(feet, char, sec, band)]
+        for down in (False, True):
+            link = ascending_link(x, spec, down)
+            assert link == generic(monotone_cofaces(x, spec, down))
+            built.append(link)
+        assert descending_link(x, spec) == built[-1]
+        for lk_band in (band, (1, band[1])):
+            link = link_of(x, lk_band)
+            assert link == generic(cofaces(x, lk_band))
+            built.append(link)
+        for k in built:
+            assert complexes_mod._maximal(k.facets) == k.facets
+
     def test_mixed_word_is_pruned(self):
         # chi0 drops on splitting foot 1 and ties on foot 2, where the feet
         # secondary breaks the tie upwards: LL climbs one way, falls the other
