@@ -38,19 +38,6 @@ def label_key(label):
     return (1, str(label))
 
 
-def label_str(label) -> str:
-    if isinstance(label, frozenset):
-        inner = ",".join(label_str(x)
-                         for x in sorted(label, key=label_key))
-        return "{" + inner + "}"
-    if isinstance(label, tuple) and len(label) == 2 \
-            and isinstance(label[0], str) and isinstance(label[1], int):
-        return f"{label[0]}{label[1]}"
-    if isinstance(label, tuple) and len(label) == 3:
-        return f"{label[0]}={label[1]}.{label[2]}"
-    return str(label)
-
-
 def connected_groups(items, blocks) -> list:
     """Classes of items when the items of each nonempty block are joined.
 
@@ -208,11 +195,8 @@ class SimplicialComplex:
     # -- derived complexes --------------------------------------------------
 
     def full_subcomplex(self, keep) -> "SimplicialComplex":
-        """Full subcomplex on the vertices in keep (a set or predicate)."""
-        if callable(keep):
-            keepset = {v for v in self.vertices if keep(v)}
-        else:
-            keepset = set(keep)
+        """Full subcomplex on the vertices in keep, a collection of labels."""
+        keepset = set(keep)
         gen = [f & keepset for f in self.facets if f & keepset]
         return SimplicialComplex(gen)
 
@@ -221,12 +205,8 @@ class SimplicialComplex:
         return SimplicialComplex([f for f in self.facets if v in f])
 
     def link(self, v) -> "SimplicialComplex":
-        return self.link_of_simplex([v])
-
-    def link_of_simplex(self, simplex) -> "SimplicialComplex":
-        s = frozenset(simplex)
-        gen = [f - s for f in self.facets if s <= f and f - s]
-        return SimplicialComplex(gen)
+        return SimplicialComplex([f - {v} for f in self.facets
+                                  if v in f and len(f) > 1])
 
     def remove_open_star(self, simplex) -> "SimplicialComplex":
         """All simplices not containing the given one."""
@@ -249,15 +229,6 @@ class SimplicialComplex:
             if len(old) != len(new):
                 raise ValueError("relabeling must be injective on simplices")
         return SimplicialComplex(image)
-
-    def to_json(self) -> dict:
-        verts = list(self.vertices)
-        index = {v: i for i, v in enumerate(verts)}
-        facets = sorted(sorted(index[v] for v in f) for f in self.facets)
-        return {
-            "vertices": [label_str(v) for v in verts],
-            "facets": facets,
-        }
 
 
 def join(k1: SimplicialComplex, k2: SimplicialComplex) -> SimplicialComplex:

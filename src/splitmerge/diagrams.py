@@ -275,8 +275,8 @@ def mirror_diagram(d: Diagram) -> Diagram:
 def random_diagram(rng, heads: int, feet: int, extra_carets: int) -> Diagram:
     """Random (not necessarily reduced) diagram with the given shape."""
     leaves = max(heads, feet) + extra_carets
-    minus = trees.random_forest_with_leaves(rng, heads, leaves)
-    plus = trees.random_forest_with_leaves(rng, feet, leaves)
+    minus = trees.random_forest(rng, heads, leaves - heads)
+    plus = trees.random_forest(rng, feet, leaves - feet)
     return Diagram(minus, plus)
 
 

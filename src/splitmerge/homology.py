@@ -255,8 +255,6 @@ def homology(chain: ChainComplex) -> list:
     """Per-degree {"betti": int, "torsion": [int, ...]} by unit-pivot
     elimination and Smith normal form of the leftover block."""
     n = len(chain.dims)
-    if n == 0:
-        return []
     reduced = [_rank_and_torsion(columns, chain.dims[k])
                for k, columns in enumerate(chain.boundaries)]
     out = []
@@ -296,8 +294,6 @@ def simplicial_chain_complex(complex_: SimplicialComplex,
     dim = complex_.dim()
     if top is not None:
         dim = min(dim, top)
-    if dim < 0:
-        return ChainComplex([], [], cells=[])
     faces = complex_._position_faces(dim)
     vs = complex_.vertices
     boundaries = []
@@ -425,24 +421,23 @@ def relative_homology(complex_: SimplicialComplex,
 
 def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
                     pi1_budget: int = 20000) -> dict:
+    """Betti numbers, torsion, connectedness (from H0) and on request pi1."""
     nonempty = not complex_.is_empty()
-    comps = complex_.components() if nonempty else []
     chain = simplicial_chain_complex(complex_)
     res = homology(chain)
     betti = [r["betti"] for r in res]
-    torsion = [r["torsion"] for r in res]
     reduced = list(betti)
     if nonempty:
         reduced[0] = betti[0] - 1
     report = {
         "betti": betti,
         "betti_reduced": reduced,
-        "torsion": torsion,
+        "torsion": [r["torsion"] for r in res],
         "nonempty": nonempty,
-        "connected": len(comps) == 1,
+        "connected": nonempty and betti[0] == 1,
         "pi1": None,
     }
-    if with_pi1 and nonempty and len(comps) == 1:
+    if with_pi1 and report["connected"]:
         report["pi1"] = _pi1_verdict(chain, res, pi1_budget)
     return report
 
@@ -544,39 +539,34 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
     vanishing reduced homology through degree k and a pi1 verdict. The
     verdict is "consistent" when every obtainable check passes (pi1
     "trivial" included, when required), "fail" when any check fails, and
-    "inconclusive" when the only gap is an unresolved pi1.
+    "inconclusive" when the only gap is an unresolved pi1. Checks, in order:
+    nonempty, connected ("empty" or "N components"), H1_zero..Hk_zero, pi1.
     """
     checks = []
-    nonempty = not complex_.is_empty()
-    checks.append({"name": "nonempty", "ok": nonempty, "detail": ""})
+
+    def check(name, ok, detail=""):
+        checks.append({"name": name, "ok": ok, "detail": detail})
+        return ok
+
     pi1 = None
-    if nonempty and k >= 0:
-        ncomp = len(complex_.components())
-        checks.append({"name": "connected", "ok": ncomp == 1,
-                       "detail": f"{ncomp} components"})
-        if ncomp == 1 and k >= 1:
+    nonempty = check("nonempty", not complex_.is_empty())
+    if k >= 0:
+        ncomp = len(complex_.components()) if nonempty else 0
+        if check("connected", ncomp == 1,
+                 f"{ncomp} components" if nonempty else "empty") and k >= 1:
             chain = simplicial_chain_complex(complex_, top=k + 1)
             res = homology(chain)
+            res += [{"betti": 0, "torsion": []}] * (k + 1 - len(res))
             for i in range(1, k + 1):
-                if i < len(res):
-                    betti = res[i]["betti"]
-                    torsion = res[i]["torsion"]
-                else:
-                    betti, torsion = 0, []
-                ok = betti == 0 and not torsion
-                checks.append({
-                    "name": f"H{i}_zero", "ok": ok,
-                    "detail": f"betti={betti} torsion={torsion}"})
+                betti, torsion = res[i]["betti"], res[i]["torsion"]
+                check(f"H{i}_zero", betti == 0 and not torsion,
+                      f"betti={betti} torsion={torsion}")
             pi1 = _pi1_verdict(chain, res, pi1_budget)
-            checks.append({"name": "pi1", "ok": pi1 != "nontrivial",
-                           "detail": pi1})
-    elif k >= 0:
-        checks.append({"name": "connected", "ok": False, "detail": "empty"})
+            check("pi1", pi1 != "nontrivial", pi1)
 
-    failed = any(not c["ok"] for c in checks)
-    if failed:
+    if any(not c["ok"] for c in checks):
         verdict = "fail"
-    elif k >= 1 and pi1 == "inconclusive":
+    elif pi1 == "inconclusive":
         verdict = "inconclusive"
     else:
         verdict = "consistent"

@@ -219,16 +219,14 @@ def _gate(vertex: Diagram, side: str, value: int) -> bool:
     return R_value(vertex) == value and count_right(vertex.plus) > 0
 
 
-def validate_certificate(cert: CycleCertificate,
-                         character: Character = None) -> dict:
+def validate_certificate(cert: CycleCertificate) -> dict:
     """Replay a certificate from its serialized form alone.
 
-    Checks vertex admissibility, path adjacency, closure through the four
-    witnesses, the per-cell cover-label gates, and the presence of the
-    alternating 4-cycle in the nerve of the induced fragment.
+    Checks admissibility under the certificate's own character, path
+    adjacency, closure through the four witnesses, the per-cell cover-label
+    gates, and the alternating 4-cycle in the nerve of the induced fragment.
     """
-    if character is None:
-        character = Character.parse(cert.character)
+    character = Character.parse(cert.character)
     band = tuple(cert.band)
     checks = []
 

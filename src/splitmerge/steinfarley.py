@@ -406,19 +406,24 @@ def explore(seeds, band, chi_floor=None, characters=(),
         return chi_floor is None or fa * chi0(d) + fb * chi1(d) >= floor
 
     vertices, index, moves = [], {}, []
+
+    def enter(y) -> bool:
+        # index a new vertex; False once the budget is spent
+        if len(vertices) >= max_vertices:
+            return False
+        index[y] = len(vertices)
+        vertices.append(y)
+        moves.append({})
+        return True
+
     truncated = False
     for d in seeds:
         check_vertex(d, band)
         if not admissible(d):
             raise ValueError(f"seed below the character floor: {d}")
-        if d in index:
-            continue
-        if len(vertices) >= max_vertices:
+        if d not in index and not enter(d):
             truncated = True
             break
-        index[d] = len(vertices)
-        vertices.append(d)
-        moves.append({})
 
     # BFS levels are runs of consecutive indices, expanded in index order;
     # each edge is applied once and recorded at both ends
@@ -437,12 +442,10 @@ def explore(seeds, band, chi_floor=None, characters=(),
                 if j is None:
                     if not admissible(y):
                         continue
-                    if len(vertices) >= max_vertices:
+                    if not enter(y):
                         truncated = True
                         break
-                    j = index[y] = len(vertices)
-                    vertices.append(y)
-                    moves.append({})
+                    j = index[y]
                 mv[move] = j
                 moves[j][invert_move(move)] = i
             if truncated:
@@ -547,14 +550,11 @@ def nerve_data(frag: Fragment) -> dict:
             for ci in comp:
                 cell_component[(lab, ci)] = k
 
-    simplices = []
-    cell_nerve_vertices = []
-    for ci, labs in enumerate(labels):
-        nv = tuple((side, value, cell_component[((side, value), ci)])
-                   for side, value in labs)
-        cell_nerve_vertices.append(nv)
-        simplices.append(nv)
-    complex_ = SimplicialComplex(simplices)
+    cell_nerve_vertices = [
+        tuple((side, value, cell_component[((side, value), ci)])
+              for side, value in labs)
+        for ci, labs in enumerate(labels)]
+    complex_ = SimplicialComplex(cell_nerve_vertices)
     for edge in complex_.k_simplices(1):
         sides = {side for side, _, _ in edge}
         if sides != {"L", "R"}:

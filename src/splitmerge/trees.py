@@ -339,9 +339,3 @@ def random_forest(rng, trees: int, carets: int):
         f = add_caret(f, rng.randrange(n))
         n += 1
     return f
-
-
-def random_forest_with_leaves(rng, trees: int, leaves: int):
-    if leaves < trees:
-        raise ValueError("need at least one leaf per tree")
-    return random_forest(rng, trees, leaves - trees)

@@ -60,10 +60,13 @@ def _same_betti(a: list, b: list) -> bool:
     return a + [0] * (width - len(a)) == b + [0] * (width - len(b))
 
 
+def _acyclic(rep: dict) -> bool:
+    """Zero reduced Betti numbers and no torsion in any degree."""
+    return not any(rep["betti_reduced"]) and not any(rep["torsion"])
+
+
 def _band_seed_vertex(p: int) -> Diagram:
     """A canonical reduced vertex with exactly p feet."""
-    if p == 1:
-        return Diagram((LEAF,), (LEAF,))
     return Diagram((right_vine(p - 1),), (LEAF,) * p)
 
 
@@ -257,6 +260,13 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
     unsettled = {}
     ran_out = f"pi1 budget {pi1_budget} ran out"
 
+    def check_contractible(name, shape_ok, rep, detail):
+        # acyclic with trivial pi1; a pi1 probe that ran out leaves it open
+        acyclic = shape_ok and _acyclic(rep)
+        _check(checks, name, acyclic and rep["pi1"] == "trivial", detail)
+        if acyclic and rep["pi1"] == "inconclusive":
+            unsettled[name] = ran_out
+
     n_param = 7
     band = (2, n_param)
     for char in characters:
@@ -266,20 +276,12 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
                    not k.is_empty() and k.is_connected(),
                    f"f-vector {k.f_vector()}")
             if f < n_param - 1:
-                apex = ("v", 1)
                 rep = homology_report(k, with_pi1=True,
                                       pi1_budget=pi1_budget)
-                acyclic_cone = (apex in k.vertices
-                                and k.is_cone_with_apex(apex)
-                                and all(b == 0 for b in rep["betti_reduced"])
-                                and all(not t for t in rep["torsion"]))
-                name = f"m1-{char}-feet-{f}-cone"
-                _check(checks, name,
-                       acyclic_cone and rep["pi1"] == "trivial",
-                       f"reduced betti {rep['betti_reduced']}, "
-                       f"pi1 {rep['pi1']}")
-                if acyclic_cone and rep["pi1"] == "inconclusive":
-                    unsettled[name] = ran_out
+                check_contractible(f"m1-{char}-feet-{f}-cone",
+                                   k.is_cone_with_apex(("v", 1)), rep,
+                                   f"reduced betti {rep['betti_reduced']}, "
+                                   f"pi1 {rep['pi1']}")
         if char.b < 0:
             f = n_param - 1
             k = ascending_link_model(f, char, -1, band)
@@ -292,16 +294,12 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
                                 middle)
             rep = homology_report(contractible, with_pi1=True,
                                   pi1_budget=pi1_budget)
-            acyclic_join = (frozenset([v_first, v_last]) not in k
-                            and k == join(poles, middle)
-                            and k == contractible.remove_open_star(
-                                (v_first, v_last))
-                            and all(b == 0 for b in rep["betti_reduced"]))
-            name = f"m1-{char}-feet-{f}-pole-join"
-            _check(checks, name, acyclic_join and rep["pi1"] == "trivial",
-                   f"link f-vector {k.f_vector()}")
-            if acyclic_join and rep["pi1"] == "inconclusive":
-                unsettled[name] = ran_out
+            check_contractible(
+                f"m1-{char}-feet-{f}-pole-join",
+                frozenset([v_first, v_last]) not in k
+                and k == join(poles, middle)
+                and k == contractible.remove_open_star((v_first, v_last)),
+                rep, f"link f-vector {k.f_vector()}")
 
     n_param = 10
     band = (2, n_param)
@@ -309,11 +307,8 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
         for f in range(2, n_param + 1):
             k = ascending_link_model(f, char, -1, band)
             rep = homology_report(k, with_pi1=True, pi1_budget=pi1_budget)
-            low_ok = (rep["nonempty"]
-                      and rep["betti_reduced"][0] == 0
-                      and (len(rep["betti"]) < 2
-                           or (rep["betti"][1] == 0
-                               and not rep["torsion"][1])))
+            low_ok = (rep["connected"] and not any(rep["betti"][1:2])
+                      and not any(rep["torsion"][1:2]))
             pi_ok = rep["pi1"] in ("trivial", "inconclusive")
             _check(checks, f"m2-{char}-feet-{f}", low_ok and pi_ok,
                    f"reduced betti {rep['betti_reduced']}, pi1 {rep['pi1']}")
@@ -382,6 +377,8 @@ def run_l_invariant_disconnection(max_vertices: int = 5000) -> dict:
                       (((LEAF, LEAF), LEAF), LEAF, LEAF))
     frag = explore([seed_l1, seed_l2], band, chi_floor=(char, 0),
                    max_vertices=max_vertices)
+    if len(frag.vertices) < 2:
+        raise RuntimeError(f"max_vertices {max_vertices} leaves out a seed")
     checks = []
     _check(checks, "seed-depths",
            frag.L_values[0] == 1 and frag.L_values[1] == 2)
@@ -390,13 +387,9 @@ def run_l_invariant_disconnection(max_vertices: int = 5000) -> dict:
     _check(checks, "edges-preserve-left-depth", not violating,
            f"{len(frag.vertices)} vertices, {len(frag.edges)} edges, "
            f"{len(violating)} violations")
-    comps = frag.components()
-    comp_of = {}
-    for k, comp in enumerate(comps):
-        for i in comp:
-            comp_of[i] = k
+    comps = frag.components()  # vertex 0's class comes first
     _check(checks, "seeds-in-separate-components",
-           len(comps) >= 2 and comp_of[0] != comp_of[1],
+           len(comps) >= 2 and 1 not in comps[0],
            f"{len(comps)} components")
     return _report("l-invariant-disconnection", checks, {
         "band": list(band), "chi_floor": ["1,0", "0"],
@@ -467,19 +460,15 @@ def run_homology_oracle(seed: int = DEFAULT_SEED, n_random: int = 50,
     for k_dim in (1, 2, 3):
         sphere = SimplicialComplex.boundary_sphere(range(k_dim + 2))
         rep = homology_report(sphere)
-        ok = (rep["betti_reduced"][k_dim] == 1
-              and all(b == 0 for i, b in enumerate(rep["betti_reduced"])
-                      if i != k_dim)
-              and all(not t for t in rep["torsion"]))
+        ok = (rep["betti_reduced"] == [0] * k_dim + [1]
+              and not any(rep["torsion"]))
         _check(checks, f"sphere-{k_dim}", ok,
                f"reduced betti {rep['betti_reduced']}")
 
     cone_bad = 0
     for _ in range(n_cones):
         c = cone(_random_complex(rng), "apex")
-        rep = homology_report(c)
-        if (any(b != 0 for b in rep["betti_reduced"])
-                or any(t for t in rep["torsion"])):
+        if not _acyclic(homology_report(c)):
             cone_bad += 1
     _check(checks, "cones-acyclic", cone_bad == 0,
            f"{n_cones} cones, {cone_bad} failures")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from splitmerge import verify as verify_mod
-from splitmerge.cli import build_parser, main
+from splitmerge.cli import _VERIFY_FLAGS, build_parser, main
 from splitmerge.complexes import SimplicialComplex
 from splitmerge.trees import MAX_DEPTH
 
@@ -279,6 +279,17 @@ class TestVerify:
         code, out, err = run("verify", "morse-lemma-instance", "--limit", "3")
         assert code == 2 and not out
         assert "it accepts no flags" in err
+
+    @pytest.mark.parametrize("claim", list(verify_mod.RUNNERS))
+    def test_smallest_budget_gives_a_verdict(self, claim):
+        # a budget may stop a claim short (exit 3), never end in a traceback
+        takes = _VERIFY_FLAGS[claim]
+        argv = (["--limit", "1"] if "limit" in takes
+                else ["--n-max", "1"] if "n_max" in takes else [])
+        code, _, err = run("verify", claim, *argv)
+        assert code in {0, 1, 3} and "Traceback" not in err
+        if claim == "l-invariant-disconnection":
+            assert code == 3
 
     def test_all_claims_registered(self):
         from splitmerge.verify import RUNNERS

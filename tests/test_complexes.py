@@ -118,13 +118,6 @@ class TestSimplicialComplex:
         k = SimplicialComplex([fs(1, 2)])
         assert k.relabel({1: "x", 2: "y"}) == SimplicialComplex([fs("x", "y")])
 
-    def test_to_json_shape(self):
-        j = gm_linear(2).to_json()
-        assert set(j) == {"vertices", "facets"}
-        assert len(j["vertices"]) == 3
-        for f in j["facets"]:
-            assert all(isinstance(i, int) for i in f)
-
 
 class TestLinearGraph:
     def test_one_vertex(self):

@@ -562,3 +562,109 @@ class TestConnectivityEvidence:
     def test_disconnected_fails_k0(self):
         rep = connectivity_evidence(m_linear(4), 0)
         assert rep["verdict"] != "consistent"
+
+
+def parent_homology_report(complex_, with_pi1=False, pi1_budget=20000):
+    """homology_report as it stood when connectedness came from a
+    union-find over the facets instead of from H0, kept verbatim."""
+    nonempty = not complex_.is_empty()
+    comps = complex_.components() if nonempty else []
+    chain = simplicial_chain_complex(complex_)
+    res = homology(chain)
+    betti = [r["betti"] for r in res]
+    torsion = [r["torsion"] for r in res]
+    reduced = list(betti)
+    if nonempty:
+        reduced[0] = betti[0] - 1
+    report = {
+        "betti": betti,
+        "betti_reduced": reduced,
+        "torsion": torsion,
+        "nonempty": nonempty,
+        "connected": len(comps) == 1,
+        "pi1": None,
+    }
+    if with_pi1 and nonempty and len(comps) == 1:
+        report["pi1"] = homology_module._pi1_verdict(chain, res, pi1_budget)
+    return report
+
+
+def parent_connectivity_evidence(complex_, k, pi1_budget=20000):
+    """connectivity_evidence as it stood with a branch per degree and per
+    emptiness case, kept verbatim."""
+    checks = []
+    nonempty = not complex_.is_empty()
+    checks.append({"name": "nonempty", "ok": nonempty, "detail": ""})
+    pi1 = None
+    if nonempty and k >= 0:
+        ncomp = len(complex_.components())
+        checks.append({"name": "connected", "ok": ncomp == 1,
+                       "detail": f"{ncomp} components"})
+        if ncomp == 1 and k >= 1:
+            chain = simplicial_chain_complex(complex_, top=k + 1)
+            res = homology(chain)
+            for i in range(1, k + 1):
+                if i < len(res):
+                    betti = res[i]["betti"]
+                    torsion = res[i]["torsion"]
+                else:
+                    betti, torsion = 0, []
+                ok = betti == 0 and not torsion
+                checks.append({
+                    "name": f"H{i}_zero", "ok": ok,
+                    "detail": f"betti={betti} torsion={torsion}"})
+            pi1 = homology_module._pi1_verdict(chain, res, pi1_budget)
+            checks.append({"name": "pi1", "ok": pi1 != "nontrivial",
+                           "detail": pi1})
+    elif k >= 0:
+        checks.append({"name": "connected", "ok": False, "detail": "empty"})
+
+    failed = any(not c["ok"] for c in checks)
+    if failed:
+        verdict = "fail"
+    elif k >= 1 and pi1 == "inconclusive":
+        verdict = "inconclusive"
+    else:
+        verdict = "consistent"
+    return {"k": k, "verdict": verdict, "checks": checks, "pi1": pi1}
+
+
+# empty, single-vertex, disconnected and low-dimensional complexes, beside
+# the larger connected ones; k = 2 lies above the dimension of many
+ANY_COMPLEX = st.one_of(connected_complexes(), st.lists(
+    st.sets(st.integers(0, 7), min_size=1, max_size=4),
+    max_size=6).map(SimplicialComplex))
+
+
+class TestReportsAgainstParent:
+    """The report builders equal verbatim copies of their earlier forms."""
+
+    @given(ANY_COMPLEX, st.sampled_from([0, 3, 20000]))
+    @settings(max_examples=300, deadline=None)
+    @example(SimplicialComplex.empty(), 0)
+    @example(SimplicialComplex([fs(1)]), 3)
+    @example(SimplicialComplex([fs(1, 2), fs(3)]), 20000)
+    @example(SimplicialComplex.boundary_sphere(range(4)), 3)
+    def test_connectivity_evidence(self, k, budget):
+        for degree in (-1, 0, 1, 2):
+            assert connectivity_evidence(k, degree, pi1_budget=budget) == \
+                parent_connectivity_evidence(k, degree, pi1_budget=budget)
+
+    @given(ANY_COMPLEX, st.sampled_from([0, 3, 20000]))
+    @settings(max_examples=300, deadline=None)
+    @example(SimplicialComplex.empty(), 20000)
+    @example(SimplicialComplex([fs(1)]), 20000)
+    @example(SimplicialComplex([fs(1, 2), fs(3)]), 20000)
+    def test_homology_report(self, k, budget):
+        for with_pi1 in (False, True):
+            assert homology_report(k, with_pi1, budget) == \
+                parent_homology_report(k, with_pi1, budget)
+        # connected from H0 is one union-find class
+        assert homology_report(k)["connected"] == (
+            not k.is_empty() and k.is_connected())
+
+    def test_empty_complex_checks(self):
+        rep = connectivity_evidence(SimplicialComplex.empty(), 1)
+        assert rep == {"k": 1, "verdict": "fail", "pi1": None, "checks": [
+            {"name": "nonempty", "ok": False, "detail": ""},
+            {"name": "connected", "ok": False, "detail": "empty"}]}
