@@ -10,14 +10,13 @@ from .trees import (LEAF, left_vine, mirror_forest, mirror_tree, parse_forest,
                     parse_tree, render_forest, render_tree, right_vine)
 from .diagrams import (Diagram, apply_move, generator, identity, inverse,
                        is_reduced, merge_feet, mirror_diagram, multiply,
-                       parse_diagram, poset_leq, reduce, render_diagram,
+                       parse_diagram, reduce, render_diagram,
                        split_foot)
 from .characters import (Character, MorseSpec, chi, chi0, chi1, epsilon,
                          refined_compare, refined_height)
 from .complexes import (SimplicialComplex, ascending_link_model, cone,
-                        descending_link_model, general_matching_complex,
-                        gm_linear, join, linear_graph, m_linear,
-                        matching_complex, move_delta)
+                        descending_link_model, gm_linear, join, m_linear,
+                        move_delta)
 from .homology import (ChainComplex, betti_via_rational_ranks,
                        connectivity_evidence, cubical_chain_complex,
                        fragment_pair_homology, homology, homology_report,
@@ -26,10 +25,10 @@ from .homology import (ChainComplex, betti_via_rational_ranks,
                        subdivision_complex)
 from .steinfarley import (Fragment, L_value, R_value, ascending_link, cofaces,
                           cover_assign, descending_link, explore, link_of,
-                          neighbors, nerve, nerve_data)
+                          neighbors, nerve_data)
 from .nervecycle import (CycleCertificate, find_nerve_cycle,
                          validate_certificate)
-from .verify import RUNNERS, run_all, run_claim
+from .verify import RUNNERS, run_claim
 
 __version__ = "0.1.0"
 
@@ -37,12 +36,11 @@ __all__ = [
     "LEAF", "left_vine", "right_vine", "mirror_tree", "mirror_forest",
     "parse_tree", "parse_forest", "render_tree", "render_forest",
     "Diagram", "parse_diagram", "render_diagram", "reduce", "is_reduced",
-    "multiply", "inverse", "identity", "generator", "poset_leq",
+    "multiply", "inverse", "identity", "generator",
     "split_foot", "merge_feet", "apply_move", "mirror_diagram",
     "Character", "MorseSpec", "chi", "chi0", "chi1", "epsilon",
     "refined_height", "refined_compare",
-    "SimplicialComplex", "linear_graph", "matching_complex",
-    "general_matching_complex", "gm_linear", "m_linear", "join", "cone",
+    "SimplicialComplex", "gm_linear", "m_linear", "join", "cone",
     "move_delta", "ascending_link_model", "descending_link_model",
     "ChainComplex", "smith_normal_form", "betti_via_rational_ranks",
     "homology", "homology_report", "pi1_trivial", "connectivity_evidence",
@@ -50,8 +48,8 @@ __all__ = [
     "subdivision_complex", "relative_homology", "fragment_pair_homology",
     "Fragment", "explore", "cofaces", "link_of", "neighbors",
     "ascending_link", "descending_link", "L_value", "R_value",
-    "cover_assign", "nerve", "nerve_data",
+    "cover_assign", "nerve_data",
     "CycleCertificate", "find_nerve_cycle", "validate_certificate",
-    "RUNNERS", "run_claim", "run_all",
+    "RUNNERS", "run_claim",
     "__version__",
 ]

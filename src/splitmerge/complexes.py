@@ -254,16 +254,6 @@ def cone(base: SimplicialComplex, apex) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 # matching complexes
 
-def linear_graph(n: int) -> SimplicialComplex:
-    """Path graph on vertices ("v", 1..n) as a 1-dimensional complex."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if n == 1:
-        return SimplicialComplex([[("v", 1)]])
-    return SimplicialComplex(
-        [[("v", i), ("v", i + 1)] for i in range(1, n)])
-
-
 def _disjoint_family_complex(items, caps=None) -> SimplicialComplex:
     """Complex whose simplices are sets of items with disjoint footprints.
 
@@ -299,31 +289,10 @@ def _disjoint_family_complex(items, caps=None) -> SimplicialComplex:
     return SimplicialComplex._from_facets(facets)
 
 
-def _bitmask_items(simplices, vertices) -> list:
-    """(simplex, bitmask of its vertices' positions) for each simplex."""
-    bit = {v: 1 << k for k, v in enumerate(vertices)}
-    return [(s, sum(bit[v] for v in s)) for s in simplices]
-
-
 def _path_items(n: int, splits: bool = True) -> list:
     """("v", i) over foot i and ("e", i) over feet i, i+1 of an n-path."""
     items = [(("v", i), 1 << i) for i in range(1, n + 1)] if splits else []
     return items + [(("e", i), 3 << i) for i in range(1, n)]
-
-
-def general_matching_complex(k: SimplicialComplex) -> SimplicialComplex:
-    """Complex of sets of pairwise-disjoint simplices of k.
-
-    Vertices are the simplices of k themselves (as frozenset labels).
-    """
-    return _disjoint_family_complex(
-        _bitmask_items(k.simplices(), k.vertices))
-
-
-def matching_complex(k: SimplicialComplex) -> SimplicialComplex:
-    """Complex of matchings of the 1-skeleton of k."""
-    return _disjoint_family_complex(
-        _bitmask_items(k.k_simplices(1), k.vertices))
 
 
 def gm_linear(n: int) -> SimplicialComplex:

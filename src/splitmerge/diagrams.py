@@ -190,20 +190,6 @@ def generator(i: int) -> Diagram:
     return Diagram((minus,), (plus,))
 
 
-def poset_leq(d1: Diagram, d2: Diagram):
-    """Witness forest C with d1 * [C / trivial] == d2, or None.
-
-    Exists exactly when q = inverse(d1) * d2 reduces to a diagram whose plus
-    side is trivial; the witness is then q's minus side.
-    """
-    if d1.heads != d2.heads:
-        return None
-    q = multiply(inverse(d1), d2)
-    if all(is_leaf(t) for t in q.plus):
-        return q.minus
-    return None
-
-
 # ---------------------------------------------------------------------------
 # single split / merge moves on the feet
 

@@ -26,6 +26,10 @@ from .steinfarley import (L_value, R_value, check_vertex, explore,
                           moves_in_band, nerve_data)
 
 
+class CertificateError(ValueError):
+    """A certificate's JSON form lacks a field or holds one of a wrong type."""
+
+
 @dataclass(frozen=True)
 class CycleCertificate:
     """Replayable witness that the cover nerve contains a 4-cycle.
@@ -53,15 +57,33 @@ class CycleCertificate:
 
     @classmethod
     def from_json(cls, data: dict) -> "CycleCertificate":
-        char = Character(Fraction(data["character"]["a"]),
-                         Fraction(data["character"]["b"]))
+        """Inverse of to_json; CertificateError names a missing or
+        ill-typed field."""
+        def field(name, read):
+            try:
+                return read(data[name])
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+                raise CertificateError(
+                    f"certificate field {name!r} is missing or ill-typed: "
+                    f"{e!r}") from None
+
+        def items(value, kind=str, size=None) -> tuple:
+            if (type(value) is not list or size not in (None, len(value))
+                    or any(type(v) is not kind for v in value)):
+                raise TypeError(f"not a list of {size or 'any'} "
+                                f"{kind.__name__}: {value!r}")
+            return tuple(value)
+
+        char = field("character", lambda c: Character(
+            Fraction(c["a"]), Fraction(c["b"])))
         return cls(
-            witnesses=tuple(data["witnesses"]),
-            paths=tuple(tuple(p) for p in data["paths"]),
-            labels=tuple((lab["side"], int(lab["value"]))
-                         for lab in data["labels"]),
+            witnesses=field("witnesses", items),
+            paths=field("paths", lambda p: tuple(map(items, items(p, list)))),
+            labels=field("labels", lambda labs: tuple(zip(
+                items([lab["side"] for lab in items(labs, dict)]),
+                items([lab["value"] for lab in labs], int)))),
             character=str(char),
-            band=tuple(int(v) for v in data["band"]),
+            band=field("band", lambda b: items(b, int, 2)),
         )
 
 

@@ -6,6 +6,12 @@ disjoint feet. Everything here is windowed by a feet band (p, q) and,
 optionally, a character superlevel constraint, so that only finite
 fragments of the complex are ever materialized.
 
+explore hands its Fragment its index and move maps as trusted (vertices
+are banded moves of checked seeds, each indexed once); caller-built
+fragments check both. Missing edges join unexpanded vertices, and only
+splits to some unexpanded vertex's key (_split_key) are applied. to_json
+renders each distinct forest once while it is among the last 1024.
+
 Coface words are strings over I (foot untouched), L (foot split) and V
 (two adjacent feet merged); reading left to right, I and L consume one
 foot and V consumes two. Cells inside a fragment are stored from their
@@ -29,6 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .trees import forest_num_carets
 from .diagrams import (Diagram, apply_move, invert_move, is_reduced,
                        merge_feet, split_foot)
 from .characters import MorseSpec, chi0, chi1, count_left, count_right
@@ -243,6 +250,16 @@ def cube_axes(word: str) -> list:
     return [i + 1 for i, ch in enumerate(word) if ch == "L"]
 
 
+def _split_key(d: Diagram, key: tuple, j: int) -> tuple:
+    """(feet, foot carets, chi0, chi1, L, R) of split_foot(d, j) from d's:
+    a caret foot gives up its caret, a leaf foot adds one to the head, at
+    its leftmost (rightmost) leaf for j = 1 (f), where chi0 (chi1) drops."""
+    f, carets, c0, c1, left, right = key
+    leaf = d.plus[j - 1] == ()
+    return (f + 1, carets - (not leaf), c0 - (j == 1), c1 - (j == f),
+            left + (j == 1 and leaf), right + (j == f and leaf))
+
+
 def _doubled(word: str, p: int) -> str:
     # the far side of split p: foot p is two feet, neither of them split
     return word[:p - 1] + "II" + word[p:]
@@ -274,25 +291,34 @@ class Fragment:
         self.provenance = provenance or {}
         self.index, self.moves, done = _explored or (
             {}, [{} for _ in self.vertices], 0)
-        for i, d in enumerate(self.vertices):
-            check_vertex(d, self.band)
-            if self.index.setdefault(d, i) != i:
-                raise ValueError(f"duplicate vertex {d.canon}")
-        # an edge is a split at its fewer-feet end, and the inverse merge
-        # undoes it, so applying each unknown split records every edge left
-        for i in range(done, len(self.vertices)):
-            d, mv = self.vertices[i], self.moves[i]
-            for move in moves_in_band(d, self.band):
-                if move[0] == "s" and move not in mv:
-                    j = self.index.get(apply_move(d, move))
-                    if j is not None:
-                        mv[move] = j
-                        self.moves[j][invert_move(move)] = i
+        if _explored is None:
+            for i, d in enumerate(self.vertices):
+                check_vertex(d, self.band)
+                if self.index.setdefault(d, i) != i:
+                    raise ValueError(f"duplicate vertex {d.canon}")
         self.chi0_values = [chi0(d) for d in self.vertices]
         self.chi1_values = [chi1(d) for d in self.vertices]
         self.feet_values = [d.feet for d in self.vertices]
         self.L_values = [L_value(d) for d in self.vertices]
         self.R_values = [R_value(d) for d in self.vertices]
+        # an edge is a split at its fewer-feet end, which the inverse merge
+        # undoes; only splits to a key from done on can find a missing one
+        rest = range(done, len(self.vertices))
+        carets = [forest_num_carets(self.vertices[i].plus) for i in rest]
+
+        def key(i):  # on demand, as holding one tuple per vertex costs memory
+            return (self.feet_values[i], carets[i - done], self.chi0_values[i],
+                    self.chi1_values[i], self.L_values[i], self.R_values[i])
+
+        wanted = set(map(key, rest))
+        for i in rest:
+            d, mv, ki = self.vertices[i], self.moves[i], key(i)
+            for j in range(1, d.feet + 1):
+                if ("s", j) not in mv and _split_key(d, ki, j) in wanted:
+                    k = self.index.get(split_foot(d, j))
+                    if k is not None:
+                        mv["s", j] = k
+                        self.moves[k]["m", j] = i
         tracked = self.characters + ((chi_floor[0],) if chi_floor else ())
         self.chi_values = {str(c): [
             Fraction(c.ints[0] * c0 + c.ints[1] * c1, c.scale)
@@ -389,9 +415,7 @@ def explore(seeds, band, chi_floor=None, characters=(),
     chi_floor is an optional (Character, threshold) pair; vertices below
     the threshold are not entered. Exploration is deterministic: seeds in
     input order, then moves in split-then-merge, foot-ascending order, and
-    truncation by max_vertices keeps any shorter run as a prefix. The move
-    maps found here are handed to the Fragment, which applies only the
-    unknown splits of the vertices left unexpanded.
+    truncation by max_vertices keeps any shorter run as a prefix.
     """
     p, q = band
     if not 1 <= p <= q:
@@ -566,8 +590,3 @@ def nerve_data(frag: Fragment) -> dict:
         "cell_nerve_vertices": cell_nerve_vertices,
         "complex": complex_,
     }
-
-
-def nerve(frag: Fragment) -> SimplicialComplex:
-    """Nerve of the two-sided depth cover, as a graph-dimensional complex."""
-    return nerve_data(frag)["complex"]

@@ -16,6 +16,8 @@ product of two such diagrams, within Python's default recursion limit.
 
 from __future__ import annotations
 
+import functools
+
 LEAF: tuple = ()
 MAX_DEPTH = 256
 
@@ -184,6 +186,12 @@ def render_tree(t) -> str:
 
 
 def render_forest(f) -> str:
+    return _render_forest(tuple(f))
+
+
+@functools.lru_cache(maxsize=1024)
+def _render_forest(f: tuple) -> str:
+    # neighbouring vertices share forests, so most renders are repeats
     return "[" + ",".join(render_tree(t) for t in f) + "]"
 
 

@@ -571,7 +571,3 @@ def run_claim(claim: str) -> dict:
         raise KeyError(f"unknown claim {claim!r}; "
                        f"known: {', '.join(RUNNERS)}")
     return RUNNERS[claim]()
-
-
-def run_all() -> list:
-    return [runner() for runner in RUNNERS.values()]

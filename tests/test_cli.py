@@ -112,7 +112,19 @@ class TestJsonMode:
         assert words and all(set(w) <= {"I", "Λ"} for w in words)
 
 
+EXPLORE_GOLDEN = Path(__file__).parent / "data" / "explore_golden.json"
+
+
 class TestExplore:
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_json_equals_golden(self, k):
+        # stdout of two truncated 200-vertex runs, byte for byte; the
+        # second holds edges that only Fragment's completion loop finds
+        golden = json.loads(EXPLORE_GOLDEN.read_text())[k]
+        code, out, err = run(*golden["argv"])
+        assert code == 0 and not err
+        assert out == golden["stdout"]
+
     def test_multi_seed(self):
         code, out, _ = run(
             "--json",

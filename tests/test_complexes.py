@@ -15,13 +15,10 @@ from splitmerge.complexes import (
     ascending_link_model,
     cone,
     descending_link_model,
-    general_matching_complex,
     gm_linear,
     join,
     label_key,
-    linear_graph,
     m_linear,
-    matching_complex,
     move_delta,
     shift_labels,
 )
@@ -29,6 +26,39 @@ from splitmerge.complexes import (
 
 def v(i):
     return ("v", i)
+
+
+# Test-local matching complexes of arbitrary complexes: the package builds
+# only the path models gm_linear and m_linear, through the same
+# _disjoint_family_complex these feed.
+
+def linear_graph(n: int) -> SimplicialComplex:
+    """Path graph on vertices ("v", 1..n) as a 1-dimensional complex."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    if n == 1:
+        return SimplicialComplex([[("v", 1)]])
+    return SimplicialComplex(
+        [[("v", i), ("v", i + 1)] for i in range(1, n)])
+
+
+def _bitmask_items(simplices, vertices) -> list:
+    """(simplex, bitmask of its vertices' positions) for each simplex."""
+    bit = {v: 1 << k for k, v in enumerate(vertices)}
+    return [(s, sum(bit[v] for v in s)) for s in simplices]
+
+
+def general_matching_complex(k: SimplicialComplex) -> SimplicialComplex:
+    """Complex of sets of pairwise-disjoint simplices of k; its vertices
+    are the simplices of k themselves (as frozenset labels)."""
+    return _disjoint_family_complex(
+        _bitmask_items(k.simplices(), k.vertices))
+
+
+def matching_complex(k: SimplicialComplex) -> SimplicialComplex:
+    """Complex of matchings of the 1-skeleton of k."""
+    return _disjoint_family_complex(
+        _bitmask_items(k.k_simplices(1), k.vertices))
 
 
 def euler_characteristic(k: SimplicialComplex) -> int:

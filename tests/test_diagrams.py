@@ -19,7 +19,6 @@ from splitmerge.diagrams import (
     mirror_diagram,
     multiply,
     parse_diagram,
-    poset_leq,
     random_diagram,
     random_expansion,
     random_group_element,
@@ -36,6 +35,21 @@ from splitmerge.trees import (LEAF, MAX_DEPTH, forest_num_leaves, left_vine,
 
 def rngs():
     return st.integers(0, 2**32 - 1).map(random.Random)
+
+
+def poset_leq(d1: Diagram, d2: Diagram):
+    """Witness forest C with d1 * [C / trivial] == d2, or None.
+
+    Exists exactly when q = inverse(d1) * d2 reduces to a diagram whose plus
+    side is trivial; the witness is then q's minus side. A test-local copy:
+    the splitting order has no caller in the package.
+    """
+    if d1.heads != d2.heads:
+        return None
+    q = multiply(inverse(d1), d2)
+    if all(t == LEAF for t in q.plus):
+        return q.minus
+    return None
 
 
 def is_elementary(f) -> bool:

@@ -128,6 +128,16 @@ class TestHomology:
         assert all(b == 0 for b in rep["betti_reduced"])
         assert all(t == [] for t in rep["torsion"])
 
+    @pytest.mark.parametrize("n", range(2, 19))
+    def test_kozlov_closed_form(self, n):
+        # Kozlov (JCTA 88, 1999): the reduced homology of M(L_n) is Z in
+        # degree floor(n/3) - 1, or zero everywhere when n = 2 (mod 3)
+        rep = homology_report(m_linear(n))
+        betti = rep["betti_reduced"] + [0] * n
+        assert betti[:n] == [int(n % 3 != 2 and d == n // 3 - 1)
+                             for d in range(n)]
+        assert all(t == [] for t in rep["torsion"])
+
     def test_cones_trivial_in_positive_degrees(self):
         rng = random.Random(5)
         for _ in range(10):

@@ -12,6 +12,7 @@ import splitmerge
 from splitmerge.characters import Character
 from splitmerge.diagrams import parse_diagram
 from splitmerge.nervecycle import (
+    CertificateError,
     CycleCertificate,
     find_nerve_cycle,
     validate_certificate,
@@ -124,6 +125,64 @@ class TestCertificateValue:
         closure = [c for c in rep["checks"] if c["name"] == "paths-close-cycle"]
         assert closure == [{"name": "paths-close-cycle", "ok": False,
                             "detail": ""}]
+
+
+
+def _wire():
+    return json.loads(json.dumps(find_nerve_cycle(Character(1, 1)).to_json()))
+
+
+# (case id, edit of a valid certificate's JSON form, field the error names)
+MALFORMED = [
+    ("empty", lambda j: {}, "character"),
+    ("not-an-object", lambda j: [j], "character"),
+    ("null", lambda j: None, "character"),
+    ("character-int", lambda j: {"character": 5}, "character"),
+    ("character-text", lambda j: {"character": "1,1", "witnesses": 3},
+     "character"),
+    ("character-bad-fraction",
+     lambda j: {**j, "character": {"a": "x", "b": "1"}}, "character"),
+    ("character-zero-denominator",
+     lambda j: {**j, "character": {"a": "1/0", "b": "1"}}, "character"),
+    ("no-witnesses", lambda j: {k: v for k, v in j.items()
+                                if k != "witnesses"}, "witnesses"),
+    ("witnesses-int", lambda j: {**j, "witnesses": 3}, "witnesses"),
+    ("witnesses-text", lambda j: {**j, "witnesses": "abcd"}, "witnesses"),
+    ("witness-int", lambda j: {**j, "witnesses": [1, 2, 3, 4]}, "witnesses"),
+    ("paths-flat", lambda j: {**j, "paths": j["witnesses"]}, "paths"),
+    ("path-vertex-int", lambda j: {**j, "paths": [[1]]}, "paths"),
+    ("labels-int", lambda j: {**j, "labels": [3]}, "labels"),
+    ("label-no-value", lambda j: {**j, "labels": [{"side": "L"}]}, "labels"),
+    ("label-float", lambda j: {**j, "labels": [{"side": "L", "value": 2.5}]},
+     "labels"),
+    ("label-side-int", lambda j: {**j, "labels": [{"side": 1, "value": 2}]},
+     "labels"),
+    ("no-band", lambda j: {k: v for k, v in j.items() if k != "band"},
+     "band"),
+    ("band-short", lambda j: {**j, "band": [4]}, "band"),
+    ("band-long", lambda j: {**j, "band": [4, 7, 9]}, "band"),
+    ("band-text", lambda j: {**j, "band": "4,7"}, "band"),
+    ("band-bool", lambda j: {**j, "band": [True, 7]}, "band"),
+]
+
+
+class TestFromJson:
+    def test_valid_round_trip(self):
+        wire = _wire()
+        cert = CycleCertificate.from_json(wire)
+        assert cert == find_nerve_cycle(Character(1, 1))
+        assert cert.to_json() == wire
+        assert validate_certificate(cert)["ok"]
+
+    @pytest.mark.parametrize("case,edit,field", MALFORMED,
+                             ids=[case for case, _, _ in MALFORMED])
+    def test_malformed_raises_certificate_error(self, case, edit, field):
+        with pytest.raises(CertificateError,
+                           match=f"certificate field '{field}'"):
+            CycleCertificate.from_json(edit(_wire()))
+
+    def test_certificate_error_is_a_value_error(self):
+        assert issubclass(CertificateError, ValueError)
 
 
 FORCED_FAILURE = """

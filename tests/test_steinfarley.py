@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from splitmerge import complexes as complexes_mod
 from splitmerge import steinfarley as steinfarley_mod
-from splitmerge.characters import (Character, MorseSpec, chi, refined_compare,
-                                   refined_height)
+from splitmerge.characters import (Character, MorseSpec, chi, chi0, chi1,
+                                   refined_compare, refined_height)
 from splitmerge.complexes import (
     SimplicialComplex,
     ascending_link_model,
@@ -21,6 +21,7 @@ from splitmerge.complexes import (
 from splitmerge.diagrams import (
     Diagram,
     apply_move,
+    mirror_diagram,
     parse_diagram,
     random_vertex,
     reduce,
@@ -44,15 +45,25 @@ from splitmerge.steinfarley import (
     monotone_cofaces,
     moves_in_band,
     neighbors,
-    nerve,
     nerve_data,
     word_labels,
 )
-from splitmerge.trees import LEAF, left_vine, right_vine
+from splitmerge.trees import LEAF, forest_num_carets, left_vine, right_vine
 
 
 def rngs():
     return st.integers(0, 2**32 - 1).map(random.Random)
+
+
+def nerve(frag):
+    """Nerve of the two-sided depth cover (a test-local shorthand)."""
+    return nerve_data(frag)["complex"]
+
+
+def vertex_key(d):
+    """(feet, foot carets, chi0, chi1, L, R), read off the diagram itself."""
+    return (d.feet, forest_num_carets(d.plus), chi0(d), chi1(d),
+            L_value(d), R_value(d))
 
 
 def word_count(n):
@@ -344,6 +355,68 @@ class TestOnePass:
         with pytest.raises(ValueError, match="duplicate vertex"):
             Fragment([x, y, parse_diagram("[(*,*)]/[*,*]")], (2, 4))
 
+    def test_caller_build_checks_every_vertex(self):
+        x = parse_diagram("[(*,*)]/[*,*]")
+        with pytest.raises(ValueError, match="vertex is not reduced"):
+            Fragment([x, parse_diagram("[((*,*),*)]/[(*,*),*]")], (2, 4))
+        with pytest.raises(ValueError, match="outside band"):
+            Fragment([x, parse_diagram("[*]/[*]")], (2, 4))
+
+    def test_explored_vertices_are_not_checked_again(self, monkeypatch):
+        calls = []
+        original = steinfarley_mod.check_vertex
+
+        def counted(d, band):
+            calls.append(d)
+            return original(d, band)
+
+        monkeypatch.setattr(steinfarley_mod, "check_vertex", counted)
+        seeds = [parse_diagram("[(*,*)]/[*,*]"),
+                 parse_diagram("[((*,*),*)]/[*,*,*]")]
+        frag = explore(seeds, (2, 5), max_vertices=300)
+        assert calls == seeds and len(frag.vertices) == 300
+
+    @given(rngs())
+    @settings(max_examples=40, deadline=None)
+    def test_shuffled_caller_build_has_explore_edges(self, rng):
+        p = rng.randint(1, 3)
+        band = (p, p + rng.randint(0, 4))
+        seeds = [random_vertex(rng, rng.randint(*band), rng.randint(0, 5))
+                 for _ in range(rng.randint(1, 3))]
+        frag = explore(seeds, band, max_vertices=rng.choice([4, 25, 150]))
+        order = list(range(len(frag.vertices)))
+        rng.shuffle(order)
+        built = Fragment([frag.vertices[i] for i in order], band)
+        at = {old: new for new, old in enumerate(order)}
+        assert len(built.edges) == len(frag.edges)
+        assert set(built.edges) == {(at[i], at[j]) for i, j in frag.edges}
+
+
+class TestSplitKey:
+    """The completion loop applies a split only when its predicted key is
+    some unexpanded vertex's; the prediction must be exact."""
+
+    @given(rngs(), st.integers(1, 9), st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_predicted_key_is_the_split_vertex_key(self, rng, feet, extra):
+        d = random_vertex(rng, feet, extra)
+        for j in range(1, feet + 1):
+            assert (steinfarley_mod._split_key(d, vertex_key(d), j)
+                    == vertex_key(split_foot(d, j)))
+
+    def test_every_kind_of_foot_is_covered(self):
+        # (first foot, last foot, leaf foot) for every split of the sample
+        # the hypothesis test draws from, f = 1 included
+        rng, seen = random.Random(5), set()
+        for feet in range(1, 10):
+            for _ in range(30):
+                d = random_vertex(rng, feet, rng.randint(0, 8))
+                for j in range(1, feet + 1):
+                    assert (steinfarley_mod._split_key(d, vertex_key(d), j)
+                            == vertex_key(split_foot(d, j)))
+                    seen.add((j == 1, j == feet, d.plus[j - 1] == LEAF))
+        assert seen == set(itertools.product([False, True], repeat=3))
+
 
 class TestCubes:
     def test_dim_one_cubes_are_edges(self):
@@ -612,6 +685,33 @@ class TestNeighborTable:
 
         monkeypatch.setattr(complexes_mod, "move_delta", refuse)
         assert ascending_link(x, spec) == model
+
+
+class TestMirror:
+    """Reflection swaps chi0 and chi1, so the links of mirror(x) under
+    (b, a) are those of x under (a, b) with v_i -> v_(f+1-i) and
+    e_i -> e_(f-i)."""
+
+    @given(rngs(), st.sampled_from(COEFFICIENTS),
+           st.sampled_from(COEFFICIENTS), st.sampled_from([1, -1]),
+           st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_links_reflect(self, rng, a, b, sec, below, above):
+        f = rng.randint(2, 8)
+        x = random_vertex(rng, f, rng.randint(0, 8))
+        m = mirror_diagram(x)
+        assert (chi0(m), chi1(m)) == (chi1(x), chi0(x))
+        band = (max(2, f - below), f + above)
+
+        def reflect(label):
+            kind, i = label
+            return kind, (f + 1 - i if kind == "v" else f - i)
+
+        ab, ba = Character(a, b), Character(b, a)
+        assert (ascending_link(m, MorseSpec(ba, sec, band))
+                == ascending_link(x, MorseSpec(ab, sec, band)).relabel(reflect))
+        assert (ascending_link_model(f, ba, sec, band)
+                == ascending_link_model(f, ab, sec, band).relabel(reflect))
 
 
 class TestIntegerFloor:

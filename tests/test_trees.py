@@ -137,6 +137,12 @@ class TestSerialization:
     def test_forest_roundtrip(self, f):
         assert parse_forest(render_forest(f)) == f
 
+    @given(forests())
+    def test_render_forest_accepts_a_list(self, f):
+        # the renderer caches by tuple; a list argument renders the same
+        text = "[" + ",".join(map(render_tree, f)) + "]"
+        assert render_forest(list(f)) == render_forest(f) == text
+
     @pytest.mark.parametrize("bad", ["", "(", "(*,*", "(*)", "[*", "[]", "[*,]"])
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
