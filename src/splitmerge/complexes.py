@@ -14,10 +14,12 @@ The second half of the module builds matching complexes of linear graphs and
 the combinatorial model of ascending links of cube-complex vertices: labels
 ("v", i) (split foot i) and ("e", i) (merge feet i, i+1) span a simplex when
 their foot footprints are pairwise disjoint and the whole implied cube stays
-inside the foot-count band; the band caps prune the recursion that lists
-the maximal disjoint families. Footprints are int bitmasks, and a move's
-direction is the sign of its height change in the character's scaled
-integer form, so the model compares integers only.
+inside the foot-count band. The facets are listed as Bron and Kerbosch list
+maximal cliques (CACM 16, 1973): the recursion carries the excluded set of
+skipped items that still fit, and stops once one of them can no longer be
+blocked, by footprint or by its kind's band cap. Footprints are int bitmasks,
+and a move's direction is the sign of its height change in the character's
+scaled integer form, so the model compares integers only.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def label_key(label):
     if isinstance(label, frozenset):
         return (3, tuple(sorted(label_key(x) for x in label)))
     if isinstance(label, tuple):
-        return (2, tuple(label_key(x) for x in label))
+        return (2, tuple(map(label_key, label)))
     if isinstance(label, int):
         return (0, label)
     return (1, str(label))
@@ -157,8 +159,9 @@ class SimplicialComplex:
         increasing tuples of vertex positions taken from each facet."""
         pos = {v: i for i, v in enumerate(self.vertices)}
         levels: list = [set() for _ in range(min(top, self.dim()) + 1)]
+        at = pos.__getitem__
         for f in self.facets:
-            ps = sorted(pos[x] for x in f)
+            ps = sorted(map(at, f))
             for k in range(min(len(ps), len(levels))):
                 levels[k].update(combinations(ps, k + 1))
         return [sorted(level) for level in levels]
@@ -264,28 +267,47 @@ def _disjoint_family_complex(items, caps=None) -> SimplicialComplex:
     Only maximal families are recorded, each once, as _from_facets needs.
     """
     facets: list = []
-    room = dict(caps) if caps is not None else None
+    # sets of items are bitmasks over their indices; without caps, items
+    # are of one kind that never runs out of room
+    kinds = [label[0] if caps is not None else None for label, _ in items]
+    room = dict(caps) if caps is not None else {None: len(items)}
+    of_kind: dict = {}
+    clash = []  # clash[k]: the items whose footprints meet item k's
+    for k, (_, foot) in enumerate(items):
+        of_kind[kinds[k]] = of_kind.get(kinds[k], 0) | 1 << k
+        clash.append(sum([1 << j for j, (_, other) in enumerate(items)
+                          if foot & other]))
+    after = [0] * len(items)  # after[k]: what the items after k clash with
+    for k in range(len(items) - 2, -1, -1):
+        after[k] = after[k + 1] | clash[k + 1]
 
-    def grow(start: int, current: list, used: int):
-        maximal = True
-        for k in range(start, len(items)):
-            label, foot = items[k]
-            if used & foot or (room is not None and not room[label[0]]):
-                continue
-            maximal = False
-            current.append(label)
-            if room is not None:
-                room[label[0]] -= 1
-            grow(k + 1, current, used | foot)
-            if room is not None:
-                room[label[0]] += 1
+    def grow(cand: int, excl: int, current: list):
+        # cand: the fitting items after the last one taken; excl: the
+        # fitting items skipped before it (Bron-Kerbosch's excluded set)
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            k = low.bit_length() - 1
+            kind = kinds[k]
+            room[kind] -= 1
+            drop = clash[k] if room[kind] else clash[k] | of_kind[kind]
+            sub, fit = cand & ~drop, excl & ~drop
+            current.append(items[k][0])
+            # stop once an item of fit can no longer be blocked: no item
+            # after k meets it, and its kind has more room than sub fills
+            free = fit & ~after[k]
+            if not sub:
+                if not fit:
+                    facets.append(frozenset(current))
+            elif not free or not any(
+                    free & mask and room[kd] > (sub & mask).bit_count()
+                    for kd, mask in of_kind.items()):
+                grow(sub, fit, current)
             current.pop()
-        if current and maximal and not any(
-                not used & foot and (room is None or room[label[0]])
-                for label, foot in items[:start]):
-            facets.append(frozenset(current))
+            room[kind] += 1
+            excl |= low
 
-    grow(0, [], 0)
+    grow(sum(mask for kind, mask in of_kind.items() if room[kind] > 0), 0, [])
     return SimplicialComplex._from_facets(facets)
 
 
@@ -332,15 +354,11 @@ def move_delta(n: int, label) -> tuple:
 
 
 def _ascending(n: int, character: Character, secondary: int, label) -> bool:
+    """The move ascends: (d chi, secondary * d feet) > (0, 0), in order."""
     d0, d1 = move_delta(n, label)
     a, b = character.ints
-    dchi = a * d0 + b * d1
-    if dchi > 0:
-        return True
-    if dchi < 0:
-        return False
     dfeet = 1 if label[0] == "v" else -1
-    return secondary * dfeet > 0
+    return (a * d0 + b * d1, secondary * dfeet) > (0, 0)
 
 
 def ascending_link_model(n: int, character: Character, secondary: int,

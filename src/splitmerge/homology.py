@@ -22,8 +22,9 @@ unit is one move: a kill (a relator of length 1), else a substitution (a
 relator of length 2 over two generators), both naming the generator of the
 relator's last letter; else the smallest generator used exactly once goes
 with its relator.
-homology_report and connectivity_evidence hand the H1 they computed to the
-same Tietze step instead of calling pi1_trivial.
+homology_report and connectivity_evidence both read connectedness from the
+H0 of the chain complex they build, and hand its H1 to the same Tietze step
+instead of calling pi1_trivial.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations, groupby
 from math import gcd
 
 from .complexes import SimplicialComplex
@@ -215,10 +216,12 @@ def _rank_and_torsion(columns, n_rows) -> tuple:
         row = rows[r]
         if size != len(row):
             continue  # stale entry; the row was pushed again when it changed
-        units = [j for j in row if cols[j][r] in (1, -1)]
-        if not units:
+        c, best = None, n_rows + 1  # the sparsest unit column, first on ties
+        for j in row:
+            if cols[j][r] in (1, -1) and len(cols[j]) < best:
+                c, best = j, len(cols[j])
+        if c is None:
             continue  # pushed again when a later pivot changes the row
-        c = min(units, key=lambda j: len(cols[j]))
         pivot = cols[c]
         p = pivot[r]
         for j in row:
@@ -295,16 +298,16 @@ def simplicial_chain_complex(complex_: SimplicialComplex,
     if top is not None:
         dim = min(dim, top)
     faces = complex_._position_faces(dim)
-    vs = complex_.vertices
     boundaries = []
     for k in range(1, dim + 1):
-        index = {face: i for i, face in enumerate(faces[k - 1])}
-        boundaries.append([
-            {index[face[:i] + face[i + 1:]]: -1 if i % 2 else 1
-             for i in range(k + 1)}
-            for face in faces[k]])
+        row = {face: i for i, face in enumerate(faces[k - 1])}.__getitem__
+        # combinations drops the last vertex first: signs (-1)^k, ..., +1
+        signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)]
+        boundaries.append([dict(zip(map(row, combinations(face, k)), signs))
+                           for face in faces[k]])
+    at = complex_.vertices.__getitem__
     return ChainComplex([len(level) for level in faces], boundaries, cells=[
-        [tuple(vs[i] for i in face) for face in level] for level in faces])
+        [tuple(map(at, face)) for face in level] for level in faces])
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +499,24 @@ def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
     gens = {e: i + 1 for i, e in enumerate(e for e in edges if e not in tree)}
     triangles = chain.cells[2] if len(chain.cells) > 2 else []
     # a < b < c; three distinct edges give a freely reduced word
-    words = ([gens.get((a, b), 0), gens.get((b, c), 0), -gens.get((a, c), 0)]
-             for a, b, c in (map(pos.get, s) for s in triangles))
-    relators = [w for w in ([x for x in w if x] for w in words) if w]
+    relators = []
+    for a, b, c in (map(pos.get, s) for s in triangles):
+        w = [x for x in (gens.get((a, b), 0), gens.get((b, c), 0),
+                         -gens.get((a, c), 0)) if x]
+        if w:
+            relators.append(w)
     alive = set(gens.values())
     for _ in range(budget):
         if not alive:
             break
-        named = next((i for i, w in enumerate(relators) if len(w) == 1), None)
-        if named is None:
-            named = next((i for i, w in enumerate(relators) if len(w) == 2
-                          and abs(w[0]) != abs(w[1])), None)
+        # the first relator of length 1, else of length 2 over two generators
+        named = None
+        for i, w in enumerate(relators):
+            if len(w) == 1:
+                named = i
+                break
+            if named is None and len(w) == 2 and abs(w[0]) != abs(w[1]):
+                named = i
         if named is not None:
             # kill or substitute: the last letter x of w is (rest)^-1
             w = relators.pop(named)
@@ -551,11 +561,13 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
     pi1 = None
     nonempty = check("nonempty", not complex_.is_empty())
     if k >= 0:
-        ncomp = len(complex_.components()) if nonempty else 0
+        ncomp = 0
+        if nonempty:  # connectedness is read from H0
+            chain = simplicial_chain_complex(complex_, top=max(k + 1, 1))
+            res = homology(chain)
+            ncomp = res[0]["betti"]
         if check("connected", ncomp == 1,
                  f"{ncomp} components" if nonempty else "empty") and k >= 1:
-            chain = simplicial_chain_complex(complex_, top=k + 1)
-            res = homology(chain)
             res += [{"betti": 0, "torsion": []}] * (k + 1 - len(res))
             for i in range(1, k + 1):
                 betti, torsion = res[i]["betti"], res[i]["torsion"]

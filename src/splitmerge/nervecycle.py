@@ -27,7 +27,8 @@ from .steinfarley import (L_value, R_value, check_vertex, explore,
 
 
 class CertificateError(ValueError):
-    """A certificate's JSON form lacks a field or holds one of a wrong type."""
+    """A certificate lacks a field, holds one of a wrong type, or holds
+    text that is not a diagram."""
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,7 @@ def validate_certificate(cert: CycleCertificate) -> dict:
     Checks admissibility under the certificate's own character, path
     adjacency, closure through the four witnesses, the per-cell cover-label
     gates, and the alternating 4-cycle in the nerve of the induced fragment.
+    CertificateError names a witness or path entry that is not a diagram.
     """
     character = Character.parse(cert.character)
     band = tuple(cert.band)
@@ -256,8 +258,17 @@ def validate_certificate(cert: CycleCertificate) -> dict:
         checks.append({"name": name, "ok": bool(ok), "detail": detail})
         return ok
 
-    witnesses = [parse_diagram(w) for w in cert.witnesses]
-    paths = [[parse_diagram(v) for v in path] for path in cert.paths]
+    def diagram(text, field):
+        try:
+            return parse_diagram(text)
+        except ValueError as exc:
+            raise CertificateError(f"certificate field {field!r} is not a "
+                                   f"diagram: {exc}") from exc
+
+    witnesses = [diagram(w, f"witnesses[{i}]")
+                 for i, w in enumerate(cert.witnesses)]
+    paths = [[diagram(v, f"paths[{i}][{j}]") for j, v in enumerate(path)]
+             for i, path in enumerate(cert.paths)]
 
     lr = [(L_value(w), R_value(w)) for w in witnesses]
     check("witness-depths", lr == [(2, 2), (3, 2), (3, 3), (2, 3)],

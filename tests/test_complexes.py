@@ -413,6 +413,28 @@ def all_disjoint_families(items) -> SimplicialComplex:
     return SimplicialComplex(simplices)
 
 
+def maximal_capped_families(items, caps) -> frozenset:
+    """Oracle: every subset of items, kept when its footprints are pairwise
+    disjoint, it fits the caps and no further item can join it."""
+    def fits(family):
+        used = 0
+        for _, foot in family:
+            if used & foot:
+                return False
+            used |= foot
+        kinds = [label[0] for label, _ in family]
+        return all(kinds.count(kind) <= cap for kind, cap in caps.items())
+
+    found = set()
+    for size in range(1, len(items) + 1):
+        for family in itertools.combinations(items, size):
+            if fits(family) and not any(
+                    fits(family + (item,)) for item in items
+                    if item not in family):
+                found.add(frozenset(label for label, _ in family))
+    return frozenset(found)
+
+
 def build_then_filter_model(n, character, secondary, band):
     """Oracle: the unpruned disjoint-family complex, then the band filter."""
     p, q = band
@@ -443,6 +465,21 @@ class TestPrunedFamilies:
         items = [(("i", k), frozenset(f)) for k, f in enumerate(feet)]
         masks = [(label, sum(1 << x for x in foot)) for label, foot in items]
         assert _disjoint_family_complex(masks) == all_disjoint_families(items)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_capped_families_match_brute_force(self, data):
+        kinds = "abc"[:data.draw(st.integers(2, 3))]
+        # sparse footprints, so that many skipped items stay unblocked
+        feet = data.draw(st.lists(st.sets(st.integers(0, 9), min_size=1,
+                                          max_size=3).map(
+            lambda bits: sum(1 << b for b in bits)), max_size=9))
+        items = [((data.draw(st.sampled_from(kinds)), k), foot)
+                 for k, foot in enumerate(feet)]
+        caps = {kind: data.draw(st.integers(0, len(items) + 1))
+                for kind in kinds}
+        assert _disjoint_family_complex(items, caps).facets == \
+            maximal_capped_families(items, caps)
 
     @given(st.integers(1, 9), st.integers(0, 4), st.integers(0, 4),
            WEIGHTS, WEIGHTS, st.sampled_from([1, -1]))

@@ -345,6 +345,21 @@ class TestPi1FromReports:
         assert homology_report(k, with_pi1=True)["pi1"] == "trivial"
         assert len(calls) == 2
 
+    def test_connectedness_is_read_from_h0(self, monkeypatch):
+        def components(self):
+            raise AssertionError("union-find called")
+
+        monkeypatch.setattr(SimplicialComplex, "components", components)
+        for k, detail in ((cone(m_linear(6), "apex"), "1 components"),
+                          (m_linear(4), "2 components"),
+                          (SimplicialComplex([[1, 2], [3], [4]]),
+                           "3 components"),
+                          (SimplicialComplex.empty(), "empty")):
+            for degree in (0, 1, 2):
+                checks = connectivity_evidence(k, degree)["checks"]
+                assert checks[1]["name"] == "connected"
+                assert checks[1]["detail"] == detail
+
 
 def _reference_pi1_verdict(chain, res, budget):
     """The Tietze loop as it stood before kill and substitution became one

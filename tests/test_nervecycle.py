@@ -18,6 +18,7 @@ from splitmerge.nervecycle import (
     validate_certificate,
 )
 from splitmerge.steinfarley import L_value, R_value
+from splitmerge.trees import ParseError
 
 
 class TestFind:
@@ -125,6 +126,26 @@ class TestCertificateValue:
         closure = [c for c in rep["checks"] if c["name"] == "paths-close-cycle"]
         assert closure == [{"name": "paths-close-cycle", "ok": False,
                             "detail": ""}]
+
+    @pytest.mark.parametrize("field,text,reason", [
+        ("witnesses[0]", "[(*,*]/[*]", "expected ')', found ']'"),
+        ("paths[1][2]", "[*]/[", "found end of input")],
+        ids=["witness", "path-vertex"])
+    def test_validator_names_malformed_diagram_text(self, field, text,
+                                                    reason):
+        # from_json checks types only, so the text reaches the validator
+        wire = _wire()
+        if field == "witnesses[0]":
+            wire["witnesses"][0] = text
+        else:
+            wire["paths"][1][2] = text
+        cert = CycleCertificate.from_json(wire)
+        with pytest.raises(CertificateError) as info:
+            validate_certificate(cert)
+        assert f"certificate field '{field}' is not a diagram" in str(
+            info.value)
+        assert reason in str(info.value)
+        assert isinstance(info.value.__cause__, ParseError)
 
 
 
