@@ -22,8 +22,6 @@ from .trees import (
     forest_num_leaves,
     forest_union,
     graft,
-    is_caret,
-    is_leaf,
     remove_terminal_caret,
     render_forest,
     terminal_pairs,
@@ -31,10 +29,10 @@ from .trees import (
 
 
 class Diagram:
-    """Immutable split-merge diagram with cached canonical text form."""
+    """Immutable split-merge diagram; canon joins two cached forest renders."""
 
     # _nbr_chi stays unset until steinfarley keeps a neighbor table there
-    __slots__ = ("minus", "plus", "_canon", "_nbr_chi")
+    __slots__ = ("minus", "plus", "_nbr_chi")
 
     def __init__(self, minus, plus):
         trees.validate_forest(minus)
@@ -45,7 +43,6 @@ class Diagram:
                 f"{forest_num_leaves(minus)} vs {forest_num_leaves(plus)}")
         object.__setattr__(self, "minus", minus)
         object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "_canon", None)
 
     @classmethod
     def _make(cls, minus, plus) -> "Diagram":
@@ -57,7 +54,6 @@ class Diagram:
         d = object.__new__(cls)
         object.__setattr__(d, "minus", minus)
         object.__setattr__(d, "plus", plus)
-        object.__setattr__(d, "_canon", None)
         return d
 
     def __setattr__(self, name, value):
@@ -73,11 +69,7 @@ class Diagram:
 
     @property
     def canon(self) -> str:
-        c = self._canon
-        if c is None:
-            c = render_forest(self.minus) + "/" + render_forest(self.plus)
-            object.__setattr__(self, "_canon", c)
-        return c
+        return render_forest(self.minus) + "/" + render_forest(self.plus)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diagram):
@@ -203,7 +195,7 @@ def split_foot(d: Diagram, i: int) -> Diagram:
     if not 1 <= i <= d.feet:
         raise ValueError(f"foot {i} out of range 1..{d.feet}")
     t = d.plus[i - 1]
-    if is_caret(t):
+    if t != ():
         plus = d.plus[:i - 1] + (t[0], t[1]) + d.plus[i:]
         return Diagram._make(d.minus, plus)
     j = forest_num_leaves(d.plus[:i - 1])
@@ -223,7 +215,7 @@ def merge_feet(d: Diagram, i: int) -> Diagram:
         raise ValueError(f"foot pair ({i},{i + 1}) out of range")
     t1 = d.plus[i - 1]
     t2 = d.plus[i]
-    if is_leaf(t1) and is_leaf(t2):
+    if t1 == () and t2 == ():
         try:  # cancel the minus caret over both feet, if there is one
             return Diagram._make(remove_terminal_caret(
                 d.minus, forest_num_leaves(d.plus[:i - 1])),

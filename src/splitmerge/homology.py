@@ -23,8 +23,7 @@ relator of length 2 over two generators), both naming the generator of the
 relator's last letter; else the smallest generator used exactly once goes
 with its relator.
 homology_report and connectivity_evidence both read connectedness from the
-H0 of the chain complex they build, and hand its H1 to the same Tietze step
-instead of calling pi1_trivial.
+H0 of the chain complex they build, and hand its H1 to the same Tietze step.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import LEAF, add_caret, is_leaf, left_vine, num_carets, right_vine
+from .trees import LEAF, add_caret, left_vine, num_carets, right_vine
 from .diagrams import Diagram, apply_move, is_reduced, mirror_diagram, parse_diagram
 from .characters import Character, chi, count_left, count_right
 from .steinfarley import (L_value, R_value, check_vertex, explore,
@@ -160,7 +160,7 @@ def _raise_left(x: Diagram, char: Character, budget: int) -> list:
     # rebuild the left vine two carets taller
     cur = do(("m", 1))
     while count_left(cur.plus) < lam + 2:
-        if is_leaf(cur.plus[1]):
+        if cur.plus[1] == LEAF:
             cur = do(("m", 1))
         else:
             _require(cur.feet <= 6, "no room to unpack feet", cur)
@@ -178,9 +178,10 @@ def _raise_right(x: Diagram, char: Character, budget: int) -> list:
     return [mirror_diagram(d) for d in mirrored]
 
 
-def find_nerve_cycle(character: Character, band=(4, 7),
+def find_nerve_cycle(character: Character,
                      max_steps: int = 100000) -> CycleCertificate:
-    """Build and validate a 4-cycle certificate for an a > 0, b > 0 character.
+    """Build and validate a 4-cycle certificate, in the feet band (4, 7),
+    for an a > 0, b > 0 character.
 
     Entry vine heights scale with the coefficient ratio so that draining
     one vine never pushes the character below zero.
@@ -188,10 +189,6 @@ def find_nerve_cycle(character: Character, band=(4, 7),
     a, b = character.a, character.b
     if a <= 0 or b <= 0:
         raise ValueError("both character coefficients must be positive")
-    p, q = band
-    if p > 4 or q < 7:
-        raise ValueError("the walk needs the band to contain [4, 7]")
-
     lam0 = 3 + math.ceil(Fraction(3) * b / a)
     rho0 = 3 + math.ceil(Fraction(3) * a / b)
     gadget = (LEAF, (LEAF, LEAF))
@@ -227,7 +224,7 @@ def find_nerve_cycle(character: Character, band=(4, 7),
         ),
         labels=(("R", 2), ("L", 3), ("R", 3), ("L", 2)),
         character=str(character),
-        band=(p, q),
+        band=(4, 7),
     )
     report = validate_certificate(cert)
     if not report["ok"]:
@@ -321,7 +318,7 @@ def validate_certificate(cert: CycleCertificate) -> dict:
                        max_radius=0)
         try:
             data = nerve_data(frag)
-        except AssertionError as exc:
+        except (AssertionError, ValueError) as exc:
             check("nerve-cycle", False, f"cover invariant failed: {exc}")
         else:
             by_side = [{nv[0]: nv for nv in data["cell_nerve_vertices"][

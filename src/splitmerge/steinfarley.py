@@ -19,15 +19,15 @@ fewest-feet corner, whose word therefore uses only I and L (a vertex is its
 all-I word); Fragment.faces is the one face rule for all of them.
 
 Ascending (descending) links are read off the actual neighbor diagrams:
-each banded move is compared by refined height with the vertex, and a
-letter whose move does not strictly ascend (descend) is pruned inside the
-coface recursion, with every word below it, and only the maximal words,
-the link's facets, are listed. This route shares no code with the
-disjoint-family models of complexes, which tests compare it against.
-The (chi0, chi1) of a vertex and of all its neighbors are computed once per
-vertex and shared by both links and every spec; heights are compared in
-the character's scaled integer form, as is the explore floor, so Fractions
-appear only in the values a Fragment prints.
+each banded move is compared by refined height with the vertex, the
+strictly ascending (descending) ones become split and merge bitmasks, and a
+letter outside them is pruned inside the coface recursion, with every word
+below it; only the maximal words, the link's facets, are listed. This route
+shares no code with the disjoint-family models of complexes, which tests
+compare it against. The (chi0, chi1) of a vertex and of all its neighbors
+are computed once per vertex and shared by both links and every spec;
+heights are compared in the character's scaled integer form, as is the
+explore floor, so Fractions appear only in the values a Fragment prints.
 """
 
 from __future__ import annotations
@@ -89,11 +89,11 @@ def cofaces(x: Diagram, band) -> list:
     return _coface_words(x, band)
 
 
-def _coface_words(x: Diagram, band, allowed=None, maximal=False) -> list:
+def _coface_words(x: Diagram, band, masks=None, maximal=False) -> list:
     """Banded coface words at x, depth first, I before L before V.
 
-    allowed, when given, is the set of link labels a word may use: an L at
-    foot i needs ("v", i) in it and a V at feet i, i+1 needs ("e", i). A
+    masks, when given, is (splits, merges) from _monotone_masks: an L at
+    foot i needs bit i of splits and a V at feet i, i+1 bit i of merges. A
     rejected letter is pruned with every word below it. maximal keeps only
     the words no listed word extends: no single I -> L and no single
     II -> V is allowed and within the band caps. One change is enough to
@@ -104,10 +104,7 @@ def _coface_words(x: Diagram, band, allowed=None, maximal=False) -> list:
     if not p <= f <= q:
         raise ValueError(f"vertex has {f} feet, outside band {band}")
     # bit i: an L at foot i (a V at feet i, i + 1) is allowed
-    split_ok, merge_ok = (2 << f) - 2, (1 << f) - 2
-    if allowed is not None:
-        split_ok = sum(1 << i for kind, i in allowed if kind == "v")
-        merge_ok = sum(1 << i for kind, i in allowed if kind == "e")
+    split_ok, merge_ok = masks or ((2 << f) - 2, (1 << f) - 2)
     words: list = []
 
     def grow(i, prefix, splits, merges, free):
@@ -193,20 +190,21 @@ def _neighbor_table(x: Diagram) -> tuple:
         return table
 
 
-def _label_directions(x: Diagram, spec: MorseSpec) -> dict:
-    """Link label of each banded move -> -1, 0 or +1 as the refined height
-    of the neighbor it reaches compares to x's."""
+def _monotone_masks(x: Diagram, spec: MorseSpec, down: bool) -> tuple:
+    """(splits, merges): bit i is set when the banded split_foot(x, i)
+    (merge_feet(x, i)) strictly ascends (descends) in refined height."""
     table = _neighbor_table(x)
     a, b = spec.character.ints
     f, sec = x.feet, spec.secondary
     h = (a * table[0] + b * table[1], sec * f)
-    directions = {}
+    masks = [0, 0]
     for kind, i in moves_in_band(x, spec.band):
         # split i sits at 2i, merge i after the f splits, at 2(f + i)
         k, df = (2 * i, 1) if kind == "s" else (2 * (f + i), -1)
         hy = (a * table[k] + b * table[k + 1], sec * (f + df))
-        directions["v" if kind == "s" else "e", i] = (hy > h) - (hy < h)
-    return directions
+        if hy < h if down else hy > h:
+            masks[df < 0] |= 1 << i
+    return tuple(masks)
 
 
 def ascending_link(x: Diagram, spec: MorseSpec, down: bool = False
@@ -219,7 +217,7 @@ def ascending_link(x: Diagram, spec: MorseSpec, down: bool = False
     the maximal words become simplices.
     """
     return _facet_complex(_coface_words(
-        x, spec.band, _monotone_labels(x, spec, down), maximal=True))
+        x, spec.band, _monotone_masks(x, spec, down), maximal=True))
 
 
 def descending_link(x: Diagram, spec: MorseSpec) -> SimplicialComplex:
@@ -232,14 +230,7 @@ def monotone_cofaces(x: Diagram, spec: MorseSpec, down: bool = False) -> list:
     The trivial word qualifies vacuously; the result is the closed star of
     x in the ascending (descending) direction, in the order of cofaces.
     """
-    return _coface_words(x, spec.band, _monotone_labels(x, spec, down))
-
-
-def _monotone_labels(x: Diagram, spec: MorseSpec, down: bool) -> set:
-    """Labels of the banded moves that strictly ascend (or descend)."""
-    want = -1 if down else 1
-    return {label for label, d in _label_directions(x, spec).items()
-            if d == want}
+    return _coface_words(x, spec.band, _monotone_masks(x, spec, down))
 
 
 # ---------------------------------------------------------------------------

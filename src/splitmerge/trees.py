@@ -22,14 +22,6 @@ LEAF: tuple = ()
 MAX_DEPTH = 256
 
 
-def is_leaf(t) -> bool:
-    return t == ()
-
-
-def is_caret(t) -> bool:
-    return t != ()
-
-
 def num_leaves(t) -> int:
     if t == ():
         return 1

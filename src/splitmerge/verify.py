@@ -41,7 +41,10 @@ def _check(checks: list, name: str, ok, detail="") -> bool:
 def _report(claim: str, checks: list, parameters: dict,
             unsettled=None) -> dict:
     """The claim's report; unsettled maps a check name to the budget that
-    kept it from being decided. RuntimeError when only such checks failed."""
+    kept it from being decided. RuntimeError when only such checks failed,
+    or when no check ran at all."""
+    if not checks:
+        raise RuntimeError("no check ran")
     failed = [c["name"] for c in checks if not c["ok"]]
     if failed and unsettled and all(name in unsettled for name in failed):
         raise RuntimeError("; ".join(f"{name}: {unsettled[name]}"

@@ -298,10 +298,13 @@ class TestVerify:
         takes = _VERIFY_FLAGS[claim]
         argv = (["--limit", "1"] if "limit" in takes
                 else ["--n-max", "1"] if "n_max" in takes else [])
-        code, _, err = run("verify", claim, *argv)
+        code, out, err = run("verify", claim, *argv)
         assert code in {0, 1, 3} and "Traceback" not in err
         if claim == "l-invariant-disconnection":
             assert code == 3
+        if claim == "matching-connectivity":
+            # n_max 1 leaves no n to check, and no check is not a pass
+            assert code == 3 and "no check ran" in out
 
     def test_all_claims_registered(self):
         from splitmerge.verify import RUNNERS

@@ -53,10 +53,6 @@ class TestFind:
         with pytest.raises(ValueError):
             find_nerve_cycle(Character(0, 1))
 
-    def test_rejects_too_narrow_band(self):
-        with pytest.raises(ValueError):
-            find_nerve_cycle(Character(1, 1), band=(4, 6))
-
     def test_paths_stay_in_band(self):
         cert = find_nerve_cycle(Character(1, 1))
         for path in cert.paths:
@@ -126,6 +122,20 @@ class TestCertificateValue:
         closure = [c for c in rep["checks"] if c["name"] == "paths-close-cycle"]
         assert closure == [{"name": "paths-close-cycle", "ok": False,
                             "detail": ""}]
+
+    @pytest.mark.parametrize("change", [
+        {"band": (1, 7)}, {"character": "0,0"}],
+        ids=["band-start-1", "zero-character"])
+    def test_validator_fails_outside_cover_regime(self, change):
+        # the nerve's cover needs band start >= 2 and a, b > 0; a
+        # certificate outside that regime fails its nerve-cycle check
+        cert = dataclasses.replace(find_nerve_cycle(Character(1, 1)),
+                                   **change)
+        rep = validate_certificate(cert)
+        assert not rep["ok"]
+        nerve = [c for c in rep["checks"] if c["name"] == "nerve-cycle"]
+        assert len(nerve) == 1 and not nerve[0]["ok"]
+        assert "cover labels need" in nerve[0]["detail"]
 
     @pytest.mark.parametrize("field,text,reason", [
         ("witnesses[0]", "[(*,*]/[*]", "expected ')', found ']'"),

@@ -33,7 +33,7 @@ from splitmerge.steinfarley import (
     Fragment,
     L_value,
     R_value,
-    _label_directions,
+    _monotone_masks,
     apply_labels,
     ascending_link,
     check_vertex,
@@ -650,10 +650,12 @@ class TestNeighborTable:
                                    rng.choice(COEFFICIENTS)),
                          rng.choice([1, -1]),
                          (rng.randint(2, feet), feet + rng.randint(0, 4)))
-        expected = {("v" if kind == "s" else "e", i):
-                    refined_compare(spec, apply_move(x, (kind, i)), x)
-                    for kind, i in moves_in_band(x, spec.band)}
-        assert _label_directions(x, spec) == expected
+        for down, want in ((False, 1), (True, -1)):
+            masks = {"s": 0, "m": 0}
+            for kind, i in moves_in_band(x, spec.band):
+                if refined_compare(spec, apply_move(x, (kind, i)), x) == want:
+                    masks[kind] |= 1 << i
+            assert _monotone_masks(x, spec, down) == (masks["s"], masks["m"])
 
     def test_one_table_for_both_links_and_every_spec(self, monkeypatch):
         applied = []

@@ -13,8 +13,6 @@ from splitmerge.trees import (
     forest_num_leaves,
     forest_union,
     graft,
-    is_caret,
-    is_leaf,
     left_depth,
     left_vine,
     mirror_forest,
@@ -73,12 +71,6 @@ def forests(max_trees=5):
 
 
 class TestBasics:
-    def test_leaf_and_caret_predicates(self):
-        assert is_leaf(LEAF)
-        assert not is_caret(LEAF)
-        assert is_caret((LEAF, LEAF))
-        assert not is_leaf((LEAF, LEAF))
-
     def test_counts(self):
         t = ((LEAF, LEAF), LEAF)
         assert num_leaves(t) == 3
