@@ -19,14 +19,15 @@ maximal cliques (CACM 16, 1973): the recursion carries the excluded set of
 skipped items that still fit, and stops once one of them can no longer be
 blocked, by footprint or by its kind's band cap. Footprints are int bitmasks,
 and a move's direction is the sign of its height change in the character's
-scaled integer form, so the model compares integers only.
+scaled integer form, so the model compares integers only; a descending
+model flips that sign instead of building the negated character.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .characters import Character
+from .characters import Character, MorseSpec
 
 
 def label_key(label):
@@ -353,14 +354,6 @@ def move_delta(n: int, label) -> tuple:
     raise ValueError(f"unknown label kind {kind!r}")
 
 
-def _ascending(n: int, character: Character, secondary: int, label) -> bool:
-    """The move ascends: (d chi, secondary * d feet) > (0, 0), in order."""
-    d0, d1 = move_delta(n, label)
-    a, b = character.ints
-    dfeet = 1 if label[0] == "v" else -1
-    return (a * d0 + b * d1, secondary * dfeet) > (0, 0)
-
-
 def ascending_link_model(n: int, character: Character, secondary: int,
                          band: tuple) -> SimplicialComplex:
     """Model of the ascending link of any n-foot vertex, band-restricted.
@@ -368,16 +361,30 @@ def ascending_link_model(n: int, character: Character, secondary: int,
     A set of moves spans a simplex when footprints are disjoint and the
     whole cube they span stays inside the band: n + #splits <= q and
     n - #merges >= p. The band caps prune the disjoint-family recursion.
+    The spec is checked as MorseSpec checks it, and n must be an int.
     """
-    p, q = band
-    if not p <= n <= q:
-        raise ValueError(f"feet {n} outside band [{p},{q}]")
-    items = [(label, foot) for label, foot in _path_items(n)
-             if _ascending(n, character, secondary, label)]
-    return _disjoint_family_complex(items, {"v": q - n, "e": n - p})
+    return _link_model(n, character, secondary, band, 1)
 
 
 def descending_link_model(n: int, character: Character, secondary: int,
                           band: tuple) -> SimplicialComplex:
     """Moves that strictly lower the refined height, same band semantics."""
-    return ascending_link_model(n, character.negated(), -secondary, band)
+    return _link_model(n, character, secondary, band, -1)
+
+
+def _link_model(n, character, secondary, band, sign) -> SimplicialComplex:
+    if not isinstance(n, int):
+        raise ValueError(f"feet count must be an int, got {n!r}")
+    p, q = MorseSpec(character, secondary, tuple(band)).band
+    if not p <= n <= q:
+        raise ValueError(f"feet {n} outside band [{p},{q}]")
+    # a move ascends (descends, for sign -1) when sign * (d chi, secondary *
+    # d feet) > (0, 0) in order; the character's integer form gives d chi
+    a, b = character.ints
+    items = []
+    for label, foot in _path_items(n):
+        d0, d1 = move_delta(n, label)
+        dfeet = 1 if label[0] == "v" else -1
+        if (sign * (a * d0 + b * d1), sign * secondary * dfeet) > (0, 0):
+            items.append((label, foot))
+    return _disjoint_family_complex(items, {"v": q - n, "e": n - p})

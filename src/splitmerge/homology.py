@@ -21,7 +21,7 @@ simplifies it with a bounded Tietze loop; it answers "trivial",
 unit is one move: a kill (a relator of length 1), else a substitution (a
 relator of length 2 over two generators), both naming the generator of the
 relator's last letter; else the smallest generator used exactly once goes
-with its relator.
+with its relator. The tree and relators are read off the boundary columns.
 homology_report and connectivity_evidence both read connectedness from the
 H0 of the chain complex they build, and hand its H1 to the same Tietze step.
 """
@@ -424,6 +424,8 @@ def relative_homology(complex_: SimplicialComplex,
 def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
                     pi1_budget: int = 20000) -> dict:
     """Betti numbers, torsion, connectedness (from H0) and on request pi1."""
+    if pi1_budget < 0:
+        raise ValueError(f"pi1 budget must be at least 0, got {pi1_budget}")
     nonempty = not complex_.is_empty()
     chain = simplicial_chain_complex(complex_)
     res = homology(chain)
@@ -450,8 +452,10 @@ def pi1_trivial(complex_: SimplicialComplex, budget: int = 20000) -> str:
     Requires a nonempty connected complex. "nontrivial" is only ever
     reported on homological evidence (nonzero H1); "trivial" only when the
     spanning-tree presentation collapses completely under Tietze moves
-    within the budget.
+    within the budget, which must not be negative.
     """
+    if budget < 0:
+        raise ValueError(f"pi1 budget must be at least 0, got {budget}")
     if complex_.is_empty():
         raise ValueError("pi1 of the empty complex is undefined")
     if not complex_.is_connected():
@@ -461,11 +465,12 @@ def pi1_trivial(complex_: SimplicialComplex, budget: int = 20000) -> str:
 
 
 def _free_reduce(word) -> list:
+    """The freely reduced word; letters 0 are dropped."""
     out: list = []
     for x in word:
         if out and out[-1] == -x:
             out.pop()
-        else:
+        elif x:
             out.append(x)
     return out
 
@@ -476,35 +481,35 @@ def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
     budget unit is one Tietze move on the spanning-tree presentation."""
     if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
         return "nontrivial"
-    if len(chain.cells) < 2:
+    if len(chain.dims) < 2:
         return "trivial"
-    # vertex positions; cells list each simplex in increasing position
-    pos = {v: i for i, (v,) in enumerate(chain.cells[0])}
-    edges = [(pos[u], pos[v]) for u, v in chain.cells[1]]
-    adjacency: list = [[] for _ in pos]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    # simplicial_chain_complex keys a boundary column in combinations order:
+    # an edge (a, b) by rows a, b, a triangle (a, b, c) by edges ab, ac, bc
+    edges = [tuple(col) for col in chain.boundaries[0]]
+    adjacency: list = [[] for _ in range(chain.dims[0])]
+    for j, (u, v) in enumerate(edges):
+        adjacency[u].append((v, j))
+        adjacency[v].append((u, j))
     tree = set()
     seen = {0}
     queue = deque([0])
     while queue:
         u = queue.popleft()
-        for w in sorted(adjacency[u]):
+        for w, j in sorted(adjacency[u]):
             if w not in seen:
                 seen.add(w)
-                tree.add((u, w) if u < w else (w, u))
+                tree.add(j)
                 queue.append(w)
-    gens = {e: i + 1 for i, e in enumerate(e for e in edges if e not in tree)}
-    triangles = chain.cells[2] if len(chain.cells) > 2 else []
-    # a < b < c; three distinct edges give a freely reduced word
+    gens = [0] * len(edges)  # generator of each edge, 0 on the tree
+    for i, j in enumerate(j for j in range(len(edges)) if j not in tree):
+        gens[j] = i + 1
+    # three distinct edges give a freely reduced word
     relators = []
-    for a, b, c in (map(pos.get, s) for s in triangles):
-        w = [x for x in (gens.get((a, b), 0), gens.get((b, c), 0),
-                         -gens.get((a, c), 0)) if x]
+    for ab, ac, bc in chain.boundaries[1] if len(chain.dims) > 2 else ():
+        w = [x for x in (gens[ab], gens[bc], -gens[ac]) if x]
         if w:
             relators.append(w)
-    alive = set(gens.values())
+    alive = set(range(1, len(edges) - len(tree) + 1))
     for _ in range(budget):
         if not alive:
             break
@@ -517,16 +522,18 @@ def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
             if named is None and len(w) == 2 and abs(w[0]) != abs(w[1]):
                 named = i
         if named is not None:
-            # kill or substitute: the last letter x of w is (rest)^-1
+            # kill or substitute: the last letter x of w is the inverse of
+            # the one letter before it, or of none (0, which is dropped)
             w = relators.pop(named)
-            x, rest = w[-1], w[:-1]
-            g = abs(x)
-            sub = {x: [-y for y in reversed(rest)], -x: rest}
-            for i, r in enumerate(relators):
+            x, y = w[-1], -w[0] if len(w) == 2 else 0
+            g, sub = abs(x), {x: y, -x: -y}
+            kept = []
+            for r in relators:
                 if g in r or -g in r:
-                    relators[i] = _free_reduce(
-                        z for y in r for z in sub.get(y, (y,)))
-            relators = [r for r in relators if r]
+                    r = _free_reduce(map(sub.get, r, r))
+                if r:
+                    kept.append(r)
+            relators = kept
             alive.discard(g)
             continue
         # else the smallest generator used once goes with its relator; one
@@ -551,6 +558,8 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
     "inconclusive" when the only gap is an unresolved pi1. Checks, in order:
     nonempty, connected ("empty" or "N components"), H1_zero..Hk_zero, pi1.
     """
+    if k < -1 or pi1_budget < 0:
+        raise ValueError(f"need k >= -1, pi1_budget >= 0: {k}, {pi1_budget}")
     checks = []
 
     def check(name, ok, detail=""):

@@ -28,10 +28,12 @@ compare it against. The (chi0, chi1) of a vertex and of all its neighbors
 are computed once per vertex and shared by both links and every spec;
 heights are compared in the character's scaled integer form, as is the
 explore floor, so Fractions appear only in the values a Fragment prints.
+The simplex of each coface word is built once while among the last 4096.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -173,7 +175,12 @@ def link_of(x: Diagram, band) -> SimplicialComplex:
 
 def _facet_complex(words) -> SimplicialComplex:
     return SimplicialComplex._from_facets(
-        s for s in map(frozenset, map(word_labels, words)) if s)
+        s for s in map(_word_simplex, words) if s)
+
+
+@functools.lru_cache(maxsize=4096)
+def _word_simplex(word: str) -> frozenset:
+    return frozenset(word_labels(word))
 
 
 def _neighbor_table(x: Diagram) -> tuple:

@@ -7,6 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splitmerge import steinfarley
 from splitmerge.characters import Character
 from splitmerge.complexes import (
     SimplicialComplex,
@@ -331,6 +332,22 @@ class TestAscendingModels:
         b = ascending_link_model(5, Character(-1, -2), -1, (3, 6))
         assert a == b
 
+    def test_list_band_is_tuple_band(self):
+        for model in (ascending_link_model, descending_link_model):
+            assert model(3, Character(1, 1), 1, [2, 5]) == \
+                model(3, Character(1, 1), 1, (2, 5))
+
+    @pytest.mark.parametrize("n, secondary, band", [
+        (3, 0, (2, 5)), (3, 7, (2, 5)), (3, 1, (1, 5)), (3, 1, (2.0, 5)),
+        (3.0, 1, (2, 5)), (3, 1, (2, 5, 7)), (6, 1, (2, 5))])
+    def test_invalid_spec(self, n, secondary, band):
+        for model in (ascending_link_model, descending_link_model):
+            with pytest.raises(ValueError):
+                model(n, Character(1, 1), secondary, band)
+
+    def test_word_simplex_cache_is_bounded(self):
+        assert steinfarley._word_simplex.cache_info().maxsize is not None
+
     @given(
         st.integers(3, 8),
         st.sampled_from([-2, -1, 0, 1, 2]),
@@ -481,12 +498,12 @@ class TestPrunedFamilies:
         assert _disjoint_family_complex(items, caps).facets == \
             maximal_capped_families(items, caps)
 
-    @given(st.integers(1, 9), st.integers(0, 4), st.integers(0, 4),
+    @given(st.integers(2, 9), st.integers(0, 4), st.integers(0, 4),
            WEIGHTS, WEIGHTS, st.sampled_from([1, -1]))
     @settings(max_examples=300)
     def test_model_equals_build_then_filter(self, n, below, above, a, b,
                                             sec):
-        band = (max(1, n - below), n + above)
+        band = (max(2, n - below), n + above)
         char = Character(a, b)
         assert ascending_link_model(n, char, sec, band) == \
             build_then_filter_model(n, char, sec, band)
@@ -514,11 +531,11 @@ class TestTrustedFacets:
     def test_indexed_maximal_equals_quadratic(self, family):
         assert _maximal(family) == parent_maximal(family)
 
-    @given(st.integers(1, 9), st.integers(0, 4), st.integers(0, 6),
+    @given(st.integers(2, 9), st.integers(0, 4), st.integers(0, 6),
            WEIGHTS, WEIGHTS, st.sampled_from([1, -1]))
     @settings(max_examples=200)
     def test_models_are_built_from_facets(self, n, below, above, a, b, sec):
-        band = (max(1, n - below), n + above)
+        band = (max(2, n - below), n + above)
         char = Character(a, b)
         for k in (ascending_link_model(n, char, sec, band),
                   descending_link_model(n, char, sec, band),

@@ -2,18 +2,19 @@
 
 import importlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from splitmerge.characters import Character
+from splitmerge.characters import Character, MorseSpec
 from splitmerge.complexes import (
     SimplicialComplex,
     cone,
     gm_linear,
     m_linear,
 )
-from splitmerge.diagrams import parse_diagram
+from splitmerge.diagrams import parse_diagram, random_vertex
 from splitmerge.homology import (
     ChainComplex,
     betti_via_rational_ranks,
@@ -30,7 +31,7 @@ from splitmerge.homology import (
     smith_normal_form,
     subdivision_complex,
 )
-from splitmerge.steinfarley import explore
+from splitmerge.steinfarley import ascending_link, descending_link, explore
 
 # the package re-exports homology(), which shadows the module attribute
 homology_module = importlib.import_module("splitmerge.homology")
@@ -38,6 +39,12 @@ homology_module = importlib.import_module("splitmerge.homology")
 
 def fs(*labels):
     return frozenset(labels)
+
+
+# the characters of the links benchmark
+LINK_CHARACTERS = [Character(a, b) for a, b in (
+    (-1, 1), (1, -1), (-2, 3), (3, -2), (-1, 2), (2, -1),
+    (Fraction(1, 2), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(1, 2)))]
 
 
 def random_matrix(rng, rows, cols, lo=-4, hi=4):
@@ -517,6 +524,17 @@ class TestTietzeStepAgainstReference:
     def test_matching_complexes(self, n):
         self.assert_same(m_linear(n))
 
+    @given(st.integers(0, 2 ** 32), st.integers(2, 9), st.integers(0, 12),
+           st.sampled_from(LINK_CHARACTERS), st.sampled_from([1, -1]))
+    @settings(max_examples=60, deadline=None)
+    def test_links(self, seed, feet, carets, char, sec):
+        # vertices and specs drawn as the links benchmark draws them
+        x = random_vertex(random.Random(seed), feet, carets)
+        spec = MorseSpec(char, sec, (2, feet + 3))
+        for link in (ascending_link(x, spec), descending_link(x, spec)):
+            if link.is_connected():
+                self.assert_same(link)
+
     def test_cone(self):
         self.assert_same(cone(m_linear(6), "apex"))
 
@@ -587,6 +605,32 @@ class TestConnectivityEvidence:
     def test_disconnected_fails_k0(self):
         rep = connectivity_evidence(m_linear(4), 0)
         assert rep["verdict"] != "consistent"
+
+    def test_edited_report_leaves_next_report_alone(self):
+        k = m_linear(8)
+        want = connectivity_evidence(k, 1)
+        for mutate in (lambda r: r["checks"][0].update(ok=False),
+                       lambda r: r["checks"].append({"name": "extra"}),
+                       lambda r: r.update(verdict="fail")):
+            mutate(connectivity_evidence(k, 1))
+            assert connectivity_evidence(k, 1) == want
+        assert want["verdict"] == "consistent" and len(want["checks"]) == 4
+
+    def test_invalid_arguments(self):
+        k = m_linear(8)
+        for call in (lambda: connectivity_evidence(k, -2),
+                     lambda: connectivity_evidence(k, -3),
+                     lambda: connectivity_evidence(k, 1, pi1_budget=-5),
+                     lambda: homology_report(k, True, pi1_budget=-1),
+                     lambda: homology_report(k, pi1_budget=-5),
+                     lambda: pi1_trivial(k, budget=-5)):
+            with pytest.raises(ValueError):
+                call()
+        # a budget of 0 is valid: no Tietze move runs, so pi1 stays open
+        assert connectivity_evidence(k, 1, pi1_budget=0)["pi1"] == \
+            "inconclusive"
+        assert homology_report(k, True, pi1_budget=0)["pi1"] == "inconclusive"
+        assert pi1_trivial(k, budget=0) == "inconclusive"
 
 
 def parent_homology_report(complex_, with_pi1=False, pi1_budget=20000):
