@@ -74,9 +74,6 @@ class Character:
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b)}
 
-    def negated(self) -> "Character":
-        return Character(-self.a, -self.b)
-
     def __str__(self) -> str:
         return f"{self.a},{self.b}"
 
@@ -117,9 +114,6 @@ class MorseSpec:
             raise ValueError("band bounds must be integers")
         if not 2 <= p <= q:
             raise ValueError(f"band must satisfy 2 <= p <= q, got ({p},{q})")
-
-    def negated(self) -> "MorseSpec":
-        return MorseSpec(self.character.negated(), -self.secondary, self.band)
 
 
 def refined_height(spec: MorseSpec, d):

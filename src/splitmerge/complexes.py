@@ -2,8 +2,7 @@
 
 Complexes are stored by their maximal simplices over hashable labels. The
 labels appearing in practice are tagged tuples ("v", i) and ("e", i) for
-foot/foot-pair positions, frozensets of those (vertices of matching
-complexes of complexes), and (side, value, component) triples for nerves.
+foot/foot-pair positions, and (side, value, component) triples for nerves.
 label_key orders labels once, in SimplicialComplex.vertices; simplices,
 components and chain-complex cells are ordered by vertex positions there.
 Builders whose families are maximal by construction (the disjoint-family
@@ -105,10 +104,6 @@ class SimplicialComplex:
 
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialComplex is immutable")
-
-    @classmethod
-    def empty(cls) -> "SimplicialComplex":
-        return cls([])
 
     @classmethod
     def simplex(cls, labels) -> "SimplicialComplex":

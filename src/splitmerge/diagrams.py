@@ -95,10 +95,6 @@ def parse_diagram(text: str) -> Diagram:
     return Diagram(minus, plus)
 
 
-def render_diagram(d: Diagram) -> str:
-    return d.canon
-
-
 # ---------------------------------------------------------------------------
 # reduction
 

@@ -244,7 +244,8 @@ def _rank_and_torsion(columns, n_rows) -> tuple:
         for i in pivot:
             if i != r:
                 rows[i].discard(c)
-                heapq.heappush(heap, (len(rows[i]), i))
+                if rows[i]:  # an empty row is outside every column for good
+                    heapq.heappush(heap, (len(rows[i]), i))
     left = [col for col in cols if col]
     if not left:
         return pivots, []

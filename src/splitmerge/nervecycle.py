@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import LEAF, add_caret, left_vine, num_carets, right_vine
+from .trees import (LEAF, MAX_DEPTH, add_caret, left_vine, num_carets,
+                    right_vine)
 from .diagrams import Diagram, apply_move, is_reduced, mirror_diagram, parse_diagram
 from .characters import Character, chi, count_left, count_right
 from .steinfarley import (L_value, R_value, check_vertex, explore,
@@ -184,13 +185,18 @@ def find_nerve_cycle(character: Character,
     for an a > 0, b > 0 character.
 
     Entry vine heights scale with the coefficient ratio so that draining
-    one vine never pushes the character below zero.
+    one vine never pushes the character below zero; RuntimeError when the
+    trees, two carets deeper than the longer vine, would pass MAX_DEPTH.
     """
     a, b = character.a, character.b
     if a <= 0 or b <= 0:
         raise ValueError("both character coefficients must be positive")
     lam0 = 3 + math.ceil(Fraction(3) * b / a)
     rho0 = 3 + math.ceil(Fraction(3) * a / b)
+    vine = max(lam0, rho0)
+    if vine + 2 > MAX_DEPTH:
+        raise RuntimeError(f"entry vine of {vine} carets would nest trees "
+                           f"{vine + 2} deep, past MAX_DEPTH = {MAX_DEPTH}")
     gadget = (LEAF, (LEAF, LEAF))
     tadget = ((LEAF, LEAF), LEAF)
     x_tree = left_vine(lam0)

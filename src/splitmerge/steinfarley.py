@@ -497,53 +497,35 @@ def explore(seeds, band, chi_floor=None, characters=(),
 # ---------------------------------------------------------------------------
 # the two-sided depth cover and its nerve
 
-def _require_cover_regime(frag: Fragment) -> None:
-    floor = frag.chi_floor
-    if (floor is None or floor[0].a <= 0 or floor[0].b <= 0
-            or floor[1] < 0 or frag.band[0] < 2):
-        raise ValueError(
-            "cover labels need a fragment explored with band start >= 2 and "
-            "a nonnegative floor for a character with a > 0 and b > 0")
-
-
-def cover_assign(cell, frag: Fragment) -> set:
-    """Cover labels of a cell, read off at its most-feet corner x = (T/E).
-
-    Emits (L, depth of T's leftmost leaf) when E carries a caret on its left
-    edge, and (R, rightmost analogue) when E carries one on its right edge.
-    In the cover regime at least one label is always emitted.
-    """
-    _require_cover_regime(frag)
-    return _cover_labels(frag.vertices[frag.corners(*cell)[-1]])
-
-
-def _cover_labels(x: Diagram) -> set:
-    """cover_assign's labels, given the cell's most-feet corner x."""
-    labels = set()
-    if count_left(x.plus) > 0:
-        labels.add(("L", L_value(x)))
-    if count_right(x.plus) > 0:
-        labels.add(("R", R_value(x)))
-    if not labels:
-        raise ValueError(f"cell at {x} received no cover label")
-    return labels
-
-
 def nerve_data(frag: Fragment) -> dict:
     """Cover pieces, their in-fragment components, and the nerve graph.
 
-    A piece is the set of cells sharing one (side, value) label; its
-    components join cells that share a corner vertex. Nerve vertices are
-    (side, value, component) triples; nerve edges come from cells carrying
-    two labels. Checks the disjointness invariant: same-side labels of
-    different values never touch a common vertex.
+    A cell's labels are read off at its most-feet corner x = (T/E): (L,
+    depth of T's leftmost leaf) when E has a caret on its left edge, and
+    (R, the rightmost analogue) when E has one on its right edge. In the
+    cover regime (band start >= 2, a nonnegative floor for a character with
+    a, b > 0) every cell gets one. A piece is the set of cells sharing one
+    (side, value) label; its components join cells that share a corner
+    vertex. Nerve vertices are (side, value, component) triples; nerve edges
+    come from cells carrying two labels. Checks the disjointness invariant:
+    same-side labels of different values never touch a common vertex.
     """
     cells = frag.cells()
-    if cells:
-        _require_cover_regime(frag)
+    floor = frag.chi_floor
+    if cells and (floor is None or floor[0].a <= 0 or floor[0].b <= 0
+                  or floor[1] < 0 or frag.band[0] < 2):
+        raise ValueError(
+            "cover labels need a fragment explored with band start >= 2 and "
+            "a nonnegative floor for a character with a > 0 and b > 0")
     corner_lists = [frag.corners(base, word) for base, word in cells]
-    labels = [tuple(sorted(_cover_labels(frag.vertices[corners[-1]])))
-              for corners in corner_lists]
+    labels = []
+    for corners in corner_lists:
+        x = frag.vertices[corners[-1]]
+        labels.append(tuple((side, value(x)) for side, value, carets in (
+            ("L", L_value, count_left), ("R", R_value, count_right))
+            if carets(x.plus) > 0))
+        if not labels[-1]:
+            raise ValueError(f"cell at {x} received no cover label")
 
     by_corner_side = {}
     for ci, labs in enumerate(labels):

@@ -567,10 +567,3 @@ RUNNERS = {
     "homology-oracle": run_homology_oracle,
     "morse-lemma-instance": run_morse_lemma_instance,
 }
-
-
-def run_claim(claim: str) -> dict:
-    if claim not in RUNNERS:
-        raise KeyError(f"unknown claim {claim!r}; "
-                       f"known: {', '.join(RUNNERS)}")
-    return RUNNERS[claim]()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from splitmerge.verify import RUNNERS, run_claim
+from splitmerge.verify import RUNNERS
 
 CLAIMS = list(RUNNERS)
 
@@ -18,7 +18,7 @@ CLAIMS = list(RUNNERS)
 @functools.lru_cache(maxsize=None)
 def _report(claim):
     # each claim runs once per test run; the provenance checks reuse it
-    return run_claim(claim)
+    return RUNNERS[claim]()
 
 
 def _run(claim):
@@ -118,7 +118,7 @@ def test_reports_match_golden(claim):
     """Same reports, same JSON: each report serializes exactly as the one in
     tests/data/claim_reports.json. A change that means to alter a report
     rewrites that file with json.dump(reports, f, indent=1, sort_keys=True),
-    reports being {claim: run_claim(claim)} over RUNNERS."""
+    reports being {claim: RUNNERS[claim]()} over RUNNERS."""
     def text(report):
         return json.dumps(report, indent=1, sort_keys=True)
 

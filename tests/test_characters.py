@@ -122,9 +122,6 @@ class TestCharacterValue:
             "b": "-1/3",
         }
 
-    def test_negated(self):
-        assert Character(1, -2).negated() == Character(-1, 2)
-
     def test_epsilon(self):
         assert epsilon(Character(1, 0)) == 1
         assert epsilon(Character(-2, 3)) == 2

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import splitmerge
 from splitmerge import verify as verify_mod
 from splitmerge.cli import _VERIFY_FLAGS, build_parser, main
 from splitmerge.complexes import SimplicialComplex
@@ -231,6 +232,15 @@ class TestVerify:
         assert j["verdict"] == "inconclusive"
         assert "error" in j
 
+    @pytest.mark.parametrize("char", ["1/84,1", "84,1"])
+    def test_vine_past_max_depth_is_inconclusive(self, char):
+        # a valid character whose certificate trees would pass MAX_DEPTH
+        code, out, err = run("verify", "nerve-cycle", "--char", char)
+        assert code == 3 and not err
+        assert out.startswith("INCONCLUSIVE nerve-cycle: entry vine of 255")
+        assert f"MAX_DEPTH = {MAX_DEPTH}" in out
+        assert "certificate field" not in out and "Traceback" not in out
+
     def test_exhausted_pi1_budget_is_inconclusive(self):
         code, out, _ = run("--json", "verify", "long-interval-ascending",
                            "--limit", "1")
@@ -336,6 +346,18 @@ class TestReadme:
         block = readme.read_text().split("```python\n", 1)[1]
         proc = run_python("-c", block.split("```", 1)[0])
         assert proc.returncode == 0, proc.stderr
+
+
+class TestPackageSurface:
+    def test_all_lists_each_name_once_and_every_name_resolves(self):
+        names = splitmerge.__all__
+        assert sorted(n for n in set(names) if names.count(n) > 1) == []
+        assert [n for n in names if not hasattr(splitmerge, n)] == []
+
+    def test_star_import(self):
+        namespace = {}
+        exec("from splitmerge import *", namespace)
+        assert set(splitmerge.__all__) <= set(namespace)
 
 
 class TestModuleEntryPoint:

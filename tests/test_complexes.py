@@ -85,7 +85,7 @@ class TestSimplicialComplex:
         assert fs(1, 4) not in k
 
     def test_empty(self):
-        k = SimplicialComplex.empty()
+        k = SimplicialComplex([])
         assert k.is_empty() and k.dim() == -1 and k.f_vector() == ()
         with pytest.raises(ValueError):
             SimplicialComplex([fs()])
@@ -184,7 +184,7 @@ def brute_force_gm(base: SimplicialComplex) -> SimplicialComplex:
         if not layer:
             break
         facets.extend(layer)
-    return SimplicialComplex(facets) if facets else SimplicialComplex.empty()
+    return SimplicialComplex(facets)
 
 
 class TestMatchingComplexes:
@@ -508,7 +508,7 @@ class TestPrunedFamilies:
         assert ascending_link_model(n, char, sec, band) == \
             build_then_filter_model(n, char, sec, band)
         assert descending_link_model(n, char, sec, band) == \
-            build_then_filter_model(n, char.negated(), -sec, band)
+            build_then_filter_model(n, Character(-a, -b), -sec, band)
 
 
 def parent_maximal(sets):

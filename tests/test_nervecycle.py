@@ -4,11 +4,13 @@ import dataclasses
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import splitmerge
+from splitmerge import nervecycle
 from splitmerge.characters import Character
 from splitmerge.diagrams import parse_diagram
 from splitmerge.nervecycle import (
@@ -18,7 +20,7 @@ from splitmerge.nervecycle import (
     validate_certificate,
 )
 from splitmerge.steinfarley import L_value, R_value
-from splitmerge.trees import ParseError
+from splitmerge.trees import MAX_DEPTH, ParseError
 
 
 class TestFind:
@@ -52,6 +54,27 @@ class TestFind:
             find_nerve_cycle(Character(-1, 1))
         with pytest.raises(ValueError):
             find_nerve_cycle(Character(0, 1))
+
+    @pytest.mark.parametrize("char", [Character(Fraction(1, 84), 1),
+                                      Character(84, 1)])
+    def test_vine_past_max_depth_is_refused_before_walking(self, char):
+        # entry vine 3 + 252 = 255 carets: trees would nest 257 deep
+        with pytest.raises(RuntimeError, match=f"MAX_DEPTH = {MAX_DEPTH}"):
+            find_nerve_cycle(char)
+
+    def test_deepest_admitted_vine_parses(self, monkeypatch):
+        # 3,251 has entry vine 3 + 251 = 254 carets: trees exactly MAX_DEPTH
+        # deep, so the check lets it through to the (here stubbed) walk
+        class Walked(Exception):
+            pass
+
+        def stop(x, char, budget):
+            raise Walked(x.canon)
+
+        monkeypatch.setattr(nervecycle, "_raise_left", stop)
+        with pytest.raises(Walked) as info:
+            find_nerve_cycle(Character(3, 251))
+        assert parse_diagram(str(info.value)).feet == 4
 
     def test_paths_stay_in_band(self):
         cert = find_nerve_cycle(Character(1, 1))

@@ -25,7 +25,6 @@ from splitmerge.diagrams import (
     parse_diagram,
     random_vertex,
     reduce,
-    render_diagram,
     split_foot,
 )
 from splitmerge.homology import cubical_chain_complex, subdivision_complex
@@ -38,7 +37,6 @@ from splitmerge.steinfarley import (
     ascending_link,
     check_vertex,
     cofaces,
-    cover_assign,
     descending_link,
     explore,
     link_of,
@@ -79,12 +77,12 @@ def word_count(n):
 class TestNeighbors:
     def test_two_feet_narrow_band(self):
         x = parse_diagram("[(*,*)]/[*,*]")
-        got = sorted(render_diagram(y) for y in neighbors(x, (2, 3)))
+        got = sorted(str(y) for y in neighbors(x, (2, 3)))
         assert got == ["[((*,*),*)]/[*,*,*]", "[(*,(*,*))]/[*,*,*]"]
 
     def test_merge_triggers_cancellation(self):
         x = parse_diagram("[((*,*),*)]/[*,*,*]")
-        ys = {render_diagram(y) for y in neighbors(x, (2, 3))}
+        ys = {str(y) for y in neighbors(x, (2, 3))}
         assert "[(*,*)]/[*,*]" in ys
 
     @given(rngs())
@@ -584,7 +582,7 @@ class TestCover:
     def test_both_ends_labeled(self):
         d = self.both_ends_seed()
         frag = explore([d], (2, 4), chi_floor=(Character(1, 1), 0), max_radius=0)
-        assert cover_assign(frag.cells()[0], frag) == {("L", 1), ("R", 2)}
+        assert nerve_data(frag)["labels"] == [(("L", 1), ("R", 2))]
 
     def test_right_only(self):
         d = Diagram(
@@ -592,21 +590,21 @@ class TestCover:
             (LEAF, LEAF, right_vine(2)),
         )
         frag = explore([d], (2, 4), chi_floor=(Character(1, 2), 0), max_radius=0)
-        assert cover_assign(frag.cells()[0], frag) == {("R", 1)}
+        assert nerve_data(frag)["labels"] == [(("R", 1),)]
 
     def test_every_cell_gets_a_label(self):
         d = self.both_ends_seed()
         frag = explore(
             [d], (2, 4), chi_floor=(Character(1, 1), 0), max_vertices=120
         )
-        for cell in frag.cells():
-            assert cover_assign(cell, frag)
+        labels = nerve_data(frag)["labels"]
+        assert len(labels) == len(frag.cells()) and all(labels)
 
     def test_regime_enforced(self):
         x = parse_diagram("[(*,*)]/[*,*]")
         frag = explore([x], (2, 4), max_vertices=10)
         with pytest.raises(ValueError):
-            cover_assign(frag.cells()[0], frag)
+            nerve_data(frag)
 
 
 class TestNerve:
@@ -633,8 +631,12 @@ class TestNerve:
             sides = {side for (side, _, _) in s}
             assert sides == {"L", "R"}
         # every cell lands in one piece per carried label
-        for cell, labels in zip(data["cells"], data["labels"]):
-            assert set(labels) == cover_assign(cell, frag)
+        for ci, labels in enumerate(data["labels"]):
+            assert [(side, value) for side, value, _ in
+                    data["cell_nerve_vertices"][ci]] == list(labels)
+            for lab in labels:
+                assert sum(ci in comp
+                           for comp in data["piece_components"][lab]) == 1
 
 
 COEFFICIENTS = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-1, 3)]
