@@ -18,12 +18,15 @@ from .trees import (
     LEAF,
     ParseError,
     add_caret,
-    forest_graft_pieces,
     forest_num_leaves,
     forest_union,
-    graft,
+    join,
+    left_vine,
+    regraft,
     remove_terminal_caret,
     render_forest,
+    right_vine,
+    split_root,
     terminal_pairs,
 )
 
@@ -87,11 +90,7 @@ class Diagram:
 
 
 def parse_diagram(text: str) -> Diagram:
-    sc = trees._Scanner(text)
-    minus = sc.forest()
-    sc.expect("/")
-    plus = sc.forest()
-    sc.done()
+    minus, plus = trees._parse(text, "[T]/[T]$")
     return Diagram(minus, plus)
 
 
@@ -110,16 +109,13 @@ def cancel_at(d: Diagram, i: int) -> Diagram:
 
 
 def reduce(d: Diagram) -> Diagram:
-    """Reduced form of d, cancelling the leftmost common caret first.
+    """Reduced form of d, in one left-to-right pass over the paired leaves.
 
-    The result is independent of cancellation order; the leftmost-first
-    strategy just makes the run deterministic.
+    Reduced forms are unique, so the result equals cancelling the leftmost
+    common caret (cancel_at) until none is left.
     """
-    while True:
-        common = reducible_positions(d)
-        if not common:
-            return d
-        d = cancel_at(d, common[0])
+    minus, plus = trees.cancel_common_carets(d.minus, d.plus)
+    return d if minus is d.minus else Diagram._make(minus, plus)
 
 
 def is_reduced(d: Diagram) -> bool:
@@ -146,8 +142,8 @@ def multiply(d1: Diagram, d2: Diagram) -> Diagram:
             f"cannot compose: first has {d1.feet} feet, "
             f"second has {d2.heads} heads")
     common = forest_union(d1.plus, d2.minus)
-    minus = graft(d1.minus, forest_graft_pieces(d1.plus, common))
-    plus = graft(d2.plus, forest_graft_pieces(d2.minus, common))
+    minus = regraft(d1.minus, d1.plus, common)
+    plus = regraft(d2.plus, d2.minus, common)
     return reduce(Diagram._make(minus, plus))
 
 
@@ -170,11 +166,11 @@ def generator(i: int) -> Diagram:
     """
     if i < 0:
         raise ValueError("generator index must be >= 0")
-    minus = ((LEAF, LEAF), LEAF)
-    plus = (LEAF, (LEAF, LEAF))
+    minus = left_vine(2)
+    plus = right_vine(2)
     for _ in range(i):
-        minus = (LEAF, minus)
-        plus = (LEAF, plus)
+        minus = join(LEAF, minus)
+        plus = join(LEAF, plus)
     return Diagram((minus,), (plus,))
 
 
@@ -191,8 +187,8 @@ def split_foot(d: Diagram, i: int) -> Diagram:
     if not 1 <= i <= d.feet:
         raise ValueError(f"foot {i} out of range 1..{d.feet}")
     t = d.plus[i - 1]
-    if t != ():
-        plus = d.plus[:i - 1] + (t[0], t[1]) + d.plus[i:]
+    if t != LEAF:
+        plus = d.plus[:i - 1] + split_root(t) + d.plus[i:]
         return Diagram._make(d.minus, plus)
     j = forest_num_leaves(d.plus[:i - 1])
     plus = d.plus[:i - 1] + (LEAF, LEAF) + d.plus[i:]
@@ -211,14 +207,14 @@ def merge_feet(d: Diagram, i: int) -> Diagram:
         raise ValueError(f"foot pair ({i},{i + 1}) out of range")
     t1 = d.plus[i - 1]
     t2 = d.plus[i]
-    if t1 == () and t2 == ():
+    if t1 == LEAF and t2 == LEAF:
         try:  # cancel the minus caret over both feet, if there is one
             return Diagram._make(remove_terminal_caret(
                 d.minus, forest_num_leaves(d.plus[:i - 1])),
                 d.plus[:i - 1] + (LEAF,) + d.plus[i + 1:])
         except ValueError:
             pass
-    plus = d.plus[:i - 1] + ((t1, t2),) + d.plus[i + 1:]
+    plus = d.plus[:i - 1] + (join(t1, t2),) + d.plus[i + 1:]
     return Diagram._make(d.minus, plus)
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .trees import (LEAF, MAX_DEPTH, add_caret, left_vine, num_carets,
+from .trees import (LEAF, MAX_DEPTH, add_caret, join, left_vine, num_carets,
                     right_vine)
 from .diagrams import Diagram, apply_move, is_reduced, mirror_diagram, parse_diagram
 from .characters import Character, chi, count_left, count_right
@@ -197,13 +197,13 @@ def find_nerve_cycle(character: Character,
     if vine + 2 > MAX_DEPTH:
         raise RuntimeError(f"entry vine of {vine} carets would nest trees "
                            f"{vine + 2} deep, past MAX_DEPTH = {MAX_DEPTH}")
-    gadget = (LEAF, (LEAF, LEAF))
-    tadget = ((LEAF, LEAF), LEAF)
+    gadget = right_vine(2)
+    tadget = left_vine(2)
     x_tree = left_vine(lam0)
     y_tree = right_vine(rho0)
 
     def vertex(left_gadget, right_gadget, lam, rho):
-        head = ((left_gadget, x_tree), (y_tree, right_gadget))
+        head = join(join(left_gadget, x_tree), join(y_tree, right_gadget))
         return Diagram((head,), (left_vine(lam), LEAF, LEAF, right_vine(rho)))
 
     x1 = vertex(LEAF, LEAF, lam0, rho0)

@@ -37,7 +37,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .trees import forest_num_carets
+from .trees import LEAF, forest_num_carets
 from .diagrams import (Diagram, apply_move, invert_move, is_reduced,
                        merge_feet, split_foot)
 from .characters import MorseSpec, chi0, chi1, count_left, count_right
@@ -253,7 +253,7 @@ def _split_key(d: Diagram, key: tuple, j: int) -> tuple:
     a caret foot gives up its caret, a leaf foot adds one to the head, at
     its leftmost (rightmost) leaf for j = 1 (f), where chi0 (chi1) drops."""
     f, carets, c0, c1, left, right = key
-    leaf = d.plus[j - 1] == ()
+    leaf = d.plus[j - 1] == LEAF
     return (f + 1, carets - (not leaf), c0 - (j == 1), c1 - (j == f),
             left + (j == 1 and leaf), right + (j == f and leaf))
 

@@ -1,8 +1,12 @@
-"""Finite rooted ordered binary trees and forests, as nested tuples.
+"""Finite rooted ordered binary trees and forests, as leaf-depth tuples.
 
-A leaf is the empty tuple (); a caret is a pair (left, right); a forest is a
-tuple of one or more trees. Leaves of a forest are numbered left to right
-across all trees, starting at 0.
+A tree is the tuple of its leaf depths, left to right: a leaf is LEAF =
+(0,), a caret is (1, 1), and ((*,*),*) is (2, 2, 1). Leaf i at depth d is a
+dyadic interval of length 2**-d, and the leaves tile [0,1] in order; a tree
+has exactly one such tuple (Cannon-Floyd-Parry, Enseign. Math. 42 (1996),
+section 2), so no tree code recurses. A forest is a tuple of one or more
+trees. Leaves of a forest are numbered left to right across all trees,
+starting at 0.
 
 Text grammar (whitespace insignificant):
 
@@ -10,84 +14,100 @@ Text grammar (whitespace insignificant):
     Forest := "[" Tree ("," Tree)* "]"
 
 Rendering is canonical: no whitespace, "*" for leaves. Parsed trees nest at
-most MAX_DEPTH carets deep, which keeps the recursive tree walkers, and the
-product of two such diagrams, within Python's default recursion limit.
+most MAX_DEPTH carets deep, a bound on the size of the input.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from operator import itemgetter
 
-LEAF: tuple = ()
+LEAF: tuple = (0,)
 MAX_DEPTH = 256
 
 
-def num_leaves(t) -> int:
-    if t == ():
-        return 1
-    return num_leaves(t[0]) + num_leaves(t[1])
-
-
 def num_carets(t) -> int:
-    if t == ():
-        return 0
-    return 1 + num_carets(t[0]) + num_carets(t[1])
+    return len(t) - 1
 
 
 def forest_num_leaves(f) -> int:
-    return sum(num_leaves(t) for t in f)
+    return sum(map(len, f))
 
 
 def forest_num_carets(f) -> int:
-    return sum(num_carets(t) for t in f)
+    return forest_num_leaves(f) - len(f)
 
 
 def left_depth(t) -> int:
     """Number of carets on the path from the root to the leftmost leaf."""
-    d = 0
-    while t != ():
-        t = t[0]
-        d += 1
-    return d
+    return t[0]
 
 
 def right_depth(t) -> int:
     """Number of carets on the path from the root to the rightmost leaf."""
-    d = 0
-    while t != ():
-        t = t[1]
-        d += 1
-    return d
+    return t[-1]
 
 
 def left_vine(k: int):
     """Tree of k carets whose spine descends leftward: left_vine(2) = ((*,*),*)."""
     if k < 0:
         raise ValueError("caret count must be >= 0")
-    t = LEAF
-    for _ in range(k):
-        t = (t, LEAF)
-    return t
+    return (k,) + tuple(range(k, 0, -1))
 
 
 def right_vine(k: int):
     """Tree of k carets whose spine descends rightward: right_vine(2) = (*,(*,*))."""
     if k < 0:
         raise ValueError("caret count must be >= 0")
-    t = LEAF
-    for _ in range(k):
-        t = (LEAF, t)
-    return t
+    return tuple(range(1, k + 1)) + (k,)
+
+
+def join(left, right):
+    """The tree whose root caret has the given left and right subtrees."""
+    return tuple([d + 1 for d in left + right])
+
+
+def split_root(t):
+    """(left, right): the two subtrees below the root caret of t."""
+    if len(t) == 1:
+        raise ValueError("a leaf has no root caret")
+    k = _span(t, 0, 1)
+    return tuple([d - 1 for d in t[:k]]), tuple([d - 1 for d in t[k:]])
 
 
 def mirror_tree(t):
-    if t == ():
-        return t
-    return (mirror_tree(t[1]), mirror_tree(t[0]))
+    return t[::-1]
 
 
 def mirror_forest(f):
-    return tuple(mirror_tree(t) for t in reversed(f))
+    return tuple(t[::-1] for t in reversed(f))
+
+
+def _span(t, i: int, depth: int) -> int:
+    """End of the subtree at the given depth whose leftmost leaf is t[i]."""
+    stack = []  # depths of the subtrees finished so far, increasing
+    while True:
+        d = t[i]
+        i += 1
+        while stack and stack[-1] == d:  # d completes a caret
+            stack.pop()
+            d -= 1
+        if d == depth:
+            return i
+        stack.append(d)
+
+
+def _heap(t) -> list:
+    """Each leaf's heap number, 2**depth + its index among the 2**depth
+    dyadic intervals: siblings are 2m and 2m + 1, and their parent is m."""
+    out = []
+    n = prev = 0
+    for d in t:
+        n = (n + 1) << (d - prev) if d >= prev else (n + 1) >> (prev - d)
+        out.append(n)
+        prev = d
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -101,80 +121,74 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _parse(text: str, layout: str) -> list:
+    """The forests of text, laid out as layout says: "T$" is one tree, "[T]$"
+    a forest and "[T]/[T]$" a diagram, where "$" is the end of the text.
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            return ""
-        return self.text[self.pos]
-
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            shown = repr(got) if got else "end of input"
-            raise ParseError(f"expected {ch!r}, found {shown}", self.pos)
-        self.pos += 1
-
-    def done(self):
-        self.skip_ws()
-        if self.pos < len(self.text):
-            raise ParseError(
-                f"trailing input {self.text[self.pos]!r}", self.pos)
-
-    def tree(self, depth: int = 0):
-        ch = self.peek()
-        if ch == "*":
-            self.pos += 1
-            return LEAF
-        if ch == "(":
-            if depth == MAX_DEPTH:
+    One loop reads the text and skips whitespace. A leaf's depth is the
+    number of carets open at it; closers holds the character each open
+    caret waits for ("," then ")"), and closing holds from a leaf until the
+    next comma or the end of its tree.
+    """
+    forests, depths, closers = [[]], [], []
+    at = 0
+    closing = False
+    for pos, ch in enumerate(itertools.chain(text, [""])):
+        want = closers[-1] if closing else layout[at]
+        if closing and ch == want:
+            if ch == ",":
+                closers[-1] = ")"
+                closing = False
+            else:
+                closers.pop()
+        elif want == "T" and ch == "(":
+            if len(closers) == MAX_DEPTH:
                 raise ParseError(
-                    f"tree nested deeper than {MAX_DEPTH} carets", self.pos)
-            self.pos += 1
-            left = self.tree(depth + 1)
-            self.expect(",")
-            right = self.tree(depth + 1)
-            self.expect(")")
-            return (left, right)
-        shown = repr(ch) if ch else "end of input"
-        raise ParseError(f"expected '*' or '(', found {shown}", self.pos)
-
-    def forest(self):
-        self.expect("[")
-        trees = [self.tree()]
-        while self.peek() == ",":
-            self.pos += 1
-            trees.append(self.tree())
-        self.expect("]")
-        return tuple(trees)
+                    f"tree nested deeper than {MAX_DEPTH} carets", pos)
+            closers.append(",")
+        elif want == "T" and ch == "*":
+            depths.append(len(closers))
+            closing = True
+        elif ch.isspace():
+            continue
+        elif want == "$":
+            if ch:
+                raise ParseError(f"trailing input {ch!r}", pos)
+            return [tuple(f) for f in forests]
+        elif ch == want:  # "[", "]" or "/" of the layout
+            at += 1
+            if ch == "/":
+                forests.append([])
+        elif ch == "," and want == "]":  # another tree of the forest
+            at -= 1
+        else:
+            wanted = "'*' or '('" if want == "T" else repr(want)
+            shown = repr(ch) if ch else "end of input"
+            raise ParseError(f"expected {wanted}, found {shown}", pos)
+        if closing and not closers:  # the tree is complete
+            forests[-1].append(tuple(depths))
+            depths = []
+            closing = False
+            at += 1
 
 
 def parse_tree(text: str):
-    sc = _Scanner(text)
-    t = sc.tree()
-    sc.done()
-    return t
+    return _parse(text, "T$")[0][0]
 
 
 def parse_forest(text: str):
-    sc = _Scanner(text)
-    f = sc.forest()
-    sc.done()
-    return f
+    return _parse(text, "[T]$")[0]
 
 
 def render_tree(t) -> str:
-    if t == ():
-        return "*"
-    return "(" + render_tree(t[0]) + "," + render_tree(t[1]) + ")"
+    out, opened = [], 0
+    for d, n in zip(t, _heap(t)):
+        # the trailing ones of n count the carets that leaf closes, and one
+        # more at the last leaf, whose ")," the slice below drops
+        closed = (n ^ (n + 1)).bit_length() - 1
+        out.append("(" * (d - opened) + "*" + ")" * closed + ",")
+        opened = d - closed
+    return "".join(out)[:-2]
 
 
 def render_forest(f) -> str:
@@ -187,146 +201,137 @@ def _render_forest(f: tuple) -> str:
     return "[" + ",".join(render_tree(t) for t in f) + "]"
 
 
-def validate_tree(t):
-    """Reject anything that is not a nested 2-tuple structure."""
-    if not isinstance(t, tuple):
-        raise ValueError(f"not a tree: {t!r}")
-    if t == ():
-        return
-    if len(t) != 2:
-        raise ValueError(f"caret must have exactly two children: {t!r}")
-    validate_tree(t[0])
-    validate_tree(t[1])
-
-
 def validate_forest(f):
+    """Reject anything but a nonempty tuple of trees, each a tuple of int
+    leaf depths whose dyadic intervals tile [0,1] in order."""
     if not isinstance(f, tuple) or len(f) == 0:
         raise ValueError(f"forest must be a nonempty tuple of trees: {f!r}")
     for t in f:
-        validate_tree(t)
+        stack = []  # as in _span; only a tree's depths merge it to [0]
+        for d in t if type(t) is tuple else (None,):
+            if type(d) is not int:
+                break
+            while stack and stack[-1] == d:
+                stack.pop()
+                d -= 1
+            stack.append(d)
+        else:
+            if stack == [0]:
+                continue
+        raise ValueError(f"not a tree: {t!r}")
 
 
 # ---------------------------------------------------------------------------
 # leaf-indexed surgery
 
-def _tree_add_caret(t, i: int):
-    if t == ():
-        if i != 0:
-            raise IndexError("leaf index out of range")
-        return (LEAF, LEAF)
-    nl = num_leaves(t[0])
-    if i < nl:
-        return (_tree_add_caret(t[0], i), t[1])
-    return (t[0], _tree_add_caret(t[1], i - nl))
-
-
 def add_caret(f, i: int):
     """Replace global leaf i with a caret over two fresh leaves."""
-    for k, t in enumerate(f):
-        if k == len(f) - 1 or i < (n := num_leaves(t)):
-            return f[:k] + (_tree_add_caret(t, i),) + f[k + 1:]
-        i -= n
-
-
-def _tree_terminal_pairs(t, offset: int, out: list) -> int:
-    """Append t's terminal-caret leaf indices to out; return t's leaf count."""
-    if t == ():
-        return 1
-    if t[0] == () and t[1] == ():
-        out.append(offset)
-        return 2
-    left = _tree_terminal_pairs(t[0], offset, out)
-    return left + _tree_terminal_pairs(t[1], offset + left, out)
+    if i >= 0:
+        for k, t in enumerate(f):
+            if i < len(t):
+                d = t[i] + 1
+                return f[:k] + (t[:i] + (d, d) + t[i + 1:],) + f[k + 1:]
+            i -= len(t)
+    raise IndexError("leaf index out of range")
 
 
 def terminal_pairs(f) -> set:
     """Global leaf indices i such that leaves i, i+1 hang from a single caret."""
-    out: list = []
-    acc = 0
+    out = set()
+    i = 0
     for t in f:
-        acc += _tree_terminal_pairs(t, acc, out)
-    return set(out)
-
-
-def _tree_remove_terminal(t, i: int):
-    """(t with its caret over leaves i, i+1 collapsed, None), or (t, leaf
-    count of t) when all of t's leaves come before leaf i."""
-    if t == ():
-        if i == 0:
-            raise ValueError("no caret over this leaf and the next")
-        return t, 1
-    if i == 0 and t[0] == () and t[1] == ():
-        return LEAF, None
-    left, nl = _tree_remove_terminal(t[0], i)
-    if nl is None:
-        return (left, t[1]), None
-    right, nr = _tree_remove_terminal(t[1], i - nl)
-    if nr is None:
-        return (t[0], right), None
-    return t, nl + nr
+        n = prev = 0  # leaf i - 1, as in _heap (inlined for speed)
+        for d in t:
+            n = (n + 1) << (d - prev) if d >= prev else (n + 1) >> (prev - d)
+            # leaf i is 2m + 1 and leaf i - 1 is 2m; a lone leaf is 1
+            if d == prev and n & 1 and n > 1:
+                out.add(i - 1)
+            prev = d
+            i += 1
+    return out
 
 
 def remove_terminal_caret(f, i: int):
     """Collapse the caret over leaves i, i+1 back to a single leaf."""
-    j = i
-    for k, t in enumerate(f):
-        tree, missed = _tree_remove_terminal(t, j)
-        if missed is None:
-            return f[:k] + (tree,) + f[k + 1:]
-        j -= missed
+    if i in terminal_pairs(f):
+        for k, t in enumerate(f):
+            if i < len(t):
+                return f[:k] + (t[:i] + (t[i] - 1,) + t[i + 2:],) + f[k + 1:]
+            i -= len(t)
     raise ValueError(f"no terminal caret at leaf {i}")
+
+
+def _nodes(f) -> list:
+    return [(k, n) for k, t in enumerate(f) for n in _heap(t)]
+
+
+def _from_nodes(nodes) -> tuple:
+    return tuple(tuple(n.bit_length() - 1 for _, n in tree)
+                 for _, tree in itertools.groupby(nodes, itemgetter(0)))
+
+
+def cancel_common_carets(f, g):
+    """(f, g) with every caret terminal on both sides cancelled, in one
+    left-to-right pass over the paired leaves; f and g themselves when
+    nothing cancels.
+
+    Each stack entry is a leaf of the result, as (tree, heap number) on
+    each side. A new leaf and the top entry become their caret's leaf while
+    they are siblings on both sides: same tree, heap numbers 2m and 2m + 1.
+    """
+    stack = []
+    for (k, m), (l, n) in zip(_nodes(f), _nodes(g)):
+        while m & n & 1 and stack and stack[-1] == (k, m - 1, l, n - 1):
+            stack.pop()
+            m, n = m >> 1, n >> 1
+        stack.append((k, m, l, n))
+    if len(stack) == forest_num_leaves(f):
+        return f, g
+    return _from_nodes(e[:2] for e in stack), _from_nodes(e[2:] for e in stack)
 
 
 # ---------------------------------------------------------------------------
 # refinement order on trees/forests
 
-def tree_union(a, b):
-    """Smallest tree refining both a and b (root-aligned)."""
-    if a == ():
-        return b
-    if b == ():
-        return a
-    return (tree_union(a[0], b[0]), tree_union(a[1], b[1]))
+def _tree_union(a, b):
+    out = []
+    i = j = 0
+    while i < len(a):
+        if a[i] >= b[j]:  # a is finer here: its leaves below b's leaf j
+            k = _span(a, i, b[j])
+            out += a[i:k]
+            i, j = k, j + 1
+        else:
+            k = _span(b, j, a[i])
+            out += b[j:k]
+            i, j = i + 1, k
+    return tuple(out)
 
 
 def forest_union(f, g):
+    """Smallest forest refining both f and g, tree by tree."""
     if len(f) != len(g):
         raise ValueError("forests must have the same number of trees")
-    return tuple(tree_union(a, b) for a, b in zip(f, g))
+    return tuple(a if a == b else _tree_union(a, b) for a, b in zip(f, g))
 
 
-def _tree_pieces(small, big, out: list):
-    if small == ():
-        out.append(big)
-        return
-    if big == ():
-        raise ValueError("big does not refine small")
-    _tree_pieces(small[0], big[0], out)
-    _tree_pieces(small[1], big[1], out)
+def regraft(f, small, big):
+    """f with its leaf j replaced by the part of big below leaf j of small.
 
-
-def forest_graft_pieces(small, big) -> list:
-    """The subtrees of big hanging below each leaf of small, leaf order."""
-    if len(small) != len(big):
-        raise ValueError("forests must have the same number of trees")
-    out: list = []
+    big refines small tree by tree, and f has as many leaves as small.
+    """
+    if small == big:
+        return f
+    pieces = []  # per leaf of small, big's depths below it less its own
     for s, b in zip(small, big):
-        _tree_pieces(s, b, out)
-    return out
-
-
-def _tree_graft(t, it):
-    if t == ():
-        return next(it)
-    return (_tree_graft(t[0], it), _tree_graft(t[1], it))
-
-
-def graft(f, pieces):
-    """Replace the j-th leaf of f with pieces[j]."""
-    if forest_num_leaves(f) != len(pieces):
-        raise ValueError("piece count must equal leaf count")
+        j = 0
+        for d in s:
+            k = _span(b, j, d)
+            pieces.append([x - d for x in b[j:k]])
+            j = k
     it = iter(pieces)
-    return tuple(_tree_graft(t, it) for t in f)
+    # the inner loop draws one piece per leaf e of t
+    return tuple(tuple([e + x for e in t for x in next(it)]) for t in f)
 
 
 # ---------------------------------------------------------------------------

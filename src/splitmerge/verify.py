@@ -16,8 +16,9 @@ from fractions import Fraction
 
 from .trees import LEAF, left_vine, right_vine
 from .diagrams import (Diagram, apply_move, cancel_at, multiply, generator,
-                       random_diagram, random_expansion, random_group_element,
-                       random_vertex, reduce, reducible_positions)
+                       parse_diagram, random_diagram, random_expansion,
+                       random_group_element, random_vertex, reduce,
+                       reducible_positions)
 from .characters import Character, MorseSpec, chi0, chi1, check_morse_on_fragment
 from .complexes import (SimplicialComplex, ascending_link_model, cone,
                         descending_link_model, gm_linear, join, m_linear,
@@ -374,10 +375,8 @@ def run_ascending_nonempty(per_combo: int = 50) -> dict:
 def run_l_invariant_disconnection(max_vertices: int = 5000) -> dict:
     band = (3, 4)
     char = Character(1, 0)
-    seed_l1 = Diagram(((LEAF, (LEAF, (LEAF, LEAF))),),
-                      ((LEAF, LEAF), LEAF, LEAF))
-    seed_l2 = Diagram((((LEAF, (LEAF, LEAF)), (LEAF, LEAF)),),
-                      (((LEAF, LEAF), LEAF), LEAF, LEAF))
+    seed_l1 = parse_diagram("[(*,(*,(*,*)))]/[(*,*),*,*]")
+    seed_l2 = parse_diagram("[((*,(*,*)),(*,*))]/[((*,*),*),*,*]")
     frag = explore([seed_l1, seed_l2], band, chi_floor=(char, 0),
                    max_vertices=max_vertices)
     if len(frag.vertices) < 2:

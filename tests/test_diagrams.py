@@ -1,6 +1,7 @@
 """Split-merge diagrams: parsing, reduction, groupoid structure."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,9 @@ from splitmerge.diagrams import (
 )
 from splitmerge.steinfarley import moves_in_band
 from splitmerge.trees import (LEAF, MAX_DEPTH, forest_num_leaves, left_vine,
-                              parse_forest, right_vine)
+                              parse_forest, parse_tree, right_vine)
+
+CARET = parse_tree("(*,*)")
 
 
 def rngs():
@@ -53,18 +56,18 @@ def poset_leq(d1: Diagram, d2: Diagram):
 
 def is_elementary(f) -> bool:
     """True when every tree of the forest is a leaf or a single caret."""
-    return all(t == LEAF or t == (LEAF, LEAF) for t in f)
+    return all(t == LEAF or t == CARET for t in f)
 
 
 def split_diagram(n: int, i: int) -> Diagram:
     """Elementary diagram with n heads splitting foot i (1-based) into two."""
-    minus = (LEAF,) * (i - 1) + ((LEAF, LEAF),) + (LEAF,) * (n - i)
+    minus = (LEAF,) * (i - 1) + (CARET,) + (LEAF,) * (n - i)
     return Diagram(minus, (LEAF,) * (n + 1))
 
 
 def merge_diagram(n: int, i: int) -> Diagram:
     """Elementary diagram with n heads merging feet i, i+1 (1-based)."""
-    plus = (LEAF,) * (i - 1) + ((LEAF, LEAF),) + (LEAF,) * (n - 1 - i)
+    plus = (LEAF,) * (i - 1) + (CARET,) + (LEAF,) * (n - 1 - i)
     return Diagram((LEAF,) * n, plus)
 
 
@@ -138,6 +141,14 @@ class TestReduce:
         r = reduce(d)
         assert reduce(random_expansion(rng, r, 4)) == r
 
+    @given(diagram_strategy(), rngs())
+    def test_one_pass_equals_leftmost_first(self, d, rng):
+        d = random_expansion(rng, d, rng.randint(0, 6))
+        cur = d
+        while positions := reducible_positions(cur):
+            cur = cancel_at(cur, positions[0])
+        assert reduce(d) == cur
+
     def test_deep_vines_cancel(self):
         # 2 * MAX_DEPTH common carets, cancelled one at a time
         k = MAX_DEPTH
@@ -150,6 +161,44 @@ class TestReduce:
         grown = expand_at(d, 1)
         assert not is_reduced(grown)
         assert reduce(grown) == d
+
+
+def _frames() -> int:
+    """Python frames on the stack, the caller's included."""
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+class TestRecursionGuard:
+    """No tree code recurses: diagrams whose trees nest MAX_DEPTH carets
+    deep, and their products, pass through every operation with the
+    recursion limit only 50 frames above the test's own depth."""
+
+    def test_depth_cap_runs_in_loops(self):
+        k = MAX_DEPTH
+        left = "(" * k + "*" + ",*)" * k
+        right = "(*," * k + "*" + ")" * k
+        text = f"[{left}]/[{right}]"
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frames() + 50)
+        try:
+            d = parse_diagram(text)
+            assert str(d) == text
+            assert Diagram(d.minus, d.plus) == d
+            assert str(mirror_diagram(d)) == f"[{right}]/[{left}]"
+            assert reduce(expand_at(d, k)) == d
+            product = multiply(d, d)  # as in test_product_at_depth_cap
+            assert Diagram(product.minus, product.plus) == product
+            assert reduce(product) == product and is_reduced(product)
+            assert multiply(product, inverse(d)) == d
+            assert str(product).startswith("[")
+            vines = (Diagram((left_vine(k),), (left_vine(k),)),
+                     Diagram((right_vine(k),), (right_vine(k),)))
+            assert str(multiply(*vines)) == "[*]/[*]"
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestGroupoid:
@@ -346,10 +395,16 @@ class TestTrustedConstructor:
     @pytest.mark.parametrize("minus, plus", [
         ((), (LEAF,)),
         ([LEAF], [LEAF]),
-        (((LEAF,),), (LEAF,)),
-        (((LEAF, LEAF, LEAF),), (LEAF, LEAF, LEAF)),
+        (((),), (LEAF,)),
+        (((1, 1, 1),), (LEAF, LEAF, LEAF)),
         (("*",), ("*",)),
-        (((LEAF, LEAF),), (LEAF,)),
+        ((CARET,), (LEAF,)),
+        (((1,),), (LEAF,)),
+        (((2, 1, 2),), (LEAF, LEAF, LEAF)),
+        (((True,),), (LEAF,)),
+        (((-1,),), (LEAF,)),
+        ((list(LEAF),), (LEAF,)),
+        ((LEAF,), [LEAF]),
     ])
     def test_public_constructor_rejects_bad_forests(self, minus, plus):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from splitmerge.complexes import (
     gm_linear,
 )
 from splitmerge.diagrams import (
-    Diagram,
     apply_move,
     mirror_diagram,
     parse_diagram,
@@ -46,7 +45,7 @@ from splitmerge.steinfarley import (
     nerve_data,
     word_labels,
 )
-from splitmerge.trees import LEAF, forest_num_carets, left_vine, right_vine
+from splitmerge.trees import LEAF, forest_num_carets
 
 
 def rngs():
@@ -572,12 +571,13 @@ class TestLRInvariants:
         assert flat == list(range(len(frag.vertices)))
 
 
+# carets at both ends of the feet, under a head tree with deep inner carets
+BOTH_ENDS_SEED = "[(*,((*,(*,(*,(*,(*,*))))),*))]/[((((*,*),*),*),*),*,(*,*)]"
+
+
 class TestCover:
     def both_ends_seed(self):
-        return Diagram(
-            ((LEAF, (right_vine(5), LEAF)),),
-            (left_vine(4), LEAF, (LEAF, LEAF)),
-        )
+        return parse_diagram(BOTH_ENDS_SEED)
 
     def test_both_ends_labeled(self):
         d = self.both_ends_seed()
@@ -585,10 +585,7 @@ class TestCover:
         assert nerve_data(frag)["labels"] == [(("L", 1), ("R", 2))]
 
     def test_right_only(self):
-        d = Diagram(
-            (((LEAF, (LEAF, (LEAF, LEAF))), LEAF),),
-            (LEAF, LEAF, right_vine(2)),
-        )
+        d = parse_diagram("[((*,(*,(*,*))),*)]/[*,*,(*,(*,*))]")
         frag = explore([d], (2, 4), chi_floor=(Character(1, 2), 0), max_radius=0)
         assert nerve_data(frag)["labels"] == [(("R", 1),)]
 
@@ -609,19 +606,13 @@ class TestCover:
 
 class TestNerve:
     def test_single_piece(self):
-        d = Diagram(
-            ((LEAF, ((LEAF, LEAF), (LEAF, LEAF))),),
-            (left_vine(3), LEAF),
-        )
+        d = parse_diagram("[(*,((*,*),(*,*)))]/[(((*,*),*),*),*]")
         frag = explore([d], (2, 3), chi_floor=(Character(3, 1), 0), max_radius=0)
         n = nerve(frag)
         assert n.f_vector() == (1,)
 
     def test_bipartite_and_piecewise(self):
-        d = Diagram(
-            ((LEAF, (right_vine(5), LEAF)),),
-            (left_vine(4), LEAF, (LEAF, LEAF)),
-        )
+        d = parse_diagram(BOTH_ENDS_SEED)
         frag = explore(
             [d], (2, 4), chi_floor=(Character(1, 1), 0), max_vertices=150
         )

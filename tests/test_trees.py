@@ -1,34 +1,42 @@
 """Binary trees and forests: structure, serialization, surgery."""
 
+import ast
+import inspect
 import random
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
+import nested_trees as ref
+from splitmerge import trees as trees_mod
+from splitmerge.diagrams import parse_diagram
 from splitmerge.trees import (
     LEAF,
+    MAX_DEPTH,
+    ParseError,
     add_caret,
-    forest_graft_pieces,
     forest_num_carets,
     forest_num_leaves,
     forest_union,
-    graft,
+    join,
     left_depth,
     left_vine,
     mirror_forest,
     mirror_tree,
     num_carets,
-    num_leaves,
     parse_forest,
     parse_tree,
     random_forest,
+    regraft,
     remove_terminal_caret,
     render_forest,
     render_tree,
     right_depth,
     right_vine,
+    split_root,
     terminal_pairs,
-    tree_union,
     validate_forest,
 )
 
@@ -38,17 +46,18 @@ def leaf_starts(f) -> list:
     starts, acc = [], 0
     for t in f:
         starts.append(acc)
-        acc += num_leaves(t)
+        acc += forest_num_leaves((t,))
     return starts
 
 
+def breakpoints(t) -> set:
+    """Right ends of the tree's leaves as dyadic intervals of [0, 1]."""
+    return set(accumulate(Fraction(1, 2 ** d) for d in t))
+
+
 def tree_contains(small, big) -> bool:
-    """True when big refines small (small is a rooted prefix of big)."""
-    if small == LEAF:
-        return True
-    if big == LEAF:
-        return False
-    return tree_contains(small[0], big[0]) and tree_contains(small[1], big[1])
+    """True when big refines small: every cut of small is a cut of big."""
+    return breakpoints(small) <= breakpoints(big)
 
 
 def random_tree(rng, carets: int):
@@ -59,38 +68,39 @@ def random_tree(rng, carets: int):
 
 
 def trees(max_leaves=16):
-    return st.recursive(
-        st.just(LEAF),
-        lambda kids: st.tuples(kids, kids),
-        max_leaves=max_leaves,
-    )
+    return ref.trees(max_leaves).map(ref.depths)
 
 
 def forests(max_trees=5):
-    return st.lists(trees(8), min_size=1, max_size=max_trees).map(tuple)
+    return ref.forests(max_trees).map(ref.forest_depths)
+
+
+CARET = parse_tree("(*,*)")
 
 
 class TestBasics:
     def test_counts(self):
-        t = ((LEAF, LEAF), LEAF)
-        assert num_leaves(t) == 3
+        t = parse_tree("((*,*),*)")
+        assert forest_num_leaves((t,)) == 3
         assert num_carets(t) == 2
         assert forest_num_leaves((t, LEAF)) == 4
         assert forest_num_carets((t, LEAF)) == 2
 
-    @given(trees())
-    def test_leaf_count_is_caret_count_plus_one(self, t):
-        assert num_leaves(t) == num_carets(t) + 1
+    @given(ref.trees())
+    def test_leaf_count_is_caret_count_plus_one(self, nested):
+        t = ref.depths(nested)
+        assert forest_num_leaves((t,)) == num_carets(t) + 1
+        assert forest_num_leaves((t,)) == ref.num_leaves(nested)
 
     def test_trivial_forest_has_n_leaves(self):
         assert forest_num_leaves((LEAF,) * 5) == 5
 
     def test_vines(self):
         assert left_vine(0) == LEAF
-        assert left_vine(2) == ((LEAF, LEAF), LEAF)
-        assert right_vine(2) == (LEAF, (LEAF, LEAF))
+        assert left_vine(2) == parse_tree("((*,*),*)")
+        assert right_vine(2) == parse_tree("(*,(*,*))")
         assert num_carets(left_vine(7)) == 7
-        assert num_leaves(right_vine(7)) == 8
+        assert forest_num_leaves((right_vine(7),)) == 8
 
     def test_depths(self):
         assert left_depth(left_vine(4)) == 4
@@ -103,23 +113,45 @@ class TestBasics:
     def test_mirror_swaps_depths(self, t):
         assert left_depth(mirror_tree(t)) == right_depth(t)
         assert mirror_tree(mirror_tree(t)) == t
+        # the mirror's text is the text read backwards, brackets swapped
+        backwards = render_tree(t)[::-1].translate(str.maketrans("()", ")("))
+        assert render_tree(mirror_tree(t)) == backwards
 
     @given(forests())
     def test_mirror_forest_involution(self, f):
         assert mirror_forest(mirror_forest(f)) == f
 
+    @given(trees(), trees())
+    def test_join_and_split_root(self, a, b):
+        t = join(a, b)
+        assert render_tree(t) == f"({render_tree(a)},{render_tree(b)})"
+        assert split_root(t) == (a, b)
+
+    def test_leaf_has_no_root_caret(self):
+        with pytest.raises(ValueError):
+            split_root(LEAF)
+
+    def test_no_function_calls_itself(self):
+        # tree depth costs loop iterations, never stack frames
+        module = ast.parse(inspect.getsource(trees_mod))
+        recursive = [fn.name for fn in ast.walk(module)
+                     if isinstance(fn, ast.FunctionDef)
+                     for call in ast.walk(fn) if isinstance(call, ast.Call)
+                     and getattr(call.func, "id", None) == fn.name]
+        assert recursive == []
+
 
 class TestSerialization:
     def test_render_examples(self):
         assert render_tree(LEAF) == "*"
-        assert render_tree((LEAF, LEAF)) == "(*,*)"
-        assert render_forest((LEAF, (LEAF, LEAF), LEAF)) == "[*,(*,*),*]"
+        assert render_tree(CARET) == "(*,*)"
+        assert render_forest((LEAF, left_vine(1), LEAF)) == "[*,(*,*),*]"
 
     def test_parse_examples(self):
         assert parse_tree("*") == LEAF
-        assert parse_tree("((*,*),*)") == ((LEAF, LEAF), LEAF)
+        assert parse_tree("((*,*),*)") == left_vine(2)
         assert parse_forest("[*,*]") == (LEAF, LEAF)
-        assert parse_forest(" [ (*,*) , * ] ") == ((LEAF, LEAF), LEAF)
+        assert parse_forest(" [ (*,*) , * ] ") == (right_vine(1), LEAF)
 
     @given(trees())
     def test_tree_roundtrip(self, t):
@@ -146,16 +178,28 @@ class TestSerialization:
         with pytest.raises(ValueError):
             validate_forest((LEAF, (LEAF,)))
 
+    @pytest.mark.parametrize("tree", [
+        (), (1,), (2, 1, 2), (1, 1, 1), (2, 2, 1, 1), (0, 0), (True,),
+        (False,), (True, True), (-1,), (1.0, 1.0), [0], "*", None,
+    ])
+    def test_validate_rejects_non_trees(self, tree):
+        with pytest.raises(ValueError):
+            validate_forest((LEAF, tree))
+
+    @given(forests())
+    def test_validate_accepts_every_forest(self, f):
+        validate_forest(f)
+
 
 class TestSurgery:
     def test_leaf_starts(self):
-        f = ((LEAF, LEAF), LEAF, (LEAF, LEAF))
+        f = parse_forest("[(*,*),*,(*,*)]")
         assert leaf_starts(f) == [0, 2, 3]
 
     def test_add_caret(self):
         f = (LEAF, LEAF)
-        assert add_caret(f, 0) == ((LEAF, LEAF), LEAF)
-        assert add_caret(f, 1) == (LEAF, (LEAF, LEAF))
+        assert add_caret(f, 0) == parse_forest("[(*,*),*]")
+        assert add_caret(f, 1) == parse_forest("[*,(*,*)]")
 
     @given(forests(), st.data())
     def test_add_caret_then_remove(self, f, data):
@@ -167,7 +211,7 @@ class TestSurgery:
         assert remove_terminal_caret(grown, i) == f
 
     def test_terminal_pairs(self):
-        f = (((LEAF, LEAF), LEAF), (LEAF, LEAF))
+        f = parse_forest("[((*,*),*),(*,*)]")
         assert terminal_pairs(f) == {0, 3}
 
     @given(st.lists(trees(8), min_size=1, max_size=3))
@@ -182,18 +226,19 @@ class TestSurgery:
                     remove_terminal_caret(f, i)
 
     def test_tree_union(self):
-        a = ((LEAF, LEAF), LEAF)
-        b = (LEAF, (LEAF, LEAF))
-        u = tree_union(a, b)
+        a = parse_tree("((*,*),*)")
+        b = parse_tree("(*,(*,*))")
+        (u,) = forest_union((a,), (b,))
         assert tree_contains(a, u) and tree_contains(b, u)
-        assert u == ((LEAF, LEAF), (LEAF, LEAF))
+        assert u == parse_tree("((*,*),(*,*))")
 
     @given(trees(8), trees(8))
     def test_tree_union_is_upper_bound(self, a, b):
-        u = tree_union(a, b)
+        (u,) = forest_union((a,), (b,))
         assert tree_contains(a, u)
         assert tree_contains(b, u)
-        assert tree_union(u, a) == u
+        assert breakpoints(u) == breakpoints(a) | breakpoints(b)
+        assert forest_union((u,), (a,)) == (u,)
 
     @given(forests(3), forests(3))
     def test_forest_union_commutes(self, a, b):
@@ -202,19 +247,145 @@ class TestSurgery:
             b = b[: len(a)]
         assert forest_union(a, b) == forest_union(b, a)
 
+    def test_forest_union_needs_equal_tree_counts(self):
+        with pytest.raises(ValueError):
+            forest_union((LEAF,), (LEAF, LEAF))
+
     def test_graft(self):
         # hanging [*, (*,*)] below the 2 leaves of [(*,*)]
-        assert graft(((LEAF, LEAF),), (LEAF, (LEAF, LEAF))) == (
-            (LEAF, (LEAF, LEAF)),
+        assert regraft((CARET,), (LEAF, LEAF), parse_forest("[*,(*,*)]")) == (
+            parse_tree("(*,(*,*))"),
         )
 
     @given(forests(3), st.data())
     def test_graft_leaf_count(self, base, data):
         n = forest_num_leaves(base)
         pieces = tuple(data.draw(trees(4)) for _ in range(n))
-        g = graft(base, pieces)
-        assert forest_num_leaves(g) == sum(num_leaves(p) for p in pieces)
-        assert tuple(forest_graft_pieces(base, g)) == pieces
+        g = regraft(base, (LEAF,) * n, pieces)
+        assert forest_num_leaves(g) == forest_num_leaves(pieces)
+        assert regraft((LEAF,) * n, base, g) == pieces
+
+
+class TestAgainstNestedReference:
+    """Every flat operation agrees with the recursive nested-tuple code it
+    replaced, through the nested-to-depths converter."""
+
+    @given(ref.forests(), st.data())
+    def test_add_caret(self, f, data):
+        i = data.draw(st.integers(0, ref.forest_num_leaves(f) - 1))
+        assert add_caret(ref.forest_depths(f), i) == ref.forest_depths(
+            ref.add_caret(f, i))
+
+    @given(ref.forests())
+    def test_add_caret_out_of_range(self, f):
+        for i in (-1, ref.forest_num_leaves(f)):
+            with pytest.raises(IndexError):
+                add_caret(ref.forest_depths(f), i)
+
+    @given(ref.forests())
+    def test_terminal_pairs(self, f):
+        assert terminal_pairs(ref.forest_depths(f)) == ref.terminal_pairs(f)
+
+    @given(ref.forests())
+    def test_remove_terminal_caret(self, f):
+        flat = ref.forest_depths(f)
+        for i in range(-1, ref.forest_num_leaves(f) + 1):
+            try:
+                expected = ref.forest_depths(ref.remove_terminal_caret(f, i))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    remove_terminal_caret(flat, i)
+            else:
+                assert remove_terminal_caret(flat, i) == expected
+
+    @given(ref.forests(3), ref.forests(3))
+    def test_union(self, f, g):
+        n = min(len(f), len(g))
+        f, g = f[:n], g[:n]
+        assert forest_union(ref.forest_depths(f), ref.forest_depths(g)) == (
+            ref.forest_depths(ref.forest_union(f, g)))
+
+    @given(ref.forests(3), ref.forests(3), st.data())
+    def test_regraft(self, small, other, data):
+        n = min(len(small), len(other))
+        small = small[:n]
+        big = ref.forest_union(small, other[:n])
+        leaves = ref.forest_num_leaves(small)
+        k = data.draw(st.integers(1, leaves))
+        outer = ref.random_forest(random.Random(data.draw(st.integers())),
+                                  k, leaves - k)
+        expected = ref.graft(outer, ref.forest_graft_pieces(small, big))
+        assert regraft(ref.forest_depths(outer), ref.forest_depths(small),
+                       ref.forest_depths(big)) == ref.forest_depths(expected)
+
+    @given(ref.forests())
+    def test_render(self, f):
+        flat = ref.forest_depths(f)
+        assert render_forest(flat) == ref.render_forest(f)
+        assert [render_tree(t) for t in flat] == list(map(ref.render_tree, f))
+
+    @given(ref.forests(), st.text(" ,*()[]", max_size=3), st.data())
+    def test_parse(self, f, noise, data):
+        # the reference's forest text, with noise inserted somewhere: both
+        # parsers return equal forests or fail with the same message
+        text = ref.render_forest(f)
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + noise + text[at:]
+        try:
+            expected = ref.forest_depths(ref.parse_forest(text))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_forest(text)
+            assert (str(got.value), got.value.pos) == (str(exc), exc.pos)
+        else:
+            assert parse_forest(text) == expected
+
+    @given(ref.forests(3), ref.forests(3), st.text(" ,*()[]/x", max_size=3),
+           st.data())
+    def test_parse_tree_and_diagram(self, f, g, noise, data):
+        # tree text and diagram text, with noise inserted, as in test_parse
+        for text, parse, ref_parse in (
+                (ref.render_tree(f[0]), parse_tree, ref.parse_tree),
+                (ref.render_forest(f) + "/" + ref.render_forest(g),
+                 lambda text: (parse_diagram(text).minus,
+                               parse_diagram(text).plus),
+                 ref.parse_diagram)):
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + noise + text[at:]
+            try:
+                expected = ref_parse(text)
+            except ParseError as exc:
+                with pytest.raises(ParseError) as got:
+                    parse(text)
+                assert (str(got.value), got.value.pos) == (str(exc), exc.pos)
+                continue
+            if parse is parse_tree:
+                assert parse(text) == ref.depths(expected)
+            elif ref.forest_num_leaves(expected[0]) == ref.forest_num_leaves(
+                    expected[1]):
+                assert parse(text) == tuple(map(ref.forest_depths, expected))
+            else:
+                with pytest.raises(ValueError, match="equal leaf counts"):
+                    parse(text)
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH, MAX_DEPTH + 1])
+    def test_parse_depth_cap(self, depth):
+        text = "[" + "(" * depth + "*" + ",*)" * depth + "]"
+        try:
+            expected = ref.forest_depths(ref.parse_forest(text))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as got:
+                parse_forest(text)
+            assert (str(got.value), got.value.pos) == (str(exc), exc.pos)
+        else:
+            assert parse_forest(text) == expected
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(0, 12))
+    def test_random_forest_draws_the_same_sequence(self, seed, trees, carets):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        f = random_forest(rng, trees, carets)
+        assert f == ref.forest_depths(ref.random_forest(ref_rng, trees, carets))
+        assert rng.getstate() == ref_rng.getstate()
 
 
 class TestRandomGenerators:
