@@ -84,18 +84,22 @@ def mirror_forest(f):
     return tuple(t[::-1] for t in reversed(f))
 
 
+def _push(stack: list, d: int) -> int:
+    """Push leaf depth d onto stack (the increasing depths of the subtrees
+    finished so far), merging each caret it completes; returns the top."""
+    while stack and stack[-1] == d:
+        stack.pop()
+        d -= 1
+    stack.append(d)
+    return d
+
+
 def _span(t, i: int, depth: int) -> int:
     """End of the subtree at the given depth whose leftmost leaf is t[i]."""
-    stack = []  # depths of the subtrees finished so far, increasing
-    while True:
-        d = t[i]
+    stack = []
+    while _push(stack, t[i]) != depth:
         i += 1
-        while stack and stack[-1] == d:  # d completes a caret
-            stack.pop()
-            d -= 1
-        if d == depth:
-            return i
-        stack.append(d)
+    return i + 1
 
 
 def _heap(t) -> list:
@@ -155,7 +159,7 @@ def _parse(text: str, layout: str) -> list:
             if ch:
                 raise ParseError(f"trailing input {ch!r}", pos)
             return [tuple(f) for f in forests]
-        elif ch == want:  # "[", "]" or "/" of the layout
+        elif want in "[]/" and ch == want:  # punctuation of the layout
             at += 1
             if ch == "/":
                 forests.append([])
@@ -207,14 +211,11 @@ def validate_forest(f):
     if not isinstance(f, tuple) or len(f) == 0:
         raise ValueError(f"forest must be a nonempty tuple of trees: {f!r}")
     for t in f:
-        stack = []  # as in _span; only a tree's depths merge it to [0]
+        stack = []  # only a tree's depths merge to [0]
         for d in t if type(t) is tuple else (None,):
             if type(d) is not int:
                 break
-            while stack and stack[-1] == d:
-                stack.pop()
-                d -= 1
-            stack.append(d)
+            _push(stack, d)
         else:
             if stack == [0]:
                 continue
@@ -240,9 +241,8 @@ def terminal_pairs(f) -> set:
     out = set()
     i = 0
     for t in f:
-        n = prev = 0  # leaf i - 1, as in _heap (inlined for speed)
-        for d in t:
-            n = (n + 1) << (d - prev) if d >= prev else (n + 1) >> (prev - d)
+        prev = 0
+        for d, n in zip(t, _heap(t)):
             # leaf i is 2m + 1 and leaf i - 1 is 2m; a lone leaf is 1
             if d == prev and n & 1 and n > 1:
                 out.add(i - 1)

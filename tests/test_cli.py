@@ -49,6 +49,11 @@ class TestDiagramCommands:
         code, _, err = run("reduce", "[((*,*),*)]/[(*,*)]")
         assert code == 2 and "error" in err
 
+    def test_letter_in_place_of_a_tree_exits_two(self):
+        code, out, err = run("reduce", "[*,T]/[*]")
+        assert code == 2 and not out
+        assert "expected '*' or '(', found 'T' (at position 3)" in err
+
     def test_too_deep_tree_is_parse_error(self):
         deep = "(" * 1200 + "*" + ",*)" * 1200
         code, out, err = run("reduce", f"[{deep}]/[*" + ",*" * 1200 + "]")

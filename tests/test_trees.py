@@ -172,6 +172,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_forest(bad if bad.startswith("[") else "[" + bad + "]")
 
+    @pytest.mark.parametrize("parse, text, pos", [
+        (parse_tree, "T", 0), (parse_forest, "[T]", 1),
+        (parse_forest, "[(T,*)]", 2), (parse_forest, "[*,T]", 3),
+    ])
+    def test_parse_rejects_letters_where_a_tree_is_due(self, parse, text, pos):
+        with pytest.raises(ParseError) as got:
+            parse(text)
+        assert str(got.value) == (
+            f"expected '*' or '(', found 'T' (at position {pos})")
+
     def test_validate_rejects_malformed(self):
         with pytest.raises(ValueError):
             validate_forest(())
@@ -324,7 +334,7 @@ class TestAgainstNestedReference:
         assert render_forest(flat) == ref.render_forest(f)
         assert [render_tree(t) for t in flat] == list(map(ref.render_tree, f))
 
-    @given(ref.forests(), st.text(" ,*()[]", max_size=3), st.data())
+    @given(ref.forests(), st.text(" ,*()[]T$", max_size=3), st.data())
     def test_parse(self, f, noise, data):
         # the reference's forest text, with noise inserted somewhere: both
         # parsers return equal forests or fail with the same message
@@ -340,7 +350,7 @@ class TestAgainstNestedReference:
         else:
             assert parse_forest(text) == expected
 
-    @given(ref.forests(3), ref.forests(3), st.text(" ,*()[]/x", max_size=3),
+    @given(ref.forests(3), ref.forests(3), st.text(" ,*()[]/xT$", max_size=3),
            st.data())
     def test_parse_tree_and_diagram(self, f, g, noise, data):
         # tree text and diagram text, with noise inserted, as in test_parse
