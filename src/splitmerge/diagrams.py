@@ -16,7 +16,6 @@ from __future__ import annotations
 from . import trees
 from .trees import (
     LEAF,
-    ParseError,
     add_caret,
     forest_num_leaves,
     forest_union,
@@ -51,8 +50,8 @@ class Diagram:
     def _make(cls, minus, plus) -> "Diagram":
         """Trusted constructor for forests built from valid diagrams.
 
-        Skips validation and the leaf-count check; only surgery and
-        composition of already validated diagrams may call it.
+        Skips validation and the leaf-count check; only surgery, composition
+        and parse_diagram, whose forests are known valid, may call it.
         """
         d = object.__new__(cls)
         object.__setattr__(d, "minus", minus)
@@ -91,7 +90,9 @@ class Diagram:
 
 def parse_diagram(text: str) -> Diagram:
     minus, plus = trees._parse(text, "[T]/[T]$")
-    return Diagram(minus, plus)
+    if forest_num_leaves(minus) != forest_num_leaves(plus):
+        return Diagram(minus, plus)  # raises the leaf-count error
+    return Diagram._make(minus, plus)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +209,12 @@ def merge_feet(d: Diagram, i: int) -> Diagram:
     t1 = d.plus[i - 1]
     t2 = d.plus[i]
     if t1 == LEAF and t2 == LEAF:
-        try:  # cancel the minus caret over both feet, if there is one
-            return Diagram._make(remove_terminal_caret(
-                d.minus, forest_num_leaves(d.plus[:i - 1])),
-                d.plus[:i - 1] + (LEAF,) + d.plus[i + 1:])
-        except ValueError:
-            pass
+        # cancel the minus caret over both feet, if there is one
+        j = forest_num_leaves(d.plus[:i - 1])
+        minus = trees._without_caret(d.minus, j)
+        if minus is not None:
+            return Diagram._make(minus,
+                                 d.plus[:i - 1] + (LEAF,) + d.plus[i + 1:])
     plus = d.plus[:i - 1] + (join(t1, t2),) + d.plus[i + 1:]
     return Diagram._make(d.minus, plus)
 

@@ -29,9 +29,9 @@ H0 of the chain complex they build, and hand its H1 to the same Tietze step.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations, count, groupby
 from math import gcd
 
 from .complexes import SimplicialComplex
@@ -476,14 +476,9 @@ def _free_reduce(word) -> list:
     return out
 
 
-def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
-    """pi1_trivial's verdict for a connected complex, given its simplicial
-    chain complex through degree >= 2 and that complex's homology. One
-    budget unit is one Tietze move on the spanning-tree presentation."""
-    if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
-        return "nontrivial"
-    if len(chain.dims) < 2:
-        return "trivial"
+def _presentation(chain: ChainComplex) -> tuple:
+    """(generators, relators) of pi1 of a connected complex: generator g is
+    the g-th edge off a BFS spanning tree from vertex 0."""
     # simplicial_chain_complex keys a boundary column in combinations order:
     # an edge (a, b) by rows a, b, a triangle (a, b, c) by edges ab, ac, bc
     edges = [tuple(col) for col in chain.boundaries[0]]
@@ -493,24 +488,31 @@ def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
         adjacency[v].append((u, j))
     tree = set()
     seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
+    queue = [0]
+    for u in queue:  # the loop reads what it appends, breadth first
         for w, j in sorted(adjacency[u]):
             if w not in seen:
                 seen.add(w)
                 tree.add(j)
                 queue.append(w)
-    gens = [0] * len(edges)  # generator of each edge, 0 on the tree
-    for i, j in enumerate(j for j in range(len(edges)) if j not in tree):
-        gens[j] = i + 1
-    # three distinct edges give a freely reduced word
-    relators = []
-    for ab, ac, bc in chain.boundaries[1] if len(chain.dims) > 2 else ():
-        w = [x for x in (gens[ab], gens[bc], -gens[ac]) if x]
-        if w:
-            relators.append(w)
-    alive = set(range(1, len(edges) - len(tree) + 1))
+    off_tree = count(1)  # generator of each edge, 0 on the tree
+    gens = [0 if j in tree else next(off_tree) for j in range(len(edges))]
+    # three distinct edges give a freely reduced word; tree edges drop out
+    triangles = chain.boundaries[1] if len(chain.dims) > 2 else ()
+    words = ([x for x in (gens[ab], gens[bc], -gens[ac]) if x]
+             for ab, ac, bc in triangles)
+    return set(range(1, len(edges) - len(tree) + 1)), [w for w in words if w]
+
+
+def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
+    """pi1_trivial's verdict for a connected complex, given its simplicial
+    chain complex through degree >= 2 and that complex's homology. One
+    budget unit is one Tietze move on the spanning-tree presentation."""
+    if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
+        return "nontrivial"
+    if len(chain.dims) < 2:
+        return "trivial"
+    alive, relators = _presentation(chain)
     for _ in range(budget):
         if not alive:
             break

@@ -8,6 +8,11 @@ section 2), so no tree code recurses. A forest is a tuple of one or more
 trees. Leaves of a forest are numbered left to right across all trees,
 starting at 0.
 
+Surgery reads heap numbers (_heaps): a leaf at depth d is 2**d + its index
+among the 2**d dyadic intervals of its tree, and siblings are 2m, 2m + 1. A
+tree's first leaf is its only power of two, and its last leaf, 2**(e + 1) - 1
+at depth e, is odd, so no sibling pair 2m, 2m + 1 spans two trees.
+
 Text grammar (whitespace insignificant):
 
     Tree   := "*" | "(" Tree "," Tree ")"
@@ -21,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import itemgetter
 
 LEAF: tuple = (0,)
 MAX_DEPTH = 256
@@ -102,15 +106,15 @@ def _span(t, i: int, depth: int) -> int:
     return i + 1
 
 
-def _heap(t) -> list:
-    """Each leaf's heap number, 2**depth + its index among the 2**depth
-    dyadic intervals: siblings are 2m and 2m + 1, and their parent is m."""
+def _heaps(f) -> list:
+    """The heap number of every leaf of the forest f, left to right."""
     out = []
-    n = prev = 0
-    for d in t:
-        n = (n + 1) << (d - prev) if d >= prev else (n + 1) >> (prev - d)
-        out.append(n)
-        prev = d
+    for t in f:
+        n = prev = 0
+        for d in t:
+            n = (n + 1) << (d - prev) if d >= prev else (n + 1) >> (prev - d)
+            out.append(n)
+            prev = d
     return out
 
 
@@ -186,7 +190,7 @@ def parse_forest(text: str):
 
 def render_tree(t) -> str:
     out, opened = [], 0
-    for d, n in zip(t, _heap(t)):
+    for d, n in zip(t, _heaps((t,))):
         # the trailing ones of n count the carets that leaf closes, and one
         # more at the last leaf, whose ")," the slice below drops
         closed = (n ^ (n + 1)).bit_length() - 1
@@ -238,36 +242,35 @@ def add_caret(f, i: int):
 
 def terminal_pairs(f) -> set:
     """Global leaf indices i such that leaves i, i+1 hang from a single caret."""
-    out = set()
-    i = 0
-    for t in f:
-        prev = 0
-        for d, n in zip(t, _heap(t)):
-            # leaf i is 2m + 1 and leaf i - 1 is 2m; a lone leaf is 1
-            if d == prev and n & 1 and n > 1:
-                out.add(i - 1)
-            prev = d
-            i += 1
-    return out
+    h = _heaps(f)
+    # leaf i is a left child 2m, never its tree's last, and i + 1 is 2m + 1
+    return {i for i, m in enumerate(h) if not m & 1 and h[i + 1] == m + 1}
+
+
+def _without_caret(f, i: int):
+    """f less the caret over leaves i, i+1, or None when there is none."""
+    for k, t in enumerate(f):
+        if 0 <= i < len(t):
+            if t[i + 1:i + 2] == (t[i],) and not _heaps((t[:i + 1],))[-1] & 1:
+                return f[:k] + (t[:i] + (t[i] - 1,) + t[i + 2:],) + f[k + 1:]
+            return None
+        i -= len(t)
+    return None
 
 
 def remove_terminal_caret(f, i: int):
     """Collapse the caret over leaves i, i+1 back to a single leaf."""
-    if i in terminal_pairs(f):
-        for k, t in enumerate(f):
-            if i < len(t):
-                return f[:k] + (t[:i] + (t[i] - 1,) + t[i + 2:],) + f[k + 1:]
-            i -= len(t)
-    raise ValueError(f"no terminal caret at leaf {i}")
+    out = _without_caret(f, i)
+    if out is None:
+        raise ValueError(f"no terminal caret at leaf {i}")
+    return out
 
 
-def _nodes(f) -> list:
-    return [(k, n) for k, t in enumerate(f) for n in _heap(t)]
-
-
-def _from_nodes(nodes) -> tuple:
-    return tuple(tuple(n.bit_length() - 1 for _, n in tree)
-                 for _, tree in itertools.groupby(nodes, itemgetter(0)))
+def _from_heaps(heaps) -> tuple:
+    """The forest whose leaves have these heap numbers, left to right."""
+    starts = [k for k, n in enumerate(heaps) if not n & (n - 1)] + [len(heaps)]
+    depths = [n.bit_length() - 1 for n in heaps]
+    return tuple(tuple(depths[a:b]) for a, b in zip(starts, starts[1:]))
 
 
 def cancel_common_carets(f, g):
@@ -275,19 +278,20 @@ def cancel_common_carets(f, g):
     left-to-right pass over the paired leaves; f and g themselves when
     nothing cancels.
 
-    Each stack entry is a leaf of the result, as (tree, heap number) on
-    each side. A new leaf and the top entry become their caret's leaf while
-    they are siblings on both sides: same tree, heap numbers 2m and 2m + 1.
+    The stacks hold the result's heap numbers. A new leaf merges with the top
+    while it and the top are siblings 2m, 2m + 1 on both sides; a tree's
+    first leaf, odd only as a root 1, never does, as 0 is never stacked.
     """
-    stack = []
-    for (k, m), (l, n) in zip(_nodes(f), _nodes(g)):
-        while m & n & 1 and stack and stack[-1] == (k, m - 1, l, n - 1):
-            stack.pop()
+    ms, ns = [], []
+    for m, n in zip(_heaps(f), _heaps(g)):
+        while m & n & 1 and ms and ms[-1] == m - 1 and ns[-1] == n - 1:
+            del ms[-1], ns[-1]
             m, n = m >> 1, n >> 1
-        stack.append((k, m, l, n))
-    if len(stack) == forest_num_leaves(f):
+        ms.append(m)
+        ns.append(n)
+    if len(ms) == forest_num_leaves(f):
         return f, g
-    return _from_nodes(e[:2] for e in stack), _from_nodes(e[2:] for e in stack)
+    return _from_heaps(ms), _from_heaps(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +342,12 @@ def regraft(f, small, big):
 # randomized constructions (used for testing and verification sampling)
 
 def random_forest(rng, trees: int, carets: int):
-    f = (LEAF,) * trees
-    n = trees
-    for _ in range(carets):
-        f = add_caret(f, rng.randrange(n))
-        n += 1
-    return f
+    f = [[0] for _ in range(trees)]
+    for n in range(trees, trees + carets):
+        i = rng.randrange(n)
+        for t in f:
+            if i < len(t):
+                t[i:i + 1] = (t[i] + 1,) * 2
+                break
+            i -= len(t)
+    return tuple(map(tuple, f))

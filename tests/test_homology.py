@@ -368,13 +368,10 @@ class TestPi1FromReports:
                 assert checks[1]["detail"] == detail
 
 
-def _reference_pi1_verdict(chain, res, budget):
-    """The Tietze loop as it stood before kill and substitution became one
-    move, kept verbatim so the meaning of one budget unit stays fixed."""
-    if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
-        return "nontrivial"
-    if len(chain.cells) < 2:
-        return "trivial"
+def _reference_presentation(chain):
+    """(generators, relators) of the spanning-tree presentation, built from
+    the cells as the Tietze loop below built it before it read boundary
+    columns; relators that are empty words are left out."""
     # vertex positions; cells list each simplex in increasing position
     pos = {v: i for i, (v,) in enumerate(chain.cells[0])}
     edges = [(pos[u], pos[v]) for u, v in chain.cells[1]]
@@ -403,8 +400,17 @@ def _reference_pi1_verdict(chain, res, budget):
     triangles = chain.cells[2] if len(chain.cells) > 2 else []
     relators = [edge_word(a, b) + edge_word(b, c) + edge_word(c, a)
                 for a, b, c in (map(pos.get, s) for s in triangles)]
+    return set(gens.values()), [w for w in relators if w]
 
-    alive = set(gens.values())
+
+def _reference_pi1_verdict(chain, res, budget):
+    """The Tietze loop as it stood before kill and substitution became one
+    move, kept verbatim so the meaning of one budget unit stays fixed."""
+    if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
+        return "nontrivial"
+    if len(chain.cells) < 2:
+        return "trivial"
+    alive, relators = _reference_presentation(chain)
     steps = 0
 
     def free_reduce(word: list) -> list:
@@ -520,7 +526,8 @@ def presentation_complex(n_gens, relators):
 class TestTietzeStepAgainstReference:
     """_pi1_verdict gives the reference loop's verdict at every budget, so
     one budget unit (what long-interval-ascending --limit counts) keeps its
-    meaning."""
+    meaning, and it starts from the reference's presentation, letter for
+    letter."""
 
     @staticmethod
     def verdicts(k, verdict):
@@ -531,6 +538,10 @@ class TestTietzeStepAgainstReference:
                 for b in PI1_BUDGETS]
 
     def assert_same(self, k):
+        chain = simplicial_chain_complex(k, top=2)
+        if len(chain.dims) > 1:  # a lone vertex has no presentation to read
+            assert (homology_module._presentation(chain)
+                    == _reference_presentation(chain))
         assert (self.verdicts(k, homology_module._pi1_verdict)
                 == self.verdicts(k, _reference_pi1_verdict))
 

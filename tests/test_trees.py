@@ -200,6 +200,23 @@ class TestSerialization:
     def test_validate_accepts_every_forest(self, f):
         validate_forest(f)
 
+    @given(ref.forests(3), ref.forests(3), st.text(" ,*()[]/", max_size=4),
+           st.data())
+    def test_scanner_builds_only_valid_forests(self, f, g, noise, data):
+        # parse_diagram skips validate_forest: the grammar implies validity
+        for text, layout in ((ref.render_tree(f[0]), "T$"),
+                             (ref.render_forest(f), "[T]$"),
+                             (ref.render_forest(f) + "/" + ref.render_forest(g),
+                              "[T]/[T]$")):
+            at = data.draw(st.integers(0, len(text)))
+            try:
+                parsed = trees_mod._parse(text[:at] + noise + text[at:],
+                                          layout)
+            except ParseError:
+                continue
+            for forest in parsed:
+                validate_forest(forest)
+
 
 class TestSurgery:
     def test_leaf_starts(self):
@@ -396,6 +413,68 @@ class TestAgainstNestedReference:
         f = random_forest(rng, trees, carets)
         assert f == ref.forest_depths(ref.random_forest(ref_rng, trees, carets))
         assert rng.getstate() == ref_rng.getstate()
+
+
+def cancel_leftmost_first(f, g):
+    """The nested forests f, g with their common terminal carets cancelled
+    one at a time, the leftmost first, as diagrams.cancel_at would."""
+    while common := ref.terminal_pairs(f) & ref.terminal_pairs(g):
+        i = min(common)
+        f = ref.remove_terminal_caret(f, i)
+        g = ref.remove_terminal_caret(g, i)
+    return f, g
+
+
+def sparse_forests():
+    """Up to 8 trees, most of them single leaves, so that tree boundaries
+    fall between every kind of neighbouring heap numbers."""
+    return st.lists(st.one_of(st.just(ref.LEAF), ref.trees(6)), min_size=1,
+                    max_size=8).map(tuple)
+
+
+class TestTreeBoundaries:
+    """The heap-number passes never pair leaves across a tree boundary."""
+
+    def test_consecutive_heap_numbers_across_a_boundary(self):
+        # heap numbers 2, 3 | 4, 5, 3 | 1 | 2, 3: leaves 1 and 2 are 3, 4
+        f = parse_forest("[(*,*),((*,*),*),*,(*,*)]")
+        assert terminal_pairs(f) == {0, 2, 6}
+        with pytest.raises(ValueError, match="^no terminal caret at leaf 1$"):
+            remove_terminal_caret(f, 1)
+
+    @given(sparse_forests())
+    def test_surgery_at_every_boundary(self, f):
+        flat = ref.forest_depths(f)
+        n = ref.forest_num_leaves(f)
+        assert terminal_pairs(flat) == ref.terminal_pairs(f)
+        edges = {-1, n - 1, n}
+        for start in leaf_starts(flat):
+            edges |= {start - 1, start}
+        for i in sorted(edges):
+            try:
+                expected = ref.forest_depths(ref.remove_terminal_caret(f, i))
+            except ValueError:
+                with pytest.raises(ValueError) as got:
+                    remove_terminal_caret(flat, i)
+                assert str(got.value) == f"no terminal caret at leaf {i}"
+            else:
+                assert remove_terminal_caret(flat, i) == expected
+
+    @given(sparse_forests(), st.data())
+    def test_cancel_common_carets(self, f, data):
+        # g has f's leaf count, and common carets added on top may cancel
+        n = ref.forest_num_leaves(f)
+        k = data.draw(st.integers(1, min(n, 8)))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        g = ref.random_forest(rng, k, n - k)
+        for _ in range(data.draw(st.integers(0, 4))):
+            i = rng.randrange(ref.forest_num_leaves(f))
+            f, g = ref.add_caret(f, i), ref.add_caret(g, i)
+        flat = ref.forest_depths(f), ref.forest_depths(g)
+        got = trees_mod.cancel_common_carets(*flat)
+        assert got == tuple(map(ref.forest_depths, cancel_leftmost_first(f, g)))
+        if got == flat:  # nothing cancelled: the inputs come back
+            assert got[0] is flat[0] and got[1] is flat[1]
 
 
 class TestRandomGenerators:
