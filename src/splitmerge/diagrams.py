@@ -50,8 +50,9 @@ class Diagram:
     def _make(cls, minus, plus) -> "Diagram":
         """Trusted constructor for forests built from valid diagrams.
 
-        Skips validation and the leaf-count check; only surgery, composition
-        and parse_diagram, whose forests are known valid, may call it.
+        Skips validation and the leaf-count check; only surgery, composition,
+        parse_diagram and random_diagram, whose forests are known valid, may
+        call it.
         """
         d = object.__new__(cls)
         object.__setattr__(d, "minus", minus)
@@ -244,11 +245,20 @@ def mirror_diagram(d: Diagram) -> Diagram:
 # randomized constructions
 
 def random_diagram(rng, heads: int, feet: int, extra_carets: int) -> Diagram:
-    """Random (not necessarily reduced) diagram with the given shape."""
+    """Random (not necessarily reduced) diagram with the given shape.
+
+    Needs heads >= 1, feet >= 1 and extra_carets >= 0 (ValueError
+    otherwise); the two forests then have max(heads, feet) + extra_carets
+    leaves each.
+    """
+    for name, value, least in (("heads", heads, 1), ("feet", feet, 1),
+                               ("extra_carets", extra_carets, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     leaves = max(heads, feet) + extra_carets
     minus = trees.random_forest(rng, heads, leaves - heads)
     plus = trees.random_forest(rng, feet, leaves - feet)
-    return Diagram(minus, plus)
+    return Diagram._make(minus, plus)
 
 
 def random_group_element(rng, extra_carets: int) -> Diagram:

@@ -9,11 +9,27 @@ no unit entry remains goes through the dense Smith normal form, which
 supplies the torsion (after Dumas, Saunders and Villard, JSC 32 (2001)).
 The dense Smith normal form and the exact-rational rank route are the
 independent oracles; the latter never looks at the elimination code.
+
+homology() reduces the boundaries from the top degree down, with clearing
+(Chen and Kerber, EuroCG 2011; Bauer, Kerber and Reininghaus, 2014):
+before it reduces d_k it drops every column whose index was a unit pivot
+row of d_(k+1). Those pivots form a unimodular triangular block and
+d_k d_(k+1) = 0, so each dropped column is an integer combination of the
+kept ones, and neither the rank nor the invariant factors change. Rows of
+the dense leftover block are never cleared: there a column is in general
+only a rational combination of the others, and dropping it can change the
+torsion.
+
 Simplicial chain complexes come from SimplicialComplex objects, whose
 vertices tuple fixes the order of cells and of each cell's vertices.
 Cubical ones take their cells from Fragment.cells() and every boundary
 from the face rule Fragment.faces, as does the staircase subdivision that
-serves as a third cross-check.
+serves as a third cross-check. simplicial_chain_complex,
+cubical_chain_complex and quotient_chain_complex build trusted
+ChainComplexes, which skip the format scan and the d d = 0 check: their
+face rules, and for a quotient the checked closure of the dropped cells,
+give sparse columns without zeros and boundaries that compose to zero by
+construction. Tests hold each builder to the public checks.
 
 pi1_trivial builds an edge-path presentation from a spanning tree and
 simplifies it with a bounded Tietze loop; it answers "trivial",
@@ -153,15 +169,21 @@ class ChainComplex:
     dims[k] sparse columns, one per degree-k cell; each column is a
     {row: value} dict with rows in range(dims[k-1]) and no zero values.
     Construction verifies the format and that consecutive boundaries
-    compose to zero, and raises ValueError otherwise.
+    compose to zero, and raises ValueError otherwise. Only
+    simplicial_chain_complex, cubical_chain_complex and
+    quotient_chain_complex skip both checks, through _trusted: their face
+    rules (for a quotient, its checked subcomplex) make both hold by
+    construction.
     """
 
     __slots__ = ("dims", "boundaries", "cells")
 
-    def __init__(self, dims, boundaries, cells=None):
+    def __init__(self, dims, boundaries, cells=None, *, _trusted=False):
         self.dims = list(dims)
         self.boundaries = boundaries
         self.cells = cells
+        if _trusted:
+            return
         if len(boundaries) != max(0, len(self.dims) - 1):
             raise ValueError("need one boundary map per adjacent dimension pair")
         for k, columns in enumerate(boundaries, start=1):
@@ -197,10 +219,12 @@ def _dense(columns, rows) -> list:
 
 
 def _rank_and_torsion(columns, n_rows) -> tuple:
-    """Rank and invariant factors > 1 of a sparse integer matrix.
+    """Rank, invariant factors > 1 and unit pivot rows of a sparse integer
+    matrix.
 
     Unit pivots are eliminated first, sparsest row first; each leaves a 1
-    on the Smith diagonal. The leftover block goes to smith_normal_form.
+    on the Smith diagonal and its row in the returned set. The leftover
+    block goes to smith_normal_form.
     """
     cols = [dict(c) for c in columns]
     rows = [set() for _ in range(n_rows)]
@@ -209,7 +233,7 @@ def _rank_and_torsion(columns, n_rows) -> tuple:
             rows[i].add(j)
     heap = [(len(r), i) for i, r in enumerate(rows) if r]
     heapq.heapify(heap)
-    pivots = 0
+    pivots = set()
     while heap:
         size, r = heapq.heappop(heap)
         row = rows[r]
@@ -240,7 +264,7 @@ def _rank_and_torsion(columns, n_rows) -> tuple:
                         rows[i].discard(j)
         row.clear()
         cols[c] = None
-        pivots += 1
+        pivots.add(r)
         for i in pivot:
             if i != r:
                 rows[i].discard(c)
@@ -248,18 +272,30 @@ def _rank_and_torsion(columns, n_rows) -> tuple:
                     heapq.heappush(heap, (len(rows[i]), i))
     left = [col for col in cols if col]
     if not left:
-        return pivots, []
+        return len(pivots), [], pivots
     diag = smith_normal_form(_dense(left, sorted({i for col in left
                                                   for i in col})))
-    return pivots + len(diag), [d for d in diag if d > 1]
+    return len(pivots) + len(diag), [d for d in diag if d > 1], pivots
 
 
 def homology(chain: ChainComplex) -> list:
     """Per-degree {"betti": int, "torsion": [int, ...]} by unit-pivot
-    elimination and Smith normal form of the leftover block."""
+    elimination and Smith normal form of the leftover block.
+
+    Boundaries are reduced from the top degree down; the columns of d_k
+    at the unit pivot rows of d_(k+1) are cleared first (see the module
+    docstring for why that keeps the rank and the invariant factors).
+    """
     n = len(chain.dims)
-    reduced = [_rank_and_torsion(columns, chain.dims[k])
-               for k, columns in enumerate(chain.boundaries)]
+    reduced = [None] * (n - 1)
+    cleared = set()
+    for k in range(n - 2, -1, -1):
+        columns = chain.boundaries[k]
+        if cleared:
+            columns = [col for j, col in enumerate(columns)
+                       if j not in cleared]
+        rank, torsion, cleared = _rank_and_torsion(columns, chain.dims[k])
+        reduced[k] = rank, torsion
     out = []
     for k in range(n):
         r_in = reduced[k - 1][0] if k >= 1 else 0
@@ -307,7 +343,8 @@ def simplicial_chain_complex(complex_: SimplicialComplex,
                            for face in faces[k]])
     at = complex_.vertices.__getitem__
     return ChainComplex([len(level) for level in faces], boundaries, cells=[
-        [tuple(map(at, face)) for face in level] for level in faces])
+        [tuple(map(at, face)) for face in level] for level in faces],
+        _trusted=True)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +376,8 @@ def cubical_chain_complex(fragment) -> ChainComplex:
                     col[row] = col.get(row, 0) + value
             columns.append({i: v for i, v in col.items() if v})
         boundaries.append(columns)
-    return ChainComplex([len(c) for c in cells], boundaries, cells=cells)
+    return ChainComplex([len(c) for c in cells], boundaries, cells=cells,
+                        _trusted=True)
 
 
 def subdivision_complex(fragment) -> SimplicialComplex:
@@ -387,7 +425,7 @@ def quotient_chain_complex(chain: ChainComplex, dropped) -> ChainComplex:
     while len(dims) > 1 and dims[-1] == 0:
         dims.pop()
         boundaries.pop()
-    return ChainComplex(dims, boundaries)
+    return ChainComplex(dims, boundaries, _trusted=True)
 
 
 def _pair_homology(chain: ChainComplex, in_sub) -> list:

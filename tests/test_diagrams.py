@@ -30,7 +30,8 @@ from splitmerge.diagrams import (
 )
 from splitmerge.steinfarley import moves_in_band
 from splitmerge.trees import (LEAF, MAX_DEPTH, forest_num_leaves, left_vine,
-                              parse_forest, parse_tree, right_vine)
+                              parse_forest, parse_tree, random_forest,
+                              right_vine, validate_forest)
 
 CARET = parse_tree("(*,*)")
 
@@ -391,6 +392,29 @@ class TestTrustedConstructor:
             checked = Diagram(r.minus, r.plus)
             assert checked == r and hash(checked) == hash(r)
             assert checked.canon == r.canon
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5),
+           st.integers(0, 10))
+    def test_random_diagram_draws_valid_forests(self, seed, heads, feet,
+                                                extra):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        d = random_diagram(rng, heads, feet, extra)
+        validate_forest(d.minus)
+        validate_forest(d.plus)
+        assert Diagram(d.minus, d.plus) == d
+        assert (d.heads, d.feet) == (heads, feet)
+        # the same draws as the two random_forest calls it makes
+        leaves = max(heads, feet) + extra
+        assert d.minus == random_forest(ref_rng, heads, leaves - heads)
+        assert d.plus == random_forest(ref_rng, feet, leaves - feet)
+        assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("args, name", [
+        ((0, 1, 3), "heads"), ((1, 0, 3), "feet"), ((1, 1, -1), "extra_carets"),
+    ])
+    def test_random_diagram_rejects_bad_shapes(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            random_diagram(random.Random(0), *args)
 
     @pytest.mark.parametrize("minus, plus", [
         ((), (LEAF,)),

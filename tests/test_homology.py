@@ -12,6 +12,7 @@ from splitmerge.complexes import (
     SimplicialComplex,
     cone,
     gm_linear,
+    join,
     m_linear,
 )
 from splitmerge.diagrams import parse_diagram, random_vertex
@@ -793,3 +794,224 @@ class TestReportsAgainstParent:
         assert rep == {"k": 1, "verdict": "fail", "pi1": None, "checks": [
             {"name": "nonempty", "ok": False, "detail": ""},
             {"name": "connected", "ok": False, "detail": "empty"}]}
+
+
+# ---------------------------------------------------------------------------
+# trusted builds and clearing
+
+RP2 = SimplicialComplex([
+    fs(1, 2, 3), fs(1, 3, 4), fs(1, 4, 5), fs(1, 5, 6), fs(1, 2, 6),
+    fs(2, 3, 5), fs(2, 4, 5), fs(2, 4, 6), fs(3, 4, 6), fs(3, 5, 6),
+])
+
+# complexes up to dimension 5, so that every top up to 5 cuts some of them
+UP_TO_5_DIMENSIONAL = st.one_of(connected_complexes(), st.lists(
+    st.sets(st.integers(0, 9), min_size=1, max_size=6),
+    max_size=8).map(SimplicialComplex))
+
+CHI = Character(1, 0)
+
+
+def small_fragments():
+    """Fragments explored in several bands, from the identity and from
+    random vertices."""
+    rng = random.Random(17)
+    out = [explore([parse_diagram("[(*,*)]/[*,*]")], (2, 5),
+                   characters=(CHI,), max_vertices=90)]
+    for band in [(1, 3), (2, 4), (2, 6), (3, 5), (3, 7)]:
+        seeds = [random_vertex(rng, rng.randint(*band), rng.randint(0, 5))
+                 for _ in range(2)]
+        out.append(explore(seeds, band, characters=(CHI,),
+                           max_vertices=rng.choice([25, 60, 150])))
+    return out
+
+
+FRAGMENTS = small_fragments()
+
+
+def quotients_behind(monkeypatch, run):
+    """The chain complexes that run() hands to homology()."""
+    seen = []
+
+    def record(chain):
+        seen.append(chain)
+        return real(chain)
+
+    real = homology_module.homology
+    monkeypatch.setattr(homology_module, "homology", record)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def pair_quotients(monkeypatch, frag):
+    """The quotients behind fragment_pair_homology for the sublevel sets
+    of CHI at its three lowest values."""
+    vals = frag.chi_values[str(CHI)]
+    out = []
+    for cut in sorted(set(vals))[:3]:
+        seen = quotients_behind(monkeypatch, lambda: fragment_pair_homology(
+            frag, lambda j: vals[j] <= cut))
+        assert len(seen) == 1
+        out += seen
+    return out
+
+
+def assert_public_build_accepts(cc):
+    ChainComplex(cc.dims, cc.boundaries)  # raises on a malformed build
+
+
+class TestTrustedBuilders:
+    """simplicial_chain_complex, cubical_chain_complex and
+    quotient_chain_complex skip ChainComplex's format scan and d d = 0
+    check; what they build must pass both."""
+
+    @given(UP_TO_5_DIMENSIONAL)
+    @settings(max_examples=200, deadline=None)
+    @example(RP2)
+    def test_simplicial(self, k):
+        for top in (None, 0, 1, 2, 3, 4, 5):
+            assert_public_build_accepts(simplicial_chain_complex(k, top))
+
+    @pytest.mark.parametrize("i", range(len(FRAGMENTS)))
+    def test_cubical(self, i):
+        assert_public_build_accepts(cubical_chain_complex(FRAGMENTS[i]))
+
+    @pytest.mark.parametrize("i", range(len(FRAGMENTS)))
+    def test_fragment_pair_quotients(self, monkeypatch, i):
+        for chain in pair_quotients(monkeypatch, FRAGMENTS[i]):
+            assert_public_build_accepts(chain)
+
+    @given(ANY_COMPLEX, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_relative_quotients(self, k, seed):
+        rng = random.Random(seed)
+        sub = SimplicialComplex([f for f in k.facets if rng.random() < 0.5])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = quotients_behind(monkeypatch,
+                                    lambda: relative_homology(k, sub))
+        assert len(seen) == 1
+        assert_public_build_accepts(seen[0])
+
+
+def unclearing_homology(chain):
+    """homology() as it stood before clearing, kept verbatim as the
+    reference: every boundary reduced on its own."""
+    n = len(chain.dims)
+    reduced = [homology_module._rank_and_torsion(columns, chain.dims[k])[:2]
+               for k, columns in enumerate(chain.boundaries)]
+    out = []
+    for k in range(n):
+        r_in = reduced[k - 1][0] if k >= 1 else 0
+        r_out, torsion = reduced[k] if k < n - 1 else (0, [])
+        betti = chain.dims[k] - r_in - r_out
+        out.append({"betti": betti, "torsion": torsion})
+    return out
+
+
+def scrambled_complex(rng, pieces):
+    """(chain, homology) of a direct sum of elementary complexes under
+    random unimodular changes of basis. pieces lists (k, d): d = 0 is a
+    free Z in degree k, d != 0 a Z --d--> Z from degree k + 1 to k, which
+    adds Z/|d| to H_k when |d| > 1. The result has non-unit entries
+    everywhere and known homology."""
+    n = 1 + max(k + (d != 0) for k, d in pieces)
+    dims = [0] * n
+    cells = []
+    for k, d in pieces:
+        cells.append((k, dims[k]))
+        dims[k] += 1
+        if d:
+            cells.append((k + 1, dims[k + 1]))
+            dims[k + 1] += 1
+    # dense[k] is the matrix of d_(k+1): dims[k] rows, dims[k + 1] columns
+    dense = [[[0] * dims[k + 1] for _ in range(dims[k])] for k in range(n - 1)]
+    at = iter(cells)
+    for k, d in pieces:
+        _, row = next(at)
+        if d:
+            _, col = next(at)
+            dense[k][row][col] = d
+    for _ in range(2 * sum(dims)):
+        k = rng.randrange(n)
+        if dims[k] < 2:
+            continue
+        i, j = rng.sample(range(dims[k]), 2)
+        c = rng.choice([-2, -1, 1, 1])
+        # new basis in degree k: column i of d_k gains c * column j, and
+        # row j of d_(k+1) loses c * row i, so d d = 0 still holds
+        if k >= 1:
+            for row in dense[k - 1]:
+                row[i] += c * row[j]
+        if k < n - 1:
+            dense[k][j] = [a - c * b for a, b in zip(dense[k][j], dense[k][i])]
+    boundaries = [[{i: m[i][j] for i in range(len(m)) if m[i][j]}
+                   for j in range(dims[k + 1])] for k, m in enumerate(dense)]
+    expected = []
+    for k in range(n):
+        orders = [abs(d) for j, d in pieces if j == k and abs(d) > 1]
+        diag = smith_normal_form([[o if a == b else 0 for b in range(
+            len(orders))] for a, o in enumerate(orders)])
+        expected.append({
+            "betti": sum(1 for j, d in pieces if j == k and d == 0),
+            "torsion": [x for x in diag if x > 1]})
+    return ChainComplex(dims, boundaries), expected
+
+
+class TestClearing:
+    """homology() reduces top-down and clears the columns of d_k at the
+    unit pivot rows of d_(k+1); it must agree with reducing every
+    boundary on its own."""
+
+    @staticmethod
+    def assert_same(chain):
+        got = homology(chain)
+        assert got == unclearing_homology(chain)
+        return got
+
+    @given(UP_TO_5_DIMENSIONAL)
+    @settings(max_examples=200, deadline=None)
+    def test_random_complexes(self, k):
+        for top in (None, 1, 2):
+            self.assert_same(simplicial_chain_complex(k, top))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.tuples(
+        st.integers(0, 3), st.sampled_from([0, 1, -1, 2, -2, 3, 4, 6])),
+        min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_scrambled_complexes_with_torsion(self, seed, pieces):
+        chain, expected = scrambled_complex(random.Random(seed), pieces)
+        assert self.assert_same(chain) == expected
+
+    @pytest.mark.parametrize("name, k, torsion", [
+        ("RP2", RP2, [[], [2], []]),
+        ("suspended RP2", join(RP2, SimplicialComplex([fs("n"), fs("s")])),
+         [[], [], [2], []]),
+        ("RP2 join RP2", join(RP2, SimplicialComplex(
+            [fs(*(-v for v in f)) for f in RP2.facets])),
+         [[], [], [], [2], [2], []]),
+        ("<a | a^3>", presentation_complex(1, [[1, 1, 1]]), [[], [3], []]),
+        ("<a, b | a^2, b^3>", presentation_complex(2, [[1, 1], [2, 2, 2]]),
+         [[], [6], []]),
+        ("dunce hat", dunce_hat(), [[], [], []]),
+    ])
+    def test_torsion(self, name, k, torsion):
+        assert [h["torsion"] for h in self.assert_same(
+            simplicial_chain_complex(k))] == torsion
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matching_complexes(self, n):
+        self.assert_same(simplicial_chain_complex(m_linear(n)))
+
+    @pytest.mark.parametrize("i", range(len(FRAGMENTS)))
+    def test_cubical_and_relative_fragments(self, monkeypatch, i):
+        self.assert_same(cubical_chain_complex(FRAGMENTS[i]))
+        for chain in pair_quotients(monkeypatch, FRAGMENTS[i]):
+            self.assert_same(chain)
+
+    def test_only_unit_pivot_rows_are_cleared(self):
+        # d2 has the unit entry -1 at row 1 and the non-unit 2 at row 0;
+        # clearing column 0 of d1 instead of column 1 would leave {0: 2}
+        # and report Z/2 in H0
+        chain = ChainComplex([1, 2, 1], [[{0: 1}, {0: 2}], [{0: 2, 1: -1}]])
+        assert self.assert_same(chain) == [{"betti": 0, "torsion": []}] * 3
