@@ -152,15 +152,19 @@ class SimplicialComplex:
 
     def _position_faces(self, top: int) -> list:
         """Faces of dimension 0..min(top, dim()), one sorted list each, as
-        increasing tuples of vertex positions taken from each facet."""
+        increasing tuples of vertex positions: the vertices by position,
+        the higher faces taken from each facet."""
+        top = min(top, self.dim())
+        if top < 0:
+            return []
         pos = {v: i for i, v in enumerate(self.vertices)}
-        levels: list = [set() for _ in range(min(top, self.dim()) + 1)]
+        levels: list = [set() for _ in range(top)]  # dimensions 1..top
         at = pos.__getitem__
         for f in self.facets:
             ps = sorted(map(at, f))
-            for k in range(min(len(ps), len(levels))):
-                levels[k].update(combinations(ps, k + 1))
-        return [sorted(level) for level in levels]
+            for k in range(1, min(len(ps), top + 1)):
+                levels[k - 1].update(combinations(ps, k + 1))
+        return [[(i,) for i in range(len(pos))]] + list(map(sorted, levels))
 
     def _labelled(self, levels) -> list:
         vs = self.vertices

@@ -22,9 +22,13 @@ torsion.
 
 Simplicial chain complexes come from SimplicialComplex objects, whose
 vertices tuple fixes the order of cells and of each cell's vertices.
-Cubical ones take their cells from Fragment.cells() and every boundary
-from the face rule Fragment.faces, as does the staircase subdivision that
-serves as a third cross-check. simplicial_chain_complex,
+Cubical ones take their cells from Fragment.cells() and each boundary
+column from one Fragment.faces call, as does the staircase subdivision
+that serves as a third cross-check; a k-cube's 2k faces are distinct, so
+its column is written entry by entry. fragment_pair_homology asks its
+vertex predicate once per vertex and reads the rest of the full
+subcomplex off the boundary columns: a cell of dimension >= 1 is in it
+when all its facets are. simplicial_chain_complex,
 cubical_chain_complex and quotient_chain_complex build trusted
 ChainComplexes, which skip the format scan and the d d = 0 check: their
 face rules, and for a quotient the checked closure of the dropped cells,
@@ -51,7 +55,6 @@ from itertools import combinations, count, groupby
 from math import gcd
 
 from .complexes import SimplicialComplex
-from .steinfarley import cube_axes
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +337,9 @@ def simplicial_chain_complex(complex_: SimplicialComplex,
     if top is not None:
         dim = min(dim, top)
     faces = complex_._position_faces(dim)
-    boundaries = []
-    for k in range(1, dim + 1):
+    # an edge (a, b), a < b, has boundary b - a
+    boundaries = [[{a: -1, b: 1} for a, b in faces[1]]] if dim >= 1 else []
+    for k in range(2, dim + 1):
         row = {face: i for i, face in enumerate(faces[k - 1])}.__getitem__
         # combinations drops the last vertex first: signs (-1)^k, ..., +1
         signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)]
@@ -355,26 +359,26 @@ def cubical_chain_complex(fragment) -> ChainComplex:
 
     cells[k] lists the fragment's cells (base, word) with k L letters, in
     the order of Fragment.cells(); a vertex is (i, all-I word). Across its
-    j-th axis p (j = 1, 2, ...) a cell has the two faces
-    Fragment.faces(base, word, p): the front one with sign (-1)^j, the
-    back one with the opposite sign.
+    j-th axis (j = 1, 2, ...) a cell has the j-th faces Fragment.faces
+    lists: the front one with sign (-1)^j, then the back one with the
+    opposite sign. The 2k faces of a k-cube are distinct (back faces differ
+    in their words, front faces in their bases), so nothing cancels.
     """
     # an empty fragment still has its (empty) degree 0
     cells = [list(level) for _, level in groupby(
         fragment.cells(), key=lambda cell: cell[1].count("L"))] or [[]]
     boundaries = []
+    faces = fragment.faces
     for k in range(1, len(cells)):
         index = {cell: i for i, cell in enumerate(cells[k - 1])}
+        signs = [(-1) ** j for j in range(1, k + 1)]
         columns = []
         for base, word in cells[k]:
-            col: dict = {}
-            for j, p in enumerate(cube_axes(word), 1):
-                sign = (-1) ** j
-                back, front = fragment.faces(base, word, p)
-                for face, value in ((front, sign), (back, -sign)):
-                    row = index[face]
-                    col[row] = col.get(row, 0) + value
-            columns.append({i: v for i, v in col.items() if v})
+            col = {}
+            for (back, front), sign in zip(faces(base, word), signs):
+                col[index[front]] = sign
+                col[index[back]] = -sign
+            columns.append(col)
         boundaries.append(columns)
     return ChainComplex([len(c) for c in cells], boundaries, cells=cells,
                         _trusted=True)
@@ -392,8 +396,8 @@ def subdivision_complex(fragment) -> SimplicialComplex:
     chains: dict = {}  # cells() lists every face before its cofaces
     for base, word in fragment.cells():
         chains[base, word] = [
-            [base] + chain for p in cube_axes(word)
-            for chain in chains[fragment.faces(base, word, p)[1]]] or [[base]]
+            [base] + chain for _, front in fragment.faces(base, word)
+            for chain in chains[front]] or [[base]]
     return SimplicialComplex([chain for cell_chains in chains.values()
                               for chain in cell_chains])
 
@@ -402,10 +406,18 @@ def quotient_chain_complex(chain: ChainComplex, dropped) -> ChainComplex:
     """Relative chain complex: drop the cells of a subcomplex.
 
     dropped[k] is a set of cell indices in degree k; it must be closed under
-    the boundary (checked), i.e. describe an actual subcomplex.
+    the boundary (checked), i.e. describe an actual subcomplex. An index
+    that names no cell of its degree (negative, too large, or past the top
+    degree) raises ValueError.
     """
     n = len(chain.dims)
-    dropped = list(dropped)[:n] + [set()] * (n - len(dropped))
+    dropped = list(dropped)
+    for k, level in enumerate(dropped):
+        size = chain.dims[k] if k < n else 0
+        for i in (min(level), max(level)) if level else ():
+            if not 0 <= i < size:
+                raise ValueError(f"degree {k} has no cell {i} to drop")
+    dropped += [set()] * (n - len(dropped))
     keep = [[i for i in range(chain.dims[k]) if i not in dropped[k]]
             for k in range(n)]
     for k in range(1, n):
@@ -428,22 +440,20 @@ def quotient_chain_complex(chain: ChainComplex, dropped) -> ChainComplex:
     return ChainComplex(dims, boundaries, _trusted=True)
 
 
-def _pair_homology(chain: ChainComplex, in_sub) -> list:
-    """Homology of chain relative to the cells that pass in_sub."""
-    return homology(quotient_chain_complex(chain, [
-        {i for i, cell in enumerate(level) if in_sub(cell)}
-        for level in chain.cells]))
-
-
 def fragment_pair_homology(fragment, in_sub) -> list:
     """Homology of a fragment relative to a full cubical subcomplex.
 
-    in_sub(vertex_index) picks the subcomplex vertices; a cell belongs to
-    the subcomplex when all its corners do. The predicate must actually
-    select a subcomplex (checked via boundary closure).
+    in_sub(vertex_index), called once per vertex, picks the subcomplex
+    vertices; a cell belongs to the subcomplex when all its corners do, so
+    a cell of dimension >= 1 when all the rows of its boundary column do.
     """
-    return _pair_homology(cubical_chain_complex(fragment), lambda cell: all(
-        map(in_sub, fragment.corners(*cell))))
+    chain = cubical_chain_complex(fragment)
+    sub = [set(filter(in_sub, range(chain.dims[0])))]
+    for columns in chain.boundaries:
+        below = sub[-1]
+        sub.append({j for j, col in enumerate(columns)
+                    if below.issuperset(col)})
+    return homology(quotient_chain_complex(chain, sub))
 
 
 def relative_homology(complex_: SimplicialComplex,
@@ -453,8 +463,10 @@ def relative_homology(complex_: SimplicialComplex,
     for s in sub:
         if s not in complex_:
             raise ValueError("second argument is not a subcomplex")
-    return _pair_homology(simplicial_chain_complex(complex_),
-                          lambda s: frozenset(s) in sub)
+    chain = simplicial_chain_complex(complex_)
+    return homology(quotient_chain_complex(chain, [
+        {i for i, cell in enumerate(level) if frozenset(cell) in sub}
+        for level in chain.cells]))
 
 
 # ---------------------------------------------------------------------------

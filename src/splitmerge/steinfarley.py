@@ -16,7 +16,8 @@ Coface words are strings over I (foot untouched), L (foot split) and V
 (two adjacent feet merged); reading left to right, I and L consume one
 foot and V consumes two. Cells inside a fragment are stored from their
 fewest-feet corner, whose word therefore uses only I and L (a vertex is its
-all-I word); Fragment.faces is the one face rule for all of them.
+all-I word); Fragment.faces is the one face rule for all of them, and
+lists a cell's (back, front) faces across every axis in one call.
 
 Ascending (descending) links are read off the actual neighbor diagrams:
 each banded move is compared by refined height with the vertex, the
@@ -365,11 +366,18 @@ class Fragment:
             corners = corners + [self.step(i, ("s", p)) for i in corners]
         return corners
 
-    def faces(self, base: int, word: str, p: int) -> tuple:
-        """Back and front faces of the cell across axis p: the L at foot p
-        becomes I at base, and II at the far end of split p."""
-        return ((base, word[:p - 1] + "I" + word[p:]),
-                (self.moves[base]["s", p], _doubled(word, p)))
+    def faces(self, base: int, word: str) -> list:
+        """(back, front) faces of the cell across each axis, in axis order:
+        the L at foot p becomes I at base, and II at the far end of split
+        p. A vertex has none."""
+        mv, out = self.moves[base], []
+        at = word.find("L")  # the L at foot p = at + 1
+        while at >= 0:
+            head, tail = word[:at], word[at + 1:]
+            out.append(((base, f"{head}I{tail}"),
+                        (mv["s", at + 1], f"{head}II{tail}")))
+            at = word.find("L", at + 1)
+        return out
 
     def cells(self) -> list:
         """Every cell as (base, I/L word), by dimension (the number of L

@@ -3,6 +3,7 @@
 import importlib
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,7 +33,12 @@ from splitmerge.homology import (
     smith_normal_form,
     subdivision_complex,
 )
-from splitmerge.steinfarley import ascending_link, descending_link, explore
+from splitmerge.steinfarley import (
+    Fragment,
+    ascending_link,
+    descending_link,
+    explore,
+)
 
 # the package re-exports homology(), which shadows the module attribute
 homology_module = importlib.import_module("splitmerge.homology")
@@ -627,6 +633,33 @@ class TestRelative:
             # dropping an edge while keeping its endpoints is not a subcomplex
             quotient_chain_complex(cc, [set(), {0}, set()])
 
+    # the path 1-2-3: vertices 0, 1, 2 and edges 0 (12), 1 (23)
+    PATH = SimplicialComplex([fs(1, 2), fs(2, 3)])
+
+    def test_quotient_rejects_a_negative_index(self):
+        # -1 would read as the last edge, pass the closure check and be kept
+        cc = simplicial_chain_complex(self.PATH)
+        with pytest.raises(ValueError, match="degree 1 has no cell -1"):
+            quotient_chain_complex(cc, [{0, 1, 2}, {-1}])
+
+    def test_quotient_rejects_a_vertex_index_out_of_range(self):
+        cc = simplicial_chain_complex(self.PATH)
+        with pytest.raises(ValueError, match="degree 0 has no cell 5"):
+            quotient_chain_complex(cc, [{5}])
+
+    def test_quotient_rejects_an_edge_index_out_of_range(self):
+        cc = simplicial_chain_complex(self.PATH)
+        with pytest.raises(ValueError, match="degree 1 has no cell 7"):
+            quotient_chain_complex(cc, [set(), {7}])
+
+    def test_quotient_rejects_cells_past_the_top_degree(self):
+        cc = simplicial_chain_complex(self.PATH)
+        with pytest.raises(ValueError, match="degree 2 has no cell 0"):
+            quotient_chain_complex(cc, [set(), set(), {0}])
+        # empty levels past the top drop nothing
+        assert quotient_chain_complex(
+            cc, [set(), set(), set()]).dims == cc.dims
+
     def test_fragment_pair(self):
         c = Character(1, 0)
         frag = explore(
@@ -892,6 +925,101 @@ class TestTrustedBuilders:
                                     lambda: relative_homology(k, sub))
         assert len(seen) == 1
         assert_public_build_accepts(seen[0])
+
+
+def parent_faces(fragment, base, word, p):
+    """Fragment.faces as it stood before it listed every axis at once:
+    the back and front faces across axis p alone, kept verbatim."""
+    return ((base, word[:p - 1] + "I" + word[p:]),
+            (fragment.moves[base]["s", p], word[:p - 1] + "II" + word[p:]))
+
+
+def parent_cubical_chain_complex(fragment):
+    """cubical_chain_complex as it stood before faces came all at once,
+    kept verbatim: one faces call per axis, entries summed per row, then
+    zeros filtered out."""
+    cells = [list(level) for _, level in groupby(
+        fragment.cells(), key=lambda cell: cell[1].count("L"))] or [[]]
+    boundaries = []
+    for k in range(1, len(cells)):
+        index = {cell: i for i, cell in enumerate(cells[k - 1])}
+        columns = []
+        for base, word in cells[k]:
+            col: dict = {}
+            axes = [i + 1 for i, ch in enumerate(word) if ch == "L"]
+            for j, p in enumerate(axes, 1):
+                sign = (-1) ** j
+                back, front = parent_faces(fragment, base, word, p)
+                for face, value in ((front, sign), (back, -sign)):
+                    row = index[face]
+                    col[row] = col.get(row, 0) + value
+            columns.append({i: v for i, v in col.items() if v})
+        boundaries.append(columns)
+    return [len(c) for c in cells], boundaries, cells
+
+
+def corner_pair_quotient(fragment, in_sub):
+    """The quotient behind fragment_pair_homology by its definition: a
+    cell is in the subcomplex when all its corners are."""
+    chain = cubical_chain_complex(fragment)
+    return quotient_chain_complex(chain, [
+        {i for i, cell in enumerate(level)
+         if all(map(in_sub, fragment.corners(*cell)))}
+        for level in chain.cells])
+
+
+ONE_VERTEX = explore([parse_diagram("[(*,*)]/[*,*]")], (2, 4),
+                     max_vertices=1)
+BUILDER_FRAGMENTS = FRAGMENTS + [Fragment([], (2, 4)), ONE_VERTEX]
+
+
+def column_items(boundaries):
+    return [[list(col.items()) for col in columns] for columns in boundaries]
+
+
+class TestCubicalAgainstParent:
+    """cubical_chain_complex writes each column's 2k entries straight from
+    one Fragment.faces call per cell; it must equal the per-axis builder
+    that summed and filtered, entry order included."""
+
+    @pytest.mark.parametrize("i", range(len(BUILDER_FRAGMENTS)))
+    def test_equals_parent_builder(self, i):
+        frag = BUILDER_FRAGMENTS[i]
+        cc = cubical_chain_complex(frag)
+        dims, boundaries, cells = parent_cubical_chain_complex(frag)
+        assert cc.dims == dims and cc.cells == cells
+        assert column_items(cc.boundaries) == column_items(boundaries)
+
+    def test_small_fragments_are_covered(self):
+        assert cubical_chain_complex(BUILDER_FRAGMENTS[-2]).dims == [0]
+        assert cubical_chain_complex(BUILDER_FRAGMENTS[-1]).dims == [1]
+        assert {len(cubical_chain_complex(f).dims) for f in FRAGMENTS} >= \
+            {3, 4}
+
+    @pytest.mark.parametrize("i", range(len(BUILDER_FRAGMENTS)))
+    def test_pair_equals_corner_definition(self, monkeypatch, i):
+        frag = BUILDER_FRAGMENTS[i]
+        n = len(frag.vertices)
+        rng = random.Random(i)
+        chosen = {j for j in range(n) if rng.random() < 0.6}
+        chi0 = frag.chi0_values
+        cut = sorted(chi0)[n // 2] if n else 0
+        for in_sub in (lambda j: True, lambda j: False, chosen.__contains__,
+                       lambda j: chi0[j] <= cut):
+            seen = quotients_behind(monkeypatch, lambda: fragment_pair_homology(
+                frag, in_sub))
+            want = corner_pair_quotient(frag, in_sub)
+            assert len(seen) == 1
+            assert seen[0].dims == want.dims
+            assert column_items(seen[0].boundaries) == \
+                column_items(want.boundaries)
+            assert fragment_pair_homology(frag, in_sub) == homology(want)
+
+    def test_in_sub_is_called_once_per_vertex(self):
+        frag = FRAGMENTS[0]
+        calls = []
+        fragment_pair_homology(frag, lambda j: calls.append(j) or j % 2)
+        assert calls == list(range(len(frag.vertices)))
 
 
 def unclearing_homology(chain):

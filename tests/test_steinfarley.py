@@ -433,6 +433,26 @@ class TestCubes:
             k = word.count("L")
             assert len(set(frag.corners(base, word))) == 2**k
 
+    def test_faces_split_the_corners(self):
+        # across each axis, in axis order, the back face holds the corners
+        # without split p and the front face those with it
+        x = parse_diagram("[(*,*)]/[*,*]")
+        frag = explore([x], (2, 6), max_vertices=150)
+        for i, f in enumerate(frag.feet_values):
+            assert frag.faces(i, "I" * f) == []
+        for base, word in frag.cubes:
+            faces = frag.faces(base, word)
+            axes = [p + 1 for p, ch in enumerate(word) if ch == "L"]
+            assert len(faces) == len(axes)
+            corners = frag.corners(base, word)
+            for p, (back, front) in zip(axes, faces):
+                assert back[0] == base
+                assert front[0] == frag.step(base, ("s", p))
+                assert back[1].count("L") == front[1].count("L") == \
+                    len(axes) - 1
+                assert sorted(frag.corners(*back) + frag.corners(*front)) \
+                    == sorted(corners)
+
     def test_unique_height_extremes_per_cube(self):
         x = parse_diagram("[(*,*)]/[*,*]")
         frag = explore([x], (2, 6), max_vertices=150)
