@@ -21,7 +21,13 @@ only a rational combination of the others, and dropping it can change the
 torsion.
 
 Simplicial chain complexes come from SimplicialComplex objects, whose
-vertices tuple fixes the order of cells and of each cell's vertices.
+vertices tuple fixes the order of cells and of each cell's vertices. The
+builder works on the faces as tuples of vertex positions and keeps them
+with that tuple; the labelled cells, which only relative_homology and the
+tests read, are produced the first time ChainComplex.cells is read. Edge
+columns are written as {a: -1, b: 1}, triangle columns through integer
+edge keys a*n + b (n vertices), and higher degrees by combinations of
+each face.
 Cubical ones take their cells from Fragment.cells() and each boundary
 column from one Fragment.faces call, as does the staircase subdivision
 that serves as a third cross-check; a k-cube's 2k faces are distinct, so
@@ -49,9 +55,10 @@ H0 of the chain complex they build, and hand its H1 to the same Tietze step.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, count, groupby
+from itertools import combinations, count
 from math import gcd
 
 from .complexes import SimplicialComplex
@@ -176,15 +183,17 @@ class ChainComplex:
     simplicial_chain_complex, cubical_chain_complex and
     quotient_chain_complex skip both checks, through _trusted: their face
     rules (for a quotient, its checked subcomplex) make both hold by
-    construction.
+    construction. cells, if given, lists each degree's cells.
     """
 
-    __slots__ = ("dims", "boundaries", "cells")
+    __slots__ = ("dims", "boundaries", "_cells", "_labels")
 
-    def __init__(self, dims, boundaries, cells=None, *, _trusted=False):
+    def __init__(self, dims, boundaries, cells=None, *, _trusted=False,
+                 _labels=None):
         self.dims = list(dims)
         self.boundaries = boundaries
-        self.cells = cells
+        self._cells = cells
+        self._labels = _labels
         if _trusted:
             return
         if len(boundaries) != max(0, len(self.dims) - 1):
@@ -202,6 +211,19 @@ class ChainComplex:
                             f"boundary {k} has entry {value} at row {row}")
         for k in range(len(boundaries) - 1):
             _check_composes_to_zero(boundaries[k], boundaries[k + 1], k)
+
+    @property
+    def cells(self):
+        """The cells by degree, or None. simplicial_chain_complex hands in
+        its faces as vertex positions with _labels, its vertices tuple;
+        they become label tuples the first time this is read."""
+        labels = self._labels
+        if labels is not None:
+            at = labels.__getitem__
+            self._cells = [[tuple(map(at, face)) for face in level]
+                           for level in self._cells]
+            self._labels = None
+        return self._cells
 
 
 def _check_composes_to_zero(a, b, k):
@@ -330,25 +352,36 @@ def simplicial_chain_complex(complex_: SimplicialComplex,
     """Ordered-simplex chain complex through degree top (default: all).
 
     cells[k] lists complex_.k_simplices(k) in that order, each as a tuple
-    in the order of complex_.vertices. The faces come from the facets, as
-    tuples of vertex positions, and only up to min(dim, top) are built.
+    in the order of complex_.vertices; they are labelled the first time
+    cells is read, as homology and pi1 read only the boundaries. The faces
+    come from the facets, as tuples of vertex positions, and only up to
+    min(dim, top) are built. A column keys its rows in combinations order
+    with signs (-1)^k, ..., +1: an edge (a, b) is {a: -1, b: 1}, and a
+    triangle (a, b, c) finds its edges ab, ac, bc, with signs +1, -1, +1,
+    by the integer keys a*n + b of n vertices. top must be None or an
+    int >= 0.
     """
+    if top is not None and not (isinstance(top, int) and top >= 0):
+        raise ValueError(f"top must be None or an int >= 0, got {top!r}")
     dim = complex_.dim()
     if top is not None:
         dim = min(dim, top)
     faces = complex_._position_faces(dim)
     # an edge (a, b), a < b, has boundary b - a
     boundaries = [[{a: -1, b: 1} for a, b in faces[1]]] if dim >= 1 else []
-    for k in range(2, dim + 1):
+    if dim >= 2:
+        n = len(faces[0])
+        edge = {a * n + b: i for i, (a, b) in enumerate(faces[1])}
+        boundaries.append([{edge[a * n + b]: 1, edge[a * n + c]: -1,
+                            edge[b * n + c]: 1} for a, b, c in faces[2]])
+    for k in range(3, dim + 1):
         row = {face: i for i, face in enumerate(faces[k - 1])}.__getitem__
         # combinations drops the last vertex first: signs (-1)^k, ..., +1
         signs = [-1 if i % 2 else 1 for i in range(k, -1, -1)]
         boundaries.append([dict(zip(map(row, combinations(face, k)), signs))
                            for face in faces[k]])
-    at = complex_.vertices.__getitem__
-    return ChainComplex([len(level) for level in faces], boundaries, cells=[
-        [tuple(map(at, face)) for face in level] for level in faces],
-        _trusted=True)
+    return ChainComplex([len(level) for level in faces], boundaries, faces,
+                        _trusted=True, _labels=complex_.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +397,14 @@ def cubical_chain_complex(fragment) -> ChainComplex:
     opposite sign. The 2k faces of a k-cube are distinct (back faces differ
     in their words, front faces in their bases), so nothing cancels.
     """
-    # an empty fragment still has its (empty) degree 0
-    cells = [list(level) for _, level in groupby(
-        fragment.cells(), key=lambda cell: cell[1].count("L"))] or [[]]
+    flat = fragment.cells()  # an empty fragment still has its degree 0
+
+    def degree(cell):  # nondecreasing along flat, so bisection finds levels
+        return cell[1].count("L")
+
+    ends = [bisect_right(flat, k, key=degree)
+            for k in range(degree(flat[-1]) + 1)] if flat else [0]
+    cells = [flat[a:b] for a, b in zip([0] + ends, ends)]
     boundaries = []
     faces = fragment.faces
     for k in range(1, len(cells)):
@@ -475,8 +513,7 @@ def relative_homology(complex_: SimplicialComplex,
 def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
                     pi1_budget: int = 20000) -> dict:
     """Betti numbers, torsion, connectedness (from H0) and on request pi1."""
-    if pi1_budget < 0:
-        raise ValueError(f"pi1 budget must be at least 0, got {pi1_budget}")
+    _check_budget("pi1_budget", pi1_budget)
     nonempty = not complex_.is_empty()
     chain = simplicial_chain_complex(complex_)
     res = homology(chain)
@@ -503,16 +540,21 @@ def pi1_trivial(complex_: SimplicialComplex, budget: int = 20000) -> str:
     Requires a nonempty connected complex. "nontrivial" is only ever
     reported on homological evidence (nonzero H1); "trivial" only when the
     spanning-tree presentation collapses completely under Tietze moves
-    within the budget, which must not be negative.
+    within the budget, which must be an int >= 0.
     """
-    if budget < 0:
-        raise ValueError(f"pi1 budget must be at least 0, got {budget}")
+    _check_budget("budget", budget)
     if complex_.is_empty():
         raise ValueError("pi1 of the empty complex is undefined")
     if not complex_.is_connected():
         raise ValueError("pi1 needs a connected complex")
     chain = simplicial_chain_complex(complex_, top=2)
     return _pi1_verdict(chain, homology(chain), budget)
+
+
+def _check_budget(name, budget):
+    """A pi1 budget counts Tietze moves, so it is an int >= 0."""
+    if not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"{name} must be an int >= 0, got {budget!r}")
 
 
 def _free_reduce(word) -> list:
@@ -611,8 +653,9 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
     "inconclusive" when the only gap is an unresolved pi1. Checks, in order:
     nonempty, connected ("empty" or "N components"), H1_zero..Hk_zero, pi1.
     """
-    if k < -1 or pi1_budget < 0:
-        raise ValueError(f"need k >= -1, pi1_budget >= 0: {k}, {pi1_budget}")
+    _check_budget("pi1_budget", pi1_budget)
+    if k < -1:
+        raise ValueError(f"need k >= -1, got {k}")
     checks = []
 
     def check(name, ok, detail=""):

@@ -307,11 +307,13 @@ def parent_simplicial_chain_complex(complex_, top=None):
     return dims, boundaries, cells
 
 
+small_complexes = st.one_of(connected_complexes(), st.lists(
+    st.sets(st.integers(0, 9), min_size=1, max_size=5),
+    max_size=8).map(SimplicialComplex))
+
+
 class TestChainsFromFacets:
-    @given(st.one_of(connected_complexes(), st.lists(
-        st.sets(st.integers(0, 9), min_size=1, max_size=5),
-        max_size=8).map(SimplicialComplex)),
-        st.sampled_from([None, 0, 1, 2, 3]))
+    @given(small_complexes, st.sampled_from([None, 0, 1, 2, 3]))
     @settings(max_examples=300)
     def test_equals_parent_builder(self, k, top):
         cc = simplicial_chain_complex(k, top)
@@ -328,6 +330,55 @@ class TestChainsFromFacets:
     def test_empty_complex(self):
         cc = simplicial_chain_complex(SimplicialComplex([]))
         assert (cc.dims, cc.boundaries, cc.cells) == ([], [], [])
+
+    @pytest.mark.parametrize("top", [-1, -5, 1.5, "2", 2.0])
+    def test_bad_top_is_rejected(self, top):
+        for k in (m_linear(6), SimplicialComplex([])):
+            with pytest.raises(ValueError, match="top"):
+                simplicial_chain_complex(k, top)
+
+
+def assert_columns_in_combinations_order(complex_, top):
+    """Each column lists its rows as combinations drops a vertex, the last
+    one first, with signs (-1)^k, ..., +1; the Tietze step reads this
+    order. cells, read after the build and read again, equal the parent
+    builder's."""
+    cc = simplicial_chain_complex(complex_, top)
+    dims, _, cells = parent_simplicial_chain_complex(complex_, top)
+    assert cc.cells == cells and cc.cells is cc.cells
+    pos = {v: i for i, v in enumerate(complex_.vertices)}
+    faces = [[tuple(pos[v] for v in cell) for cell in level]
+             for level in cells]
+    assert cc.dims == dims
+    for k in range(1, len(faces)):
+        row = {face: i for i, face in enumerate(faces[k - 1])}
+        assert [list(col.items()) for col in cc.boundaries[k - 1]] == [
+            [(row[face[:i] + face[i + 1:]], (-1) ** i)
+             for i in range(k, -1, -1)]
+            for face in faces[k]]
+
+
+class TestColumnKeyOrder:
+    @given(small_complexes)
+    @settings(max_examples=200)
+    def test_random_complexes_at_every_top(self, k):
+        for top in [None, *range(k.dim() + 2)]:
+            assert_columns_in_combinations_order(k, top)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_m_linear(self, n):
+        k = m_linear(n)
+        for top in [None, *range(k.dim() + 2)]:
+            assert_columns_in_combinations_order(k, top)
+
+    def test_triangle_and_tetrahedron(self):
+        tet = SimplicialComplex.simplex(range(4))
+        cc = simplicial_chain_complex(tet)
+        # edges 01 02 03 12 13 23; triangles 012 013 023 123
+        assert list(cc.boundaries[1][0].items()) == [(0, 1), (1, -1), (3, 1)]
+        assert list(cc.boundaries[1][3].items()) == [(3, 1), (4, -1), (5, 1)]
+        assert list(cc.boundaries[2][0].items()) == \
+            [(0, -1), (1, 1), (2, -1), (3, 1)]
 
 
 class TestPi1FromReports:
@@ -715,6 +766,13 @@ class TestConnectivityEvidence:
                      lambda: homology_report(k, pi1_budget=-5),
                      lambda: pi1_trivial(k, budget=-5)):
             with pytest.raises(ValueError):
+                call()
+        # a budget that is not an int is rejected by name, not by range()
+        for call in (lambda: connectivity_evidence(k, 1, pi1_budget=1.5),
+                     lambda: homology_report(k, True, pi1_budget=1.5),
+                     lambda: homology_report(k, pi1_budget="3"),
+                     lambda: pi1_trivial(k, budget=2.5)):
+            with pytest.raises(ValueError, match="budget"):
                 call()
         # a budget of 0 is valid: no Tietze move runs, so pi1 stays open
         assert connectivity_evidence(k, 1, pi1_budget=0)["pi1"] == \
