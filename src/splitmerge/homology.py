@@ -1,55 +1,18 @@
-"""Integral homology, with two independent computation routes.
+"""Integral homology and connectivity evidence for chain complexes.
 
-Boundary maps are stored as sparse columns: boundaries[k-1] holds one
-{row: value} dict per degree-k cell, with no zero values. The primary
-route reduces each boundary by unit-pivot elimination: pick a +-1 entry,
-preferring the sparsest row, clear that row by unimodular column
-operations and drop the pivot's row and column. Only the block left when
-no unit entry remains goes through the dense Smith normal form, which
-supplies the torsion (after Dumas, Saunders and Villard, JSC 32 (2001)).
-The dense Smith normal form and the exact-rational rank route are the
-independent oracles; the latter never looks at the elimination code.
+boundaries[k-1] of a ChainComplex holds one sparse {row: value} column per
+degree-k cell, with no zero values. homology() reduces each boundary by
+unit-pivot elimination, top degree down with clearing, and hands the block
+left without a unit entry to the dense Smith normal form, which supplies
+the torsion (after Dumas, Saunders and Villard, JSC 32 (2001)). The dense
+Smith normal form and the exact-rational rank route are test oracles.
 
-homology() reduces the boundaries from the top degree down, with clearing
-(Chen and Kerber, EuroCG 2011; Bauer, Kerber and Reininghaus, 2014):
-before it reduces d_k it drops every column whose index was a unit pivot
-row of d_(k+1). Those pivots form a unimodular triangular block and
-d_k d_(k+1) = 0, so each dropped column is an integer combination of the
-kept ones, and neither the rank nor the invariant factors change. Rows of
-the dense leftover block are never cleared: there a column is in general
-only a rational combination of the others, and dropping it can change the
-torsion.
-
-Simplicial chain complexes come from SimplicialComplex objects, whose
-vertices tuple fixes the order of cells and of each cell's vertices. The
-builder works on the faces as tuples of vertex positions and keeps them
-with that tuple; the labelled cells, which only relative_homology and the
-tests read, are produced the first time ChainComplex.cells is read. Edge
-columns are written as {a: -1, b: 1}, triangle columns through integer
-edge keys a*n + b (n vertices), and higher degrees by combinations of
-each face.
-Cubical ones take their cells from Fragment.cells() and each boundary
-column from one Fragment.faces call, as does the staircase subdivision
-that serves as a third cross-check; a k-cube's 2k faces are distinct, so
-its column is written entry by entry. fragment_pair_homology asks its
-vertex predicate once per vertex and reads the rest of the full
-subcomplex off the boundary columns: a cell of dimension >= 1 is in it
-when all its facets are. simplicial_chain_complex,
-cubical_chain_complex and quotient_chain_complex build trusted
-ChainComplexes, which skip the format scan and the d d = 0 check: their
-face rules, and for a quotient the checked closure of the dropped cells,
-give sparse columns without zeros and boundaries that compose to zero by
-construction. Tests hold each builder to the public checks.
-
-pi1_trivial builds an edge-path presentation from a spanning tree and
-simplifies it with a bounded Tietze loop; it answers "trivial",
-"nontrivial" (only on homological evidence) or "inconclusive". Each budget
-unit is one move: a kill (a relator of length 1), else a substitution (a
-relator of length 2 over two generators), both naming the generator of the
-relator's last letter; else the smallest generator used exactly once goes
-with its relator. The tree and relators are read off the boundary columns.
-homology_report and connectivity_evidence both read connectedness from the
-H0 of the chain complex they build, and hand its H1 to the same Tietze step.
+pi1 answers "trivial", "nontrivial" (only on nonzero H1) or "inconclusive"
+by two routes. A greedy coreduction matching on degrees 0-2 that leaves
+one critical vertex and no critical edge proves the complex connected with
+H1 = 0 and pi1 trivial, with no budget (_critical_cells). Otherwise a
+bounded Tietze loop simplifies the spanning-tree presentation; the budget
+counts its moves and bounds only this fallback.
 """
 
 from __future__ import annotations
@@ -175,15 +138,11 @@ def rank_over_rationals(matrix) -> int:
 class ChainComplex:
     """Finitely generated free chain complex with integer boundaries.
 
-    boundaries[k-1] (k >= 1) maps degree k to degree k-1. It is a list of
-    dims[k] sparse columns, one per degree-k cell; each column is a
-    {row: value} dict with rows in range(dims[k-1]) and no zero values.
-    Construction verifies the format and that consecutive boundaries
-    compose to zero, and raises ValueError otherwise. Only
-    simplicial_chain_complex, cubical_chain_complex and
-    quotient_chain_complex skip both checks, through _trusted: their face
-    rules (for a quotient, its checked subcomplex) make both hold by
-    construction. cells, if given, lists each degree's cells.
+    boundaries[k-1] (k >= 1) holds one {row: value} column per degree-k
+    cell, with rows in range(dims[k-1]) and no zero values. Construction
+    checks that format and d d = 0 (ValueError otherwise), except through
+    _trusted, which only the builders below use: their face rules make
+    both hold. cells, if given, lists each degree's cells.
     """
 
     __slots__ = ("dims", "boundaries", "_cells", "_labels")
@@ -245,11 +204,8 @@ def _dense(columns, rows) -> list:
 
 def _rank_and_torsion(columns, n_rows) -> tuple:
     """Rank, invariant factors > 1 and unit pivot rows of a sparse integer
-    matrix.
-
-    Unit pivots are eliminated first, sparsest row first; each leaves a 1
-    on the Smith diagonal and its row in the returned set. The leftover
-    block goes to smith_normal_form.
+    matrix: unit pivots are eliminated sparsest row first, each leaving a
+    1 on the Smith diagonal; the leftover block goes to smith_normal_form.
     """
     cols = [dict(c) for c in columns]
     rows = [set() for _ in range(n_rows)]
@@ -308,8 +264,10 @@ def homology(chain: ChainComplex) -> list:
     elimination and Smith normal form of the leftover block.
 
     Boundaries are reduced from the top degree down; the columns of d_k
-    at the unit pivot rows of d_(k+1) are cleared first (see the module
-    docstring for why that keeps the rank and the invariant factors).
+    at the unit pivot rows of d_(k+1) are cleared first (Chen and Kerber,
+    EuroCG 2011). Those pivots form a unimodular triangular block and
+    d_k d_(k+1) = 0, so each cleared column is an integer combination of
+    the kept ones: the rank and the invariant factors do not change.
     """
     n = len(chain.dims)
     reduced = [None] * (n - 1)
@@ -349,17 +307,13 @@ def betti_via_rational_ranks(chain: ChainComplex) -> list:
 
 def simplicial_chain_complex(complex_: SimplicialComplex,
                              top: int | None = None) -> ChainComplex:
-    """Ordered-simplex chain complex through degree top (default: all).
+    """Ordered-simplex chain complex through degree top (None: all, else
+    an int >= 0).
 
-    cells[k] lists complex_.k_simplices(k) in that order, each as a tuple
-    in the order of complex_.vertices; they are labelled the first time
-    cells is read, as homology and pi1 read only the boundaries. The faces
-    come from the facets, as tuples of vertex positions, and only up to
-    min(dim, top) are built. A column keys its rows in combinations order
-    with signs (-1)^k, ..., +1: an edge (a, b) is {a: -1, b: 1}, and a
-    triangle (a, b, c) finds its edges ab, ac, bc, with signs +1, -1, +1,
-    by the integer keys a*n + b of n vertices. top must be None or an
-    int >= 0.
+    cells[k] lists complex_.k_simplices(k) in that order, each a tuple in
+    the order of complex_.vertices, labelled when cells is first read. A
+    column keys its rows in combinations order with signs (-1)^k, ..., +1:
+    an edge (a, b) is {a: -1, b: 1}, a triangle (a, b, c) is ab - ac + bc.
     """
     if top is not None and not (isinstance(top, int) and top >= 0):
         raise ValueError(f"top must be None or an int >= 0, got {top!r}")
@@ -390,12 +344,10 @@ def simplicial_chain_complex(complex_: SimplicialComplex,
 def cubical_chain_complex(fragment) -> ChainComplex:
     """Chain complex of the cube structure carried by a fragment.
 
-    cells[k] lists the fragment's cells (base, word) with k L letters, in
-    the order of Fragment.cells(); a vertex is (i, all-I word). Across its
-    j-th axis (j = 1, 2, ...) a cell has the j-th faces Fragment.faces
-    lists: the front one with sign (-1)^j, then the back one with the
-    opposite sign. The 2k faces of a k-cube are distinct (back faces differ
-    in their words, front faces in their bases), so nothing cancels.
+    cells[k] lists the cells (base, word) with k L letters in the order of
+    Fragment.cells(). Across its j-th axis a cell has the j-th faces that
+    Fragment.faces lists: the front one with sign (-1)^j, the back one with
+    the opposite sign. A k-cube's 2k faces are distinct: nothing cancels.
     """
     flat = fragment.cells()  # an empty fragment still has its degree 0
 
@@ -425,11 +377,9 @@ def cubical_chain_complex(fragment) -> ChainComplex:
 def subdivision_complex(fragment) -> SimplicialComplex:
     """Staircase triangulation of the fragment's cubes, on the same vertices.
 
-    Each k-cell contributes the order complex of its corner lattice: one
-    k-simplex per maximal chain of subsets of its split set, that is its
-    base followed by a chain of its front face across each axis in turn.
-    Restriction to a shared face triangulates it the same way, so the
-    union is a complex with homology equal to the cubical one.
+    Each k-cell contributes one k-simplex per maximal chain of its corner
+    lattice: its base, then a chain of its front face across one axis.
+    Shared faces are triangulated alike, so the homology is the cubical one.
     """
     chains: dict = {}  # cells() lists every face before its cofaces
     for base, word in fragment.cells():
@@ -443,10 +393,8 @@ def subdivision_complex(fragment) -> SimplicialComplex:
 def quotient_chain_complex(chain: ChainComplex, dropped) -> ChainComplex:
     """Relative chain complex: drop the cells of a subcomplex.
 
-    dropped[k] is a set of cell indices in degree k; it must be closed under
-    the boundary (checked), i.e. describe an actual subcomplex. An index
-    that names no cell of its degree (negative, too large, or past the top
-    degree) raises ValueError.
+    dropped[k] is a set of cell indices in degree k, closed under the
+    boundary; ValueError when it is not, or names no cell of its degree.
     """
     n = len(chain.dims)
     dropped = list(dropped)
@@ -479,11 +427,9 @@ def quotient_chain_complex(chain: ChainComplex, dropped) -> ChainComplex:
 
 
 def fragment_pair_homology(fragment, in_sub) -> list:
-    """Homology of a fragment relative to a full cubical subcomplex.
-
-    in_sub(vertex_index), called once per vertex, picks the subcomplex
-    vertices; a cell belongs to the subcomplex when all its corners do, so
-    a cell of dimension >= 1 when all the rows of its boundary column do.
+    """Homology of a fragment relative to the full cubical subcomplex on
+    the vertices that in_sub(vertex_index), called once per vertex, picks:
+    a cell of dimension >= 1 is in it when all its boundary's rows are.
     """
     chain = cubical_chain_complex(fragment)
     sub = [set(filter(in_sub, range(chain.dims[0])))]
@@ -510,6 +456,61 @@ def relative_homology(complex_: SimplicialComplex,
 # ---------------------------------------------------------------------------
 # reports and fundamental-group evidence
 
+def _critical_cells(chain: ChainComplex, pairs=None) -> list:
+    """Critical cells in each of degrees 0..2 of a greedy coreduction
+    matching (Mrozek and Batko, Discrete Comput. Geom. 41 (2009)).
+
+    Only for simplicial chains, whose +-1 entries make every pair regular:
+    by Forman (Adv. Math. 134 (1998)) the 2-skeleton is then homotopy
+    equivalent to a CW complex with one cell per critical cell, so counts
+    [1] or [1, 0, ...] prove it connected with H1 = 0 and pi1 trivial. A
+    list pairs receives each (face, coface), cells numbered degree by degree.
+    """
+    sizes = chain.dims[:3]
+    faces = [()] * (sizes[0] if sizes else 0)  # numbered degree by degree
+    if len(sizes) > 1:
+        faces += map(tuple, chain.boundaries[0])
+    if len(sizes) > 2:  # a triangle's column has its three edges' rows
+        n = sizes[0]
+        faces += [(n + a, n + b, n + c) for a, b, c in chain.boundaries[1]]
+    cofaces = [[] for _ in faces]
+    for c, rows in enumerate(faces):
+        for f in rows:
+            cofaces[f].append(c)
+    left = [len(rows) for rows in faces]  # alive faces of each cell
+    alive = [True] * len(faces)
+    queue = []
+
+    def remove(x):
+        alive[x] = False
+        for q in cofaces[x]:
+            left[q] -= 1
+            if left[q] == 1:
+                queue.append(q)
+
+    critical = [0] * len(sizes)
+    for c, rows in enumerate(faces):  # a d-simplex, d > 0, has d + 1 faces
+        if alive[c]:  # every face is gone: c is critical
+            critical[max(len(rows) - 1, 0)] += 1
+            remove(c)
+        while queue:  # pair each coface left with one alive face
+            q = queue.pop()
+            if alive[q] and left[q] == 1:
+                remove(q)
+                for f in faces[q]:
+                    if alive[f]:
+                        remove(f)
+                        break
+                if pairs is not None:
+                    pairs.append((f, q))
+    return critical
+
+
+def _proved_simply_connected(chain: ChainComplex) -> bool:
+    """One critical vertex and no critical edge (see _critical_cells)."""
+    return _critical_cells(chain)[:2] in ([1], [1, 0])
+
+
 def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
                     pi1_budget: int = 20000) -> dict:
     """Betti numbers, torsion, connectedness (from H0) and on request pi1."""
@@ -518,9 +519,7 @@ def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
     chain = simplicial_chain_complex(complex_)
     res = homology(chain)
     betti = [r["betti"] for r in res]
-    reduced = list(betti)
-    if nonempty:
-        reduced[0] = betti[0] - 1
+    reduced = [betti[0] - 1] + betti[1:] if nonempty else list(betti)
     report = {
         "betti": betti,
         "betti_reduced": reduced,
@@ -530,17 +529,17 @@ def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
         "pi1": None,
     }
     if with_pi1 and report["connected"]:
-        report["pi1"] = _pi1_verdict(chain, res, pi1_budget)
+        report["pi1"] = ("trivial" if _proved_simply_connected(chain)
+                         else _pi1_verdict(chain, res, pi1_budget))
     return report
 
 
 def pi1_trivial(complex_: SimplicialComplex, budget: int = 20000) -> str:
     """"trivial", "nontrivial" or "inconclusive" for the fundamental group.
 
-    Requires a nonempty connected complex. "nontrivial" is only ever
-    reported on homological evidence (nonzero H1); "trivial" only when the
-    spanning-tree presentation collapses completely under Tietze moves
-    within the budget, which must be an int >= 0.
+    Requires a nonempty connected complex. "nontrivial" only on nonzero
+    H1; "trivial" on a matching proof, or when the Tietze loop empties the
+    presentation within the budget, an int >= 0.
     """
     _check_budget("budget", budget)
     if complex_.is_empty():
@@ -548,6 +547,8 @@ def pi1_trivial(complex_: SimplicialComplex, budget: int = 20000) -> str:
     if not complex_.is_connected():
         raise ValueError("pi1 needs a connected complex")
     chain = simplicial_chain_complex(complex_, top=2)
+    if _proved_simply_connected(chain):
+        return "trivial"
     return _pi1_verdict(chain, homology(chain), budget)
 
 
@@ -652,8 +653,11 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
     "trivial" included, when required), "fail" when any check fails, and
     "inconclusive" when the only gap is an unresolved pi1. Checks, in order:
     nonempty, connected ("empty" or "N components"), H1_zero..Hk_zero, pi1.
+    A matching proof (_critical_cells) settles H0, H1 and pi1 by itself.
     """
     _check_budget("pi1_budget", pi1_budget)
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an int >= -1, got {k!r}")
     if k < -1:
         raise ValueError(f"need k >= -1, got {k}")
     checks = []
@@ -666,9 +670,11 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
     nonempty = check("nonempty", not complex_.is_empty())
     if k >= 0:
         ncomp = 0
-        if nonempty:  # connectedness is read from H0
+        if nonempty:  # connectedness is read off the matching or from H0
             chain = simplicial_chain_complex(complex_, top=max(k + 1, 1))
-            res = homology(chain)
+            proved = _proved_simply_connected(chain)
+            res = (homology(chain) if k >= 2 or not proved
+                   else [{"betti": 1, "torsion": []}])
             ncomp = res[0]["betti"]
         if check("connected", ncomp == 1,
                  f"{ncomp} components" if nonempty else "empty") and k >= 1:
@@ -677,13 +683,10 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
                 betti, torsion = res[i]["betti"], res[i]["torsion"]
                 check(f"H{i}_zero", betti == 0 and not torsion,
                       f"betti={betti} torsion={torsion}")
-            pi1 = _pi1_verdict(chain, res, pi1_budget)
+            pi1 = ("trivial" if proved
+                   else _pi1_verdict(chain, res, pi1_budget))
             check("pi1", pi1 != "nontrivial", pi1)
 
-    if any(not c["ok"] for c in checks):
-        verdict = "fail"
-    elif pi1 == "inconclusive":
-        verdict = "inconclusive"
-    else:
-        verdict = "consistent"
+    verdict = ("fail" if any(not c["ok"] for c in checks) else
+               "inconclusive" if pi1 == "inconclusive" else "consistent")
     return {"k": k, "verdict": verdict, "checks": checks, "pi1": pi1}

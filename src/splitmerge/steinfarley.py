@@ -244,11 +244,6 @@ def monotone_cofaces(x: Diagram, spec: MorseSpec, down: bool = False) -> list:
 # ---------------------------------------------------------------------------
 # fragments
 
-def cube_axes(word: str) -> list:
-    """Axes of a cube word: the 1-based feet its L letters split."""
-    return [i + 1 for i, ch in enumerate(word) if ch == "L"]
-
-
 def _split_key(d: Diagram, key: tuple, j: int) -> tuple:
     """(feet, foot carets, chi0, chi1, L, R) of split_foot(d, j) from d's:
     a caret foot gives up its caret, a leaf foot adds one to the head, at
@@ -362,8 +357,9 @@ class Fragment:
         corner) first, the most-feet corner (every split applied) last. A
         vertex's only corner is [base]."""
         corners = [base]
-        for p in reversed(cube_axes(word)):
-            corners = corners + [self.step(i, ("s", p)) for i in corners]
+        for p in range(len(word), 0, -1):  # the axes: feet with an L
+            if word[p - 1] == "L":
+                corners += [self.step(i, ("s", p)) for i in corners]
         return corners
 
     def faces(self, base: int, word: str) -> list:

@@ -14,6 +14,7 @@ import splitmerge
 from splitmerge import verify as verify_mod
 from splitmerge.cli import _VERIFY_FLAGS, build_parser, main
 from splitmerge.complexes import SimplicialComplex
+from splitmerge.homology import homology_report
 from splitmerge.trees import MAX_DEPTH
 
 
@@ -22,6 +23,24 @@ def run(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def pi1_left_open(monkeypatch, cyclic=0):
+    """Make verify's reports read pi1 "inconclusive" where it is "trivial",
+    as a Tietze fallback that ran out of budget leaves it, and the first
+    cyclic reports cyclic: a nonzero reduced H0."""
+    calls = []
+
+    def report(k, **kwargs):
+        rep = homology_report(k, **kwargs)
+        if rep["pi1"] == "trivial":
+            rep["pi1"] = "inconclusive"
+        if len(calls) < cyclic:
+            rep["betti_reduced"] = [1] + rep["betti_reduced"][1:]
+        calls.append(k)
+        return rep
+
+    monkeypatch.setattr(verify_mod, "homology_report", report)
 
 
 class TestDiagramCommands:
@@ -246,7 +265,19 @@ class TestVerify:
         assert f"MAX_DEPTH = {MAX_DEPTH}" in out
         assert "certificate field" not in out and "Traceback" not in out
 
-    def test_exhausted_pi1_budget_is_inconclusive(self):
+    def test_pi1_probes_need_no_budget(self):
+        # the coreduction matching proves every pi1 probe, so the smallest
+        # budget --limit takes settles the claim
+        code, out, _ = run("--json", "verify", "long-interval-ascending",
+                           "--limit", "1")
+        j = json.loads(out)
+        assert code == 0 and j["verdict"] == "pass"
+        probes = [c["detail"] for c in j["checks"] if "pi1" in c["detail"]]
+        assert len(probes) == 52
+        assert all(d.endswith(", pi1 trivial") for d in probes)
+
+    def test_exhausted_pi1_budget_is_inconclusive(self, monkeypatch):
+        pi1_left_open(monkeypatch)
         code, out, _ = run("--json", "verify", "long-interval-ascending",
                            "--limit", "1")
         j = json.loads(out)
@@ -256,14 +287,16 @@ class TestVerify:
 
     def test_failure_beside_exhausted_pi1_budget_still_fails(self,
                                                              monkeypatch):
-        real = verify_mod.homology_report
-
-        def cyclic_report(k, **kwargs):
-            rep = real(k, **kwargs)
-            rep["betti_reduced"] = [1] + rep["betti_reduced"][1:]
-            return rep
-
-        monkeypatch.setattr(verify_mod, "homology_report", cyclic_report)
+        # the first report is cyclic; every other probe is left open
+        pi1_left_open(monkeypatch, cyclic=1)
+        code, out, _ = run("--json", "verify", "long-interval-ascending",
+                           "--limit", "1")
+        j = json.loads(out)
+        failed = [c["name"] for c in j["checks"] if not c["ok"]]
+        assert code == 1 and j["verdict"] == "fail"
+        assert failed[0] == "m1--1,0-feet-2-cone"
+        assert "m1--1,-1-feet-6-pole-join" in failed[1:]
+        pi1_left_open(monkeypatch, cyclic=1)
         code, out, _ = run("verify", "long-interval-ascending", "--limit", "1")
         assert code == 1
         assert out.strip().splitlines()[-1] == "FAIL long-interval-ascending"

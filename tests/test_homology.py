@@ -2,6 +2,8 @@
 
 import importlib
 import random
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import groupby
 
@@ -382,7 +384,9 @@ class TestColumnKeyOrder:
 
 
 class TestPi1FromReports:
-    """Reports reuse their H1 for pi1; the verdict equals pi1_trivial's."""
+    """Reports run the same matching on the same degree-0..2 columns as
+    pi1_trivial and reuse their H1 for its fallback, so the verdict equals
+    pi1_trivial's at every budget."""
 
     @given(connected_complexes(), st.sampled_from([1, 2, 5, 20000]))
     @settings(max_examples=200)
@@ -405,10 +409,14 @@ class TestPi1FromReports:
 
         monkeypatch.setattr(homology_module, "homology", counted)
         monkeypatch.setattr(homology_module, "pi1_trivial", None)
+        monkeypatch.setattr(homology_module, "_pi1_verdict", None)
         k = cone(m_linear(6), "apex")
+        # the matching proves the cone simply connected: the evidence needs
+        # no homology() and no Tietze loop, a report one homology() pass
         assert connectivity_evidence(k, 1)["pi1"] == "trivial"
+        assert calls == []
         assert homology_report(k, with_pi1=True)["pi1"] == "trivial"
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_connectedness_is_read_from_h0(self, monkeypatch):
         def components(self):
@@ -774,11 +782,28 @@ class TestConnectivityEvidence:
                      lambda: pi1_trivial(k, budget=2.5)):
             with pytest.raises(ValueError, match="budget"):
                 call()
-        # a budget of 0 is valid: no Tietze move runs, so pi1 stays open
+        # a budget of 0 is valid and bounds only the Tietze fallback: the
+        # dunce hat is contractible, but its matching leaves a critical
+        # edge, so no Tietze move leaves pi1 open and the default settles it
+        k = dunce_hat()
+        assert homology_module._critical_cells(
+            simplicial_chain_complex(k, top=2)) == [1, 1, 1]
         assert connectivity_evidence(k, 1, pi1_budget=0)["pi1"] == \
             "inconclusive"
         assert homology_report(k, True, pi1_budget=0)["pi1"] == "inconclusive"
         assert pi1_trivial(k, budget=0) == "inconclusive"
+        assert connectivity_evidence(k, 1)["pi1"] == "trivial"
+        assert homology_report(k, True)["pi1"] == "trivial"
+        assert pi1_trivial(k) == "trivial"
+
+    @pytest.mark.parametrize("k", [1.5, "1", None, 1.0])
+    def test_k_that_is_not_an_int_is_rejected_by_name(self, k):
+        with pytest.raises(ValueError, match="k must be an int"):
+            connectivity_evidence(m_linear(8), k)
+
+    def test_k_below_minus_one_keeps_its_error(self):
+        with pytest.raises(ValueError, match=r"need k >= -1, got -2"):
+            connectivity_evidence(m_linear(8), -2)
 
 
 def parent_homology_report(complex_, with_pi1=False, pi1_budget=20000):
@@ -853,8 +878,26 @@ ANY_COMPLEX = st.one_of(connected_complexes(), st.lists(
     max_size=6).map(SimplicialComplex))
 
 
+def proved(complex_):
+    """The coreduction matching proves the complex simply connected."""
+    chain = simplicial_chain_complex(complex_, top=2)
+    return homology_module._critical_cells(chain)[:2] in ([1], [1, 0])
+
+
+def at_enough_budget(parent, complex_, *args, budget):
+    """parent's answer at budget; where that budget left pi1 open and the
+    matching proves it trivial, the answer at the default budget, which
+    must settle it: the budget bounds only the Tietze fallback now."""
+    want = parent(complex_, *args, pi1_budget=budget)
+    if want["pi1"] == "inconclusive" and proved(complex_):
+        want = parent(complex_, *args)
+        assert want["pi1"] == "trivial"
+    return want
+
+
 class TestReportsAgainstParent:
-    """The report builders equal verbatim copies of their earlier forms."""
+    """The report builders equal verbatim copies of their earlier forms
+    wherever the budget was enough for those."""
 
     @given(ANY_COMPLEX, st.sampled_from([0, 3, 20000]))
     @settings(max_examples=300, deadline=None)
@@ -865,7 +908,8 @@ class TestReportsAgainstParent:
     def test_connectivity_evidence(self, k, budget):
         for degree in (-1, 0, 1, 2):
             assert connectivity_evidence(k, degree, pi1_budget=budget) == \
-                parent_connectivity_evidence(k, degree, pi1_budget=budget)
+                at_enough_budget(parent_connectivity_evidence, k, degree,
+                                 budget=budget)
 
     @given(ANY_COMPLEX, st.sampled_from([0, 3, 20000]))
     @settings(max_examples=300, deadline=None)
@@ -875,7 +919,8 @@ class TestReportsAgainstParent:
     def test_homology_report(self, k, budget):
         for with_pi1 in (False, True):
             assert homology_report(k, with_pi1, budget) == \
-                parent_homology_report(k, with_pi1, budget)
+                at_enough_budget(parent_homology_report, k, with_pi1,
+                                 budget=budget)
         # connected from H0 is one union-find class
         assert homology_report(k)["connected"] == (
             not k.is_empty() and k.is_connected())
@@ -885,6 +930,195 @@ class TestReportsAgainstParent:
         assert rep == {"k": 1, "verdict": "fail", "pi1": None, "checks": [
             {"name": "nonempty", "ok": False, "detail": ""},
             {"name": "connected", "ok": False, "detail": "empty"}]}
+
+
+def elimination_connectivity_evidence(complex_, k, pi1_budget=20000):
+    """connectivity_evidence as it stood before the coreduction matching,
+    with H0 and H1 by elimination and pi1 by the Tietze loop, kept
+    verbatim."""
+    homology_module._check_budget("pi1_budget", pi1_budget)
+    if k < -1:
+        raise ValueError(f"need k >= -1, got {k}")
+    checks = []
+
+    def check(name, ok, detail=""):
+        checks.append({"name": name, "ok": ok, "detail": detail})
+        return ok
+
+    pi1 = None
+    nonempty = check("nonempty", not complex_.is_empty())
+    if k >= 0:
+        ncomp = 0
+        if nonempty:  # connectedness is read from H0
+            chain = simplicial_chain_complex(complex_, top=max(k + 1, 1))
+            res = homology(chain)
+            ncomp = res[0]["betti"]
+        if check("connected", ncomp == 1,
+                 f"{ncomp} components" if nonempty else "empty") and k >= 1:
+            res += [{"betti": 0, "torsion": []}] * (k + 1 - len(res))
+            for i in range(1, k + 1):
+                betti, torsion = res[i]["betti"], res[i]["torsion"]
+                check(f"H{i}_zero", betti == 0 and not torsion,
+                      f"betti={betti} torsion={torsion}")
+            pi1 = homology_module._pi1_verdict(chain, res, pi1_budget)
+            check("pi1", pi1 != "nontrivial", pi1)
+
+    if any(not c["ok"] for c in checks):
+        verdict = "fail"
+    elif pi1 == "inconclusive":
+        verdict = "inconclusive"
+    else:
+        verdict = "consistent"
+    return {"k": k, "verdict": verdict, "checks": checks, "pi1": pi1}
+
+
+def benchmark_links(seed, size=2000):
+    """The ascending links of the links benchmark at seed, drawn as it
+    draws them."""
+    rng = random.Random(f"links:{seed}")
+    for _ in range(size):
+        feet = rng.randint(2, 9)
+        x = random_vertex(rng, feet, rng.randint(0, 12))
+        spec = MorseSpec(rng.choice(LINK_CHARACTERS), rng.choice((1, -1)),
+                         (2, feet + 3))
+        yield ascending_link(x, spec)
+
+
+class TestEvidenceAgainstElimination:
+    """At the default budget the matching changes no answer: the evidence
+    equals its form before the matching, dict for dict."""
+
+    @given(ANY_COMPLEX)
+    @settings(max_examples=300, deadline=None)
+    @example(SimplicialComplex([]))
+    @example(SimplicialComplex([fs(1)]))
+    @example(SimplicialComplex([fs(1, 2), fs(3)]))
+    @example(SimplicialComplex([fs(1, 2), fs(2, 3), fs(1, 3)]))
+    @example(dunce_hat())
+    def test_random_complexes(self, k):
+        for degree in range(-1, 4):
+            assert connectivity_evidence(k, degree) == \
+                elimination_connectivity_evidence(k, degree)
+
+    @given(st.integers(0, 2 ** 32), st.integers(2, 9), st.integers(0, 12),
+           st.sampled_from(LINK_CHARACTERS), st.sampled_from([1, -1]))
+    @settings(max_examples=60, deadline=None)
+    def test_links(self, seed, feet, carets, char, sec):
+        x = random_vertex(random.Random(seed), feet, carets)
+        spec = MorseSpec(char, sec, (2, feet + 3))
+        for link in (ascending_link(x, spec), descending_link(x, spec)):
+            for degree in range(-1, 4):
+                assert connectivity_evidence(link, degree) == \
+                    elimination_connectivity_evidence(link, degree)
+
+    def test_every_benchmark_link_is_proved(self):
+        for link in benchmark_links(1):
+            assert proved(link)
+            assert connectivity_evidence(link, 1) == \
+                elimination_connectivity_evidence(link, 1)
+
+
+def matched_cells(chain):
+    """_critical_cells' counts and pairs, each cell as (degree, index)."""
+    pairs = []
+    critical = homology_module._critical_cells(chain, pairs)
+    starts = [sum(chain.dims[:d]) for d in range(len(critical))]
+
+    def cell(x):
+        d = bisect_right(starts, x) - 1
+        return d, x - starts[d]
+
+    return critical, [(cell(f), cell(q)) for f, q in pairs]
+
+
+def assert_acyclic(chain, pairs):
+    """No directed cycle in the Hasse diagram of chain, its edges pointing
+    from a cell to its faces, once the matched edges are reversed."""
+    up = set(pairs)
+    successors = defaultdict(list)
+    indegree = Counter()
+    for d, columns in enumerate(chain.boundaries):
+        for q, col in enumerate(columns):
+            for f in col:
+                edge = (d, f), (d + 1, q)
+                a, b = edge if edge in up else edge[::-1]
+                successors[a].append(b)
+                indegree[b] += 1
+    order = [(d, i) for d, n in enumerate(chain.dims) for i in range(n)
+             if not indegree[d, i]]
+    for a in order:  # Kahn's sort; the loop reads what it appends
+        for b in successors[a]:
+            indegree[b] -= 1
+            if not indegree[b]:
+                order.append(b)
+    assert len(order) == sum(chain.dims)
+
+
+class TestCoreductionMatching:
+    """The matching behind the pi1 proof, checked by definitions that do not
+    share its code: a matching of faces with entry +-1, acyclic, with the
+    Euler characteristic and the weak Morse inequalities of the 2-skeleton,
+    and never a proof where the reference Tietze loop does not reach
+    "trivial"."""
+
+    @staticmethod
+    def assert_sound(k):
+        chain = simplicial_chain_complex(k, top=2)
+        critical, pairs = matched_cells(chain)
+        matched = [cell for pair in pairs for cell in pair]
+        assert len(set(matched)) == len(matched)
+        for (d, f), (e, q) in pairs:
+            assert e == d + 1 and chain.boundaries[d][q].get(f) in (1, -1)
+        assert critical == [n - sum(1 for e, _ in matched if e == d)
+                            for d, n in enumerate(chain.dims)]
+        assert_acyclic(chain, pairs)
+        assert sum((-1) ** d * c for d, c in enumerate(critical)) == \
+            sum((-1) ** d * n for d, n in enumerate(chain.dims))
+        res = homology(chain)
+        assert all(c >= r["betti"] for c, r in zip(critical, res))
+        if critical[:2] in ([1], [1, 0]):
+            assert _reference_pi1_verdict(chain, res, 20000) == "trivial"
+        return critical
+
+    @given(connected_complexes())
+    @settings(max_examples=300, deadline=None)
+    @example(SimplicialComplex.boundary_sphere(range(4)))
+    @example(SimplicialComplex([fs(1, 2), fs(2, 3), fs(1, 3)]))
+    def test_random_complexes(self, k):
+        self.assert_sound(k)
+
+    @given(st.integers(0, 2 ** 32), st.integers(2, 9), st.integers(0, 12),
+           st.sampled_from(LINK_CHARACTERS), st.sampled_from([1, -1]))
+    @settings(max_examples=60, deadline=None)
+    def test_links(self, seed, feet, carets, char, sec):
+        x = random_vertex(random.Random(seed), feet, carets)
+        spec = MorseSpec(char, sec, (2, feet + 3))
+        for link in (ascending_link(x, spec), descending_link(x, spec)):
+            self.assert_sound(link)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matching_complexes(self, n):
+        self.assert_sound(m_linear(n))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_cones(self, n):
+        assert self.assert_sound(cone(m_linear(n), "apex"))[:2] == [1, 0]
+
+    @pytest.mark.parametrize("n_gens, relators", [
+        (1, [[1, 1, 1]]),                         # <a | a^3>
+        (1, [[-1, -1, -1]]),                      # <a | a^-3>
+        (2, [[-1], [-2, -2, -2]]),                # <a, b | a^-1, b^-3>
+        (2, [[-1, -1, -2, -1], [2], [2]]),        # <a, c | a^-2c^-1a^-1, c, c>
+        (2, [[1, 1, 1, -2, -2, -2, -2, -2],       # binary icosahedral
+             [1, 2, 1, 2, -1, -1, -1]]),
+    ])
+    def test_presentation_complexes(self, n_gens, relators):
+        # none is simply connected, so none may be proved
+        assert self.assert_sound(presentation_complex(n_gens, relators))[1]
+
+    def test_dunce_hat(self):
+        # contractible but not collapsible: no proof, so the Tietze fallback
+        assert self.assert_sound(dunce_hat()) == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
