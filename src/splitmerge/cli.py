@@ -1,8 +1,8 @@
 """Command-line surface: diagram arithmetic, exploration, and claim checks.
 
 Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse error,
-3 inconclusive (a search or effort budget ran out). All subcommands accept
---json for machine-readable output with a "schema": 1 field.
+3 inconclusive (a budget ran out or pi1 was left open). All subcommands
+accept --json for machine-readable output with a "schema": 1 field.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ _VERIFY_FLAGS = {
     "morse-property": {"limit": "max_vertices"},
     "link-model": {"limit": "per_feet"},
     "matching-connectivity": {"n_max": "n_max"},
-    "long-interval-ascending": {"limit": "pi1_budget"},
+    "long-interval-ascending": {},
     "ascending-nonempty": {"limit": "per_combo"},
     "l-invariant-disconnection": {"limit": "max_vertices"},
     "ascending-connected": {"limit": "per_feet"},

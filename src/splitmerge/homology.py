@@ -10,9 +10,9 @@ Smith normal form and the exact-rational rank route are test oracles.
 pi1 answers "trivial", "nontrivial" (only on nonzero H1) or "inconclusive"
 by two routes. A greedy coreduction matching on degrees 0-2 that leaves
 one critical vertex and no critical edge proves the complex connected with
-H1 = 0 and pi1 trivial, with no budget (_critical_cells). Otherwise a
-bounded Tietze loop simplifies the spanning-tree presentation; the budget
-counts its moves and bounds only this fallback.
+H1 = 0 and pi1 trivial (_critical_cells). Otherwise a Tietze loop
+simplifies the spanning-tree presentation; each move removes a generator,
+so it stops by itself.
 """
 
 from __future__ import annotations
@@ -33,15 +33,18 @@ from .complexes import SimplicialComplex
 def smith_normal_form(matrix) -> list:
     """Nonzero diagonal of the Smith normal form, divisibility-ordered.
 
-    The input is a list of rows of integers and is not modified. The length
-    of the result is the rank.
+    The input is a list of rows of integers (ValueError on any other
+    entry) and is not modified. The length of the result is the rank.
     """
-    m = [[int(v) for v in row] for row in matrix]
+    m = [list(row) for row in matrix]
     nr = len(m)
     nc = len(m[0]) if nr else 0
     for row in m:
         if len(row) != nc:
             raise ValueError("ragged matrix")
+        for v in row:
+            if not isinstance(v, int):
+                raise ValueError(f"entry {v!r} is not an integer")
     t = 0
     while True:
         pivot = None
@@ -138,11 +141,12 @@ def rank_over_rationals(matrix) -> int:
 class ChainComplex:
     """Finitely generated free chain complex with integer boundaries.
 
-    boundaries[k-1] (k >= 1) holds one {row: value} column per degree-k
-    cell, with rows in range(dims[k-1]) and no zero values. Construction
-    checks that format and d d = 0 (ValueError otherwise), except through
-    _trusted, which only the builders below use: their face rules make
-    both hold. cells, if given, lists each degree's cells.
+    dims lists ints >= 0. boundaries[k-1] (k >= 1) holds one {row: value}
+    column per degree-k cell, with int rows in range(dims[k-1]) and nonzero
+    int values. Construction checks that format and d d = 0 (ValueError
+    otherwise), except through _trusted, which only the builders below use:
+    their face rules make both hold. cells, if given, lists each degree's
+    cells.
     """
 
     __slots__ = ("dims", "boundaries", "_cells", "_labels")
@@ -155,6 +159,9 @@ class ChainComplex:
         self._labels = _labels
         if _trusted:
             return
+        for k, dim in enumerate(self.dims):
+            if not isinstance(dim, int) or dim < 0:
+                raise ValueError(f"dims[{k}] is {dim!r}, not an int >= 0")
         if len(boundaries) != max(0, len(self.dims) - 1):
             raise ValueError("need one boundary map per adjacent dimension pair")
         for k, columns in enumerate(boundaries, start=1):
@@ -165,9 +172,10 @@ class ChainComplex:
                 if not isinstance(col, dict):
                     raise ValueError(f"boundary {k} has a non-dict column")
                 for row, value in col.items():
-                    if not 0 <= row < n_rows or not value:
-                        raise ValueError(
-                            f"boundary {k} has entry {value} at row {row}")
+                    if not (isinstance(row, int) and 0 <= row < n_rows
+                            and isinstance(value, int) and value):
+                        raise ValueError(f"boundary {k} has entry "
+                                         f"{value!r} at row {row!r}")
         for k in range(len(boundaries) - 1):
             _check_composes_to_zero(boundaries[k], boundaries[k + 1], k)
 
@@ -511,10 +519,9 @@ def _proved_simply_connected(chain: ChainComplex) -> bool:
     return _critical_cells(chain)[:2] in ([1], [1, 0])
 
 
-def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
-                    pi1_budget: int = 20000) -> dict:
+def homology_report(complex_: SimplicialComplex,
+                    with_pi1: bool = False) -> dict:
     """Betti numbers, torsion, connectedness (from H0) and on request pi1."""
-    _check_budget("pi1_budget", pi1_budget)
     nonempty = not complex_.is_empty()
     chain = simplicial_chain_complex(complex_)
     res = homology(chain)
@@ -530,32 +537,26 @@ def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
     }
     if with_pi1 and report["connected"]:
         report["pi1"] = ("trivial" if _proved_simply_connected(chain)
-                         else _pi1_verdict(chain, res, pi1_budget))
+                         else _pi1_verdict(chain, res))
     return report
 
 
-def pi1_trivial(complex_: SimplicialComplex, budget: int = 20000) -> str:
+def pi1_trivial(complex_: SimplicialComplex) -> str:
     """"trivial", "nontrivial" or "inconclusive" for the fundamental group.
 
-    Requires a nonempty connected complex. "nontrivial" only on nonzero
-    H1; "trivial" on a matching proof, or when the Tietze loop empties the
-    presentation within the budget, an int >= 0.
+    Requires a nonempty connected complex, which the matching or else H0
+    shows. "nontrivial" only on nonzero H1; "trivial" on a matching proof,
+    or when the Tietze loop empties the presentation.
     """
-    _check_budget("budget", budget)
     if complex_.is_empty():
         raise ValueError("pi1 of the empty complex is undefined")
-    if not complex_.is_connected():
-        raise ValueError("pi1 needs a connected complex")
     chain = simplicial_chain_complex(complex_, top=2)
     if _proved_simply_connected(chain):
         return "trivial"
-    return _pi1_verdict(chain, homology(chain), budget)
-
-
-def _check_budget(name, budget):
-    """A pi1 budget counts Tietze moves, so it is an int >= 0."""
-    if not isinstance(budget, int) or budget < 0:
-        raise ValueError(f"{name} must be an int >= 0, got {budget!r}")
+    res = homology(chain)
+    if res[0]["betti"] != 1:
+        raise ValueError("pi1 needs a connected complex")
+    return _pi1_verdict(chain, res)
 
 
 def _free_reduce(word) -> list:
@@ -597,18 +598,17 @@ def _presentation(chain: ChainComplex) -> tuple:
     return set(range(1, len(edges) - len(tree) + 1)), [w for w in words if w]
 
 
-def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
+def _pi1_verdict(chain: ChainComplex, res: list) -> str:
     """pi1_trivial's verdict for a connected complex, given its simplicial
-    chain complex through degree >= 2 and that complex's homology. One
-    budget unit is one Tietze move on the spanning-tree presentation."""
+    chain complex through degree >= 2 and that complex's homology. Each
+    Tietze move removes a generator and relators hold only those left, so
+    the loop stops within one move per generator (edge off the tree)."""
     if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
         return "nontrivial"
     if len(chain.dims) < 2:
         return "trivial"
     alive, relators = _presentation(chain)
-    for _ in range(budget):
-        if not alive:
-            break
+    while alive:
         # the first relator of length 1, else of length 2 over two generators
         named = None
         for i, w in enumerate(relators):
@@ -643,8 +643,7 @@ def _pi1_verdict(chain: ChainComplex, res: list, budget: int) -> str:
     return "trivial" if not alive else "inconclusive"
 
 
-def connectivity_evidence(complex_: SimplicialComplex, k: int,
-                          pi1_budget: int = 20000) -> dict:
+def connectivity_evidence(complex_: SimplicialComplex, k: int) -> dict:
     """Homology + pi1 evidence that the complex is k-connected.
 
     k = -1 asks only for nonemptiness, k = 0 adds connectivity, k >= 1 adds
@@ -655,7 +654,6 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
     nonempty, connected ("empty" or "N components"), H1_zero..Hk_zero, pi1.
     A matching proof (_critical_cells) settles H0, H1 and pi1 by itself.
     """
-    _check_budget("pi1_budget", pi1_budget)
     if not isinstance(k, int):
         raise ValueError(f"k must be an int >= -1, got {k!r}")
     if k < -1:
@@ -683,8 +681,7 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int,
                 betti, torsion = res[i]["betti"], res[i]["torsion"]
                 check(f"H{i}_zero", betti == 0 and not torsion,
                       f"betti={betti} torsion={torsion}")
-            pi1 = ("trivial" if proved
-                   else _pi1_verdict(chain, res, pi1_budget))
+            pi1 = "trivial" if proved else _pi1_verdict(chain, res)
             check("pi1", pi1 != "nontrivial", pi1)
 
     verdict = ("fail" if any(not c["ok"] for c in checks) else

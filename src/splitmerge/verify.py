@@ -4,7 +4,7 @@ Each runner rebuilds its inputs from scratch, performs a fixed list of
 checks at the sizes given by its defaults, and returns a JSON-ready report
 {"claim", "ok", "checks", "parameters"}. Runs are deterministic: every
 randomized runner takes an explicit seed. A runner whose only failed checks
-are ones a budget stopped short of deciding (a pi1 probe that ran out, an
+are ones it could not decide (a pi1 probe the Tietze moves left open, an
 exploration too small to fill a sample) raises RuntimeError instead: the
 claim is inconclusive, not false.
 """
@@ -41,9 +41,9 @@ def _check(checks: list, name: str, ok, detail="") -> bool:
 
 def _report(claim: str, checks: list, parameters: dict,
             unsettled=None) -> dict:
-    """The claim's report; unsettled maps a check name to the budget that
-    kept it from being decided. RuntimeError when only such checks failed,
-    or when no check ran at all."""
+    """The claim's report; unsettled maps a check name to the reason it
+    could not be decided. RuntimeError when only such checks failed, or
+    when no check ran at all."""
     if not checks:
         raise RuntimeError("no check ran")
     failed = [c["name"] for c in checks if not c["ok"]]
@@ -257,19 +257,18 @@ def run_matching_connectivity(n_max: int = 11) -> dict:
 # ---------------------------------------------------------------------------
 # 6. ascending links over long intervals (characters with a < 0)
 
-def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
+def run_long_interval_ascending() -> dict:
     characters = [Character(-1, 0), Character(-1, 1), Character(-2, 3),
                   Character(-1, -1)]
     checks = []
     unsettled = {}
-    ran_out = f"pi1 budget {pi1_budget} ran out"
 
     def check_contractible(name, shape_ok, rep, detail):
-        # acyclic with trivial pi1; a pi1 probe that ran out leaves it open
+        # acyclic with trivial pi1; pi1 left open leaves the check undecided
         acyclic = shape_ok and _acyclic(rep)
         _check(checks, name, acyclic and rep["pi1"] == "trivial", detail)
         if acyclic and rep["pi1"] == "inconclusive":
-            unsettled[name] = ran_out
+            unsettled[name] = "the Tietze moves left pi1 open"
 
     n_param = 7
     band = (2, n_param)
@@ -280,8 +279,7 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
                    not k.is_empty() and k.is_connected(),
                    f"f-vector {k.f_vector()}")
             if f < n_param - 1:
-                rep = homology_report(k, with_pi1=True,
-                                      pi1_budget=pi1_budget)
+                rep = homology_report(k, with_pi1=True)
                 check_contractible(f"m1-{char}-feet-{f}-cone",
                                    k.is_cone_with_apex(("v", 1)), rep,
                                    f"reduced betti {rep['betti_reduced']}, "
@@ -296,8 +294,7 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
             poles = SimplicialComplex([[v_first], [v_last]])
             contractible = join(SimplicialComplex.simplex([v_first, v_last]),
                                 middle)
-            rep = homology_report(contractible, with_pi1=True,
-                                  pi1_budget=pi1_budget)
+            rep = homology_report(contractible, with_pi1=True)
             check_contractible(
                 f"m1-{char}-feet-{f}-pole-join",
                 frozenset([v_first, v_last]) not in k
@@ -310,7 +307,7 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
     for char in characters:
         for f in range(2, n_param + 1):
             k = ascending_link_model(f, char, -1, band)
-            rep = homology_report(k, with_pi1=True, pi1_budget=pi1_budget)
+            rep = homology_report(k, with_pi1=True)
             low_ok = (rep["connected"] and not any(rep["betti"][1:2])
                       and not any(rep["torsion"][1:2]))
             pi_ok = rep["pi1"] in ("trivial", "inconclusive")
@@ -319,7 +316,7 @@ def run_long_interval_ascending(pi1_budget: int = 20000) -> dict:
 
     return _report("long-interval-ascending", checks, {
         "characters": [str(c) for c in characters],
-        "bands": [[2, 7], [2, 10]], "pi1_budget": pi1_budget}, unsettled)
+        "bands": [[2, 7], [2, 10]]}, unsettled)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, JSON schema, exit codes."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -17,6 +18,9 @@ from splitmerge.complexes import SimplicialComplex
 from splitmerge.homology import homology_report
 from splitmerge.trees import MAX_DEPTH
 
+# the package re-exports homology(), which shadows the module attribute
+homology_module = importlib.import_module("splitmerge.homology")
+
 
 def run(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -27,7 +31,7 @@ def run(*argv):
 
 def pi1_left_open(monkeypatch, cyclic=0):
     """Make verify's reports read pi1 "inconclusive" where it is "trivial",
-    as a Tietze fallback that ran out of budget leaves it, and the first
+    as Tietze moves that stop with generators left leave it, and the first
     cyclic reports cyclic: a nonzero reduced H0."""
     calls = []
 
@@ -265,39 +269,42 @@ class TestVerify:
         assert f"MAX_DEPTH = {MAX_DEPTH}" in out
         assert "certificate field" not in out and "Traceback" not in out
 
-    def test_pi1_probes_need_no_budget(self):
-        # the coreduction matching proves every pi1 probe, so the smallest
-        # budget --limit takes settles the claim
-        code, out, _ = run("--json", "verify", "long-interval-ascending",
-                           "--limit", "1")
+    def test_pi1_probes_need_no_budget(self, monkeypatch):
+        # the coreduction matching proves every pi1 probe: the claim passes
+        # with the Tietze fallback out of reach
+        monkeypatch.setattr(homology_module, "_pi1_verdict", None)
+        code, out, _ = run("--json", "verify", "long-interval-ascending")
         j = json.loads(out)
         assert code == 0 and j["verdict"] == "pass"
         probes = [c["detail"] for c in j["checks"] if "pi1" in c["detail"]]
         assert len(probes) == 52
         assert all(d.endswith(", pi1 trivial") for d in probes)
 
-    def test_exhausted_pi1_budget_is_inconclusive(self, monkeypatch):
+    def test_limit_is_no_flag_of_long_interval_ascending(self):
+        code, out, err = run("verify", "long-interval-ascending",
+                             "--limit", "1")
+        assert code == 2 and not out
+        assert "does not take --limit; it accepts no flags" in err
+
+    def test_pi1_left_open_is_inconclusive(self, monkeypatch):
         pi1_left_open(monkeypatch)
-        code, out, _ = run("--json", "verify", "long-interval-ascending",
-                           "--limit", "1")
+        code, out, _ = run("--json", "verify", "long-interval-ascending")
         j = json.loads(out)
         assert code == 3 and j["verdict"] == "inconclusive"
-        assert "-cone: pi1 budget 1 ran out" in j["error"]
-        assert "-pole-join: pi1 budget 1 ran out" in j["error"]
+        assert "-cone: the Tietze moves left pi1 open" in j["error"]
+        assert "-pole-join: the Tietze moves left pi1 open" in j["error"]
 
-    def test_failure_beside_exhausted_pi1_budget_still_fails(self,
-                                                             monkeypatch):
+    def test_failure_beside_pi1_left_open_still_fails(self, monkeypatch):
         # the first report is cyclic; every other probe is left open
         pi1_left_open(monkeypatch, cyclic=1)
-        code, out, _ = run("--json", "verify", "long-interval-ascending",
-                           "--limit", "1")
+        code, out, _ = run("--json", "verify", "long-interval-ascending")
         j = json.loads(out)
         failed = [c["name"] for c in j["checks"] if not c["ok"]]
         assert code == 1 and j["verdict"] == "fail"
         assert failed[0] == "m1--1,0-feet-2-cone"
         assert "m1--1,-1-feet-6-pole-join" in failed[1:]
         pi1_left_open(monkeypatch, cyclic=1)
-        code, out, _ = run("verify", "long-interval-ascending", "--limit", "1")
+        code, out, _ = run("verify", "long-interval-ascending")
         assert code == 1
         assert out.strip().splitlines()[-1] == "FAIL long-interval-ascending"
 
