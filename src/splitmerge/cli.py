@@ -1,8 +1,8 @@
 """Command-line surface: diagram arithmetic, exploration, and claim checks.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 usage or parse error,
-3 inconclusive (a budget ran out or pi1 was left open). All subcommands
-accept --json for machine-readable output with a "schema": 1 field.
+Exit codes: 0 pass, 1 fail, 2 usage or parse error (nerve-cycle --limit too),
+3 inconclusive (a --limit too small, a nerve cycle past MAX_DEPTH, or pi1 left
+open). All subcommands accept --json: one object with a "schema": 1 field.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ _VERIFY_FLAGS = {
     "ascending-nonempty": {"limit": "per_combo"},
     "l-invariant-disconnection": {"limit": "max_vertices"},
     "ascending-connected": {"limit": "per_feet"},
-    "nerve-cycle": {"limit": "max_steps", "char": "characters"},
+    "nerve-cycle": {"char": "characters"},
     "homology-oracle": {"limit": "n_random"},
     "morse-lemma-instance": {},
 }
@@ -40,7 +40,7 @@ def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         payload = dict(payload)
         payload["schema"] = SCHEMA
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
     else:
         print(text)
 

@@ -313,6 +313,8 @@ def _disjoint_family_complex(items, caps=None) -> SimplicialComplex:
 
 def _path_items(n: int, splits: bool = True) -> list:
     """("v", i) over foot i and ("e", i) over feet i, i+1 of an n-path."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n is {n!r}, not an int >= 0")
     items = [(("v", i), 1 << i) for i in range(1, n + 1)] if splits else []
     return items + [(("e", i), 3 << i) for i in range(1, n)]
 

@@ -542,21 +542,17 @@ def homology_report(complex_: SimplicialComplex,
 
 
 def pi1_trivial(complex_: SimplicialComplex) -> str:
-    """"trivial", "nontrivial" or "inconclusive" for the fundamental group.
-
-    Requires a nonempty connected complex, which the matching or else H0
-    shows. "nontrivial" only on nonzero H1; "trivial" on a matching proof,
-    or when the Tietze loop empties the presentation.
+    """"trivial", "nontrivial" or "inconclusive" for the fundamental group
+    of a nonempty connected complex: connectivity_evidence's pi1 at k = 1.
+    "nontrivial" only on nonzero H1; "trivial" on a matching proof, or when
+    the Tietze loop empties the presentation.
     """
     if complex_.is_empty():
         raise ValueError("pi1 of the empty complex is undefined")
-    chain = simplicial_chain_complex(complex_, top=2)
-    if _proved_simply_connected(chain):
-        return "trivial"
-    res = homology(chain)
-    if res[0]["betti"] != 1:
+    pi1 = connectivity_evidence(complex_, 1)["pi1"]
+    if pi1 is None:
         raise ValueError("pi1 needs a connected complex")
-    return _pi1_verdict(chain, res)
+    return pi1
 
 
 def _free_reduce(word) -> list:

@@ -8,9 +8,9 @@ contains an embedded 4-cycle, so it is not simply connected.
 The paths are built by an explicit walk, not a search: drain the left vine
 of the foot forest, raise the head tree's left depth by one while no foot
 caret is watching, then rebuild the vine two carets taller. Its mirror
-raises the right depth. Every step is gated at build time (band, character
-floor, reducedness, constancy of the off-side depth), and the finished
-certificate is replayed by an independent validator.
+raises the right depth. A leg from a vine of v carets has 4v + 3 vertices
+and MAX_DEPTH bounds v, so the walk needs no step limit. Each step is gated
+at build time, and the certificate is replayed by an independent validator.
 """
 
 from __future__ import annotations
@@ -98,14 +98,17 @@ def _require(condition: bool, message: str, at=None) -> None:
             f"nerve-cycle walk invariant failed: {message}{where}")
 
 
-def _raise_left(x: Diagram, char: Character, budget: int) -> list:
-    """Walk from (T / lvine(k), *, *, rvine(r)) to the same shape with k+2.
+def _raise_left(x: Diagram, char: Character) -> list:
+    """Walk from (T / lvine(v), *, *, rvine(r)) to the same shape with v+2.
 
     The head tree gains carets at leaves 0 and 1; the right depth of both
     sides never moves, so every vertex and edge stays inside one (R, value)
     cover piece. Feet stay within [4, 7] and the character value never goes
-    negative (given coefficients a, b > 0 with the entry heights used by
-    find_nerve_cycle).
+    negative (given a, b > 0 and find_nerve_cycle's entry heights). The
+    first loop removes one vine caret per split (v splits, v - 3 merges);
+    parking and the head carets take four moves; the second loop adds one
+    caret per merge (v + 2 merges, v - 1 splits). So the walk ends by itself
+    after 4v + 2 moves: the leg has 4v + 3 vertices.
     """
     plus = x.plus
     if x.heads != 1 or x.feet != 4:
@@ -122,9 +125,6 @@ def _raise_left(x: Diagram, char: Character, budget: int) -> list:
     def do(move, minus_may_change=False):
         prev = states[-1]
         cur = apply_move(prev, move)
-        if len(states) >= budget:
-            raise RuntimeError(
-                "cycle search exhausted within limits; retry with larger limits")
         _require(4 <= cur.feet <= 7, "left the band", cur)
         _require(is_reduced(cur), "unexpected reduction", cur)
         if not minus_may_change:
@@ -173,14 +173,12 @@ def _raise_left(x: Diagram, char: Character, budget: int) -> list:
     return states
 
 
-def _raise_right(x: Diagram, char: Character, budget: int) -> list:
-    mirrored = _raise_left(mirror_diagram(x), Character(char.b, char.a),
-                           budget)
+def _raise_right(x: Diagram, char: Character) -> list:
+    mirrored = _raise_left(mirror_diagram(x), Character(char.b, char.a))
     return [mirror_diagram(d) for d in mirrored]
 
 
-def find_nerve_cycle(character: Character,
-                     max_steps: int = 100000) -> CycleCertificate:
+def find_nerve_cycle(character: Character) -> CycleCertificate:
     """Build and validate a 4-cycle certificate, in the feet band (4, 7),
     for an a > 0, b > 0 character.
 
@@ -211,13 +209,13 @@ def find_nerve_cycle(character: Character,
     x3 = vertex(gadget, tadget, lam0 + 2, rho0 + 2)
     x4 = vertex(LEAF, tadget, lam0, rho0 + 2)
 
-    p12 = _raise_left(x1, character, max_steps)
+    p12 = _raise_left(x1, character)
     _require(p12[-1] == x2, "first leg missed its witness")
-    p23 = _raise_right(x2, character, max_steps)
+    p23 = _raise_right(x2, character)
     _require(p23[-1] == x3, "second leg missed its witness")
-    p34 = list(reversed(_raise_left(x4, character, max_steps)))
+    p34 = list(reversed(_raise_left(x4, character)))
     _require(p34[0] == x3, "third leg missed its witness")
-    p41 = list(reversed(_raise_right(x1, character, max_steps)))
+    p41 = list(reversed(_raise_right(x1, character)))
     _require(p41[0] == x4, "fourth leg missed its witness")
 
     cert = CycleCertificate(

@@ -422,6 +422,11 @@ def explore(seeds, band, chi_floor=None, characters=(),
     p, q = band
     if not 1 <= p <= q:
         raise ValueError(f"invalid band {band}")
+    if not (isinstance(max_vertices, int) and max_vertices >= 0):
+        raise ValueError(f"max_vertices is {max_vertices!r}, not an int >= 0")
+    if not (max_radius is None
+            or isinstance(max_radius, int) and max_radius >= 0):
+        raise ValueError(f"max_radius is {max_radius!r}, not None or int >= 0")
     if chi_floor is not None:
         char, threshold = chi_floor
         chi_floor = (char, Fraction(threshold))

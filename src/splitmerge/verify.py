@@ -1,12 +1,12 @@
 """Claim-by-claim verification suite.
 
-Each runner rebuilds its inputs from scratch, performs a fixed list of
-checks at the sizes given by its defaults, and returns a JSON-ready report
-{"claim", "ok", "checks", "parameters"}. Runs are deterministic: every
-randomized runner takes an explicit seed. A runner whose only failed checks
-are ones it could not decide (a pi1 probe the Tietze moves left open, an
-exploration too small to fill a sample) raises RuntimeError instead: the
-claim is inconclusive, not false.
+Each runner rebuilds its inputs, performs a fixed list of checks and
+returns a JSON-ready report {"claim", "ok", "checks", "parameters"}. It
+takes the sizes a CLI flag sets and, if randomized, an explicit seed, so
+runs are deterministic; every other size is fixed in it. A runner whose
+only failed checks are ones it could not decide (a pi1 probe the Tietze
+moves left open, an exploration too small to fill a sample) raises
+RuntimeError instead: the claim is inconclusive, not false.
 """
 
 from __future__ import annotations
@@ -85,9 +85,10 @@ def _reduce_in_random_order(rng, d: Diagram) -> Diagram:
         d = cancel_at(d, rng.choice(positions))
 
 
-def run_diagram_calculus(seed: int = DEFAULT_SEED, samples: int = 1000,
-                         triples: int = 500, max_generator: int = 6) -> dict:
+def run_diagram_calculus(seed: int = DEFAULT_SEED,
+                         samples: int = 1000) -> dict:
     rng = random.Random(seed)
+    triples, max_generator = 500, 6
     checks = []
 
     bad = []
@@ -128,9 +129,9 @@ def run_diagram_calculus(seed: int = DEFAULT_SEED, samples: int = 1000,
 # ---------------------------------------------------------------------------
 # 2. characters
 
-def run_characters(seed: int = DEFAULT_SEED, pairs: int = 500,
-                   expansions: int = 500, vertices: int = 200) -> dict:
+def run_characters(seed: int = DEFAULT_SEED, pairs: int = 500) -> dict:
     rng = random.Random(seed)
+    expansions, vertices = 500, 200
     checks = []
 
     hom_bad = 0
@@ -410,12 +411,10 @@ def run_ascending_connected(per_feet: int = 25) -> dict:
 # ---------------------------------------------------------------------------
 # 10. nerve cycle certificates
 
-def run_nerve_cycle(max_steps: int = 100000, characters=None) -> dict:
-    if characters is None:
-        characters = [Character(1, 1), Character(2, 1)]
+def run_nerve_cycle(characters=(Character(1, 1), Character(2, 1))) -> dict:
     checks = []
     for char in characters:
-        cert = find_nerve_cycle(char, max_steps=max_steps)
+        cert = find_nerve_cycle(char)
         rep = validate_certificate(cert)
         for c in rep["checks"]:
             _check(checks, f"{char}-{c['name']}", c["ok"], c["detail"])
@@ -423,8 +422,7 @@ def run_nerve_cycle(max_steps: int = 100000, characters=None) -> dict:
         _check(checks, f"{char}-json-round-trip", round_trip == cert,
                f"path lengths {rep['path_lengths']}")
     return _report("nerve-cycle", checks, {
-        "characters": [str(c) for c in characters], "band": [4, 7],
-        "max_steps": max_steps})
+        "characters": [str(c) for c in characters], "band": [4, 7]})
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +439,9 @@ def _random_complex(rng) -> SimplicialComplex:
             return k
 
 
-def run_homology_oracle(seed: int = DEFAULT_SEED, n_random: int = 50,
-                        n_cones: int = 10, n_fragments: int = 10) -> dict:
+def run_homology_oracle(seed: int = DEFAULT_SEED, n_random: int = 50) -> dict:
     rng = random.Random(seed)
+    n_cones, n_fragments = 10, 10
     checks = []
 
     rank_bad = 0

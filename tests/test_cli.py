@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -253,12 +254,20 @@ class TestVerify:
         j = json.loads(out)
         assert code == 0 and j["verdict"] == "pass"
 
-    def test_exhausted_search_is_inconclusive(self):
-        code, out, _ = run("--json", "verify", "nerve-cycle", "--limit", "1")
+    def test_limit_is_no_flag_of_nerve_cycle(self):
+        # the walk ends by construction, so nerve-cycle takes no step limit
+        code, out, err = run("verify", "nerve-cycle", "--limit", "5")
+        assert code == 2 and not out
+        assert "does not take --limit; it accepts --char" in err
+
+    def test_vine_past_max_depth_is_inconclusive_json(self):
+        code, out, _ = run("--json", "verify", "nerve-cycle", "--char", "84,1")
         j = json.loads(out)
         assert code == 3
         assert j["verdict"] == "inconclusive"
         assert "error" in j
+        # the exit-3 report writes the parsed --char as its text
+        assert j["parameters"] == {"characters": ["84,1"]}
 
     @pytest.mark.parametrize("char", ["1/84,1", "84,1"])
     def test_vine_past_max_depth_is_inconclusive(self, char):
@@ -360,6 +369,12 @@ class TestVerify:
         if claim == "matching-connectivity":
             # n_max 1 leaves no n to check, and no check is not a pass
             assert code == 3 and "no check ran" in out
+
+    @pytest.mark.parametrize("claim", list(verify_mod.RUNNERS))
+    def test_runner_takes_only_what_the_cli_sets(self, claim):
+        # every keyword a flag maps to, plus seed, and no other
+        takes = set(inspect.signature(verify_mod.RUNNERS[claim]).parameters)
+        assert takes - {"seed"} == set(_VERIFY_FLAGS[claim].values())
 
     def test_all_claims_registered(self):
         from splitmerge.verify import RUNNERS

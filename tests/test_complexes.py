@@ -228,6 +228,16 @@ class TestMatchingComplexes:
         }
         assert k.is_connected()
 
+    @pytest.mark.parametrize("model", [m_linear, gm_linear])
+    @pytest.mark.parametrize("n", [-1, -3, 2.5, "3", None])
+    def test_path_models_reject_bad_n(self, model, n):
+        with pytest.raises(ValueError, match="^n is .*, not an int >= 0$"):
+            model(n)
+
+    @pytest.mark.parametrize("model", [m_linear, gm_linear])
+    def test_empty_path_model(self, model):
+        assert model(0).is_empty()
+
     @pytest.mark.parametrize("n", range(2, 7))
     def test_gm_agrees_with_brute_force(self, n):
         got = gm_linear(n)

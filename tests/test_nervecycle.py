@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -68,13 +69,25 @@ class TestFind:
         class Walked(Exception):
             pass
 
-        def stop(x, char, budget):
+        def stop(x, char):
             raise Walked(x.canon)
 
         monkeypatch.setattr(nervecycle, "_raise_left", stop)
         with pytest.raises(Walked) as info:
             find_nerve_cycle(Character(3, 251))
         assert parse_diagram(str(info.value)).feet == 4
+
+    @pytest.mark.parametrize("char", [
+        Character(1, 1), Character(2, 1), Character(1, 5), Character(7, 3),
+        Character(Fraction(1, 2), Fraction(1, 3)), Character(1, 40)])
+    def test_leg_lengths_follow_entry_vines(self, char):
+        # a leg from an entry vine of v carets has 4v + 3 vertices, so the
+        # walk needs no step limit: MAX_DEPTH bounds v
+        left = 3 + math.ceil(3 * char.b / char.a)
+        right = 3 + math.ceil(3 * char.a / char.b)
+        cert = find_nerve_cycle(char)
+        assert [len(p) for p in cert.paths] == [
+            4 * left + 3, 4 * right + 3, 4 * left + 3, 4 * right + 3]
 
     def test_paths_stay_in_band(self):
         cert = find_nerve_cycle(Character(1, 1))

@@ -279,6 +279,19 @@ class TestExplore:
         assert len(frag.vertices) == 1 and frag.edges == []
         assert frag.provenance["radius_completed"] == 0
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"max_radius": -1}, "max_radius is -1, not None or int >= 0"),
+        ({"max_radius": 1.5}, "max_radius is 1.5, not None or int >= 0"),
+        ({"max_radius": "2"}, "max_radius is '2', not None or int >= 0"),
+        ({"max_vertices": -1}, "max_vertices is -1, not an int >= 0"),
+        ({"max_vertices": 2.5}, "max_vertices is 2.5, not an int >= 0"),
+        ({"max_vertices": None}, "max_vertices is None, not an int >= 0"),
+    ])
+    def test_bad_limits_are_rejected(self, kwargs, message):
+        x = parse_diagram("[(*,*)]/[*,*]")
+        with pytest.raises(ValueError, match=message):
+            explore([x], (2, 4), **kwargs)
+
     def test_band_respected(self):
         x = parse_diagram("[(*,*)]/[*,*]")
         frag = explore([x], (2, 4), max_vertices=200)
