@@ -31,7 +31,8 @@ from .trees import (
 
 
 class Diagram:
-    """Immutable split-merge diagram; canon joins two cached forest renders."""
+    """Immutable split-merge diagram; canon joins two cached forest renders.
+    The two forests are set once, through their slots' own descriptors."""
 
     # _nbr_chi stays unset until steinfarley keeps a neighbor table there
     __slots__ = ("minus", "plus", "_nbr_chi")
@@ -43,8 +44,8 @@ class Diagram:
             raise ValueError(
                 "sides must have equal leaf counts: "
                 f"{forest_num_leaves(minus)} vs {forest_num_leaves(plus)}")
-        object.__setattr__(self, "minus", minus)
-        object.__setattr__(self, "plus", plus)
+        _set_minus(self, minus)
+        _set_plus(self, plus)
 
     @classmethod
     def _make(cls, minus, plus) -> "Diagram":
@@ -55,8 +56,8 @@ class Diagram:
         call it.
         """
         d = object.__new__(cls)
-        object.__setattr__(d, "minus", minus)
-        object.__setattr__(d, "plus", plus)
+        _set_minus(d, minus)
+        _set_plus(d, plus)
         return d
 
     def __setattr__(self, name, value):
@@ -87,6 +88,9 @@ class Diagram:
 
     def __str__(self) -> str:
         return self.canon
+
+
+_set_minus, _set_plus = Diagram.minus.__set__, Diagram.plus.__set__
 
 
 def parse_diagram(text: str) -> Diagram:

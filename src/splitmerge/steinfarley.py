@@ -9,8 +9,11 @@ fragments of the complex are ever materialized.
 explore hands its Fragment its index and move maps as trusted (vertices
 are banded moves of checked seeds, each indexed once); caller-built
 fragments check both. Missing edges join unexpanded vertices, and only
-splits to some unexpanded vertex's key (_split_key) are applied. to_json
-renders each distinct forest once while it is among the last 1024.
+splits to some unexpanded vertex's key (_split_key) are applied. Banded
+moves and their inverses come from one table per (feet, band); cubes grow
+from the split edges; cover labels are read once per vertex. to_json
+renders each distinct forest once while it is among the last 1024, and
+otherwise joins it from trees still among the last 1024 rendered.
 
 Coface words are strings over I (foot untouched), L (foot split) and V
 (two adjacent feet merged); reading left to right, I and L consume one
@@ -55,10 +58,20 @@ def R_value(x: Diagram) -> int:
     return count_right(x.minus)
 
 
+def _check_band(band) -> tuple:
+    """(p, q) of a band of two ints with 1 <= p <= q; ValueError naming the
+    band for anything else, a bool included."""
+    try:
+        p, q = band
+    except (TypeError, ValueError):
+        p = q = None
+    if not (type(p) is type(q) is int and 1 <= p <= q):
+        raise ValueError(f"invalid band {band!r}: want two ints 1 <= p <= q")
+    return p, q
+
+
 def check_vertex(x: Diagram, band) -> None:
-    p, q = band
-    if not 1 <= p <= q:
-        raise ValueError(f"invalid band {band}")
+    p, q = _check_band(band)
     if x.heads != 1:
         raise ValueError("complex vertices have exactly one head")
     if not is_reduced(x):
@@ -67,15 +80,19 @@ def check_vertex(x: Diagram, band) -> None:
         raise ValueError(f"vertex has {x.feet} feet, outside band {band}")
 
 
-def moves_in_band(x: Diagram, band) -> list:
+def moves_in_band(x: Diagram, band) -> tuple:
+    """Banded moves at x: splits, then merges, each foot-ascending."""
     p, q = band
-    f = x.feet
-    moves = []
-    if f + 1 <= q:
-        moves.extend(("s", i) for i in range(1, f + 1))
-    if f - 1 >= p:
-        moves.extend(("m", i) for i in range(1, f))
-    return moves
+    return _band_moves(x.feet, p, q)[0]
+
+
+@functools.lru_cache(maxsize=1024)
+def _band_moves(f: int, p: int, q: int) -> tuple:
+    """(moves, (move, inverse) pairs) at an f-foot vertex in band (p, q)."""
+    splits = tuple(("s", i) for i in range(1, f + 1)) if f + 1 <= q else ()
+    merges = tuple(("m", i) for i in range(1, f)) if f - 1 >= p else ()
+    moves = splits + merges
+    return moves, tuple(zip(moves, map(invert_move, moves)))
 
 
 def neighbors(x: Diagram, band) -> list:
@@ -279,7 +296,7 @@ class Fragment:
         # vertex, and one move map per vertex, complete for the first done
         # vertices and holding every edge to them for the rest
         self.vertices = list(vertices)
-        self.band = (int(band[0]), int(band[1]))
+        self.band = _check_band(band)
         self.chi_floor = chi_floor
         self.characters = tuple(characters)
         self.provenance = provenance or {}
@@ -337,9 +354,12 @@ class Fragment:
         # level k + 1 grows from level k: adding an axis m right of every L
         # of a k-cube (i, word) gives a cube exactly when the new cube's
         # front face across m, (step(i, m), word with foot m doubled), is a
-        # k-cube too; the axes left of m keep their positions after split m
-        level = {(i, "I" * f) for i, f in enumerate(self.feet_values)}
-        found = []
+        # k-cube too; the axes left of m keep their positions after split m.
+        # Level 1 is every split edge, as the far end of a split is a vertex
+        level = {(i, "I" * (m - 1) + "L" + "I" * (f - m))
+                 for i, (f, mv) in enumerate(zip(self.feet_values, self.moves))
+                 for kind, m in mv if kind == "s"}
+        found = sorted(level)
         while level:
             grown = set()
             for i, word in level:
@@ -389,9 +409,9 @@ class Fragment:
 
     def to_json(self) -> dict:
         verts = []
+        tracked = sorted(self.chi_values.items())
         for i, d in enumerate(self.vertices):
-            chi_map = {key: str(vals[i])
-                       for key, vals in sorted(self.chi_values.items())}
+            chi_map = {key: str(vals[i]) for key, vals in tracked}
             chi_map.setdefault("1,0", str(self.chi0_values[i]))
             chi_map.setdefault("0,1", str(self.chi1_values[i]))
             verts.append({
@@ -419,13 +439,11 @@ def explore(seeds, band, chi_floor=None, characters=(),
     input order, then moves in split-then-merge, foot-ascending order, and
     truncation by max_vertices keeps any shorter run as a prefix.
     """
-    p, q = band
-    if not 1 <= p <= q:
-        raise ValueError(f"invalid band {band}")
-    if not (isinstance(max_vertices, int) and max_vertices >= 0):
+    p, q = _check_band(band)
+    if not (type(max_vertices) is int and max_vertices >= 0):
         raise ValueError(f"max_vertices is {max_vertices!r}, not an int >= 0")
     if not (max_radius is None
-            or isinstance(max_radius, int) and max_radius >= 0):
+            or type(max_radius) is int and max_radius >= 0):
         raise ValueError(f"max_radius is {max_radius!r}, not None or int >= 0")
     if chi_floor is not None:
         char, threshold = chi_floor
@@ -465,7 +483,7 @@ def explore(seeds, band, chi_floor=None, characters=(),
             break
         for i in level:
             d, mv = vertices[i], moves[i]
-            for move in moves_in_band(d, band):
+            for move, back in _band_moves(d.feet, p, q)[1]:
                 if move in mv:
                     continue
                 y = apply_move(d, move)
@@ -478,7 +496,7 @@ def explore(seeds, band, chi_floor=None, characters=(),
                         break
                     j = index[y]
                 mv[move] = j
-                moves[j][invert_move(move)] = i
+                moves[j][back] = i
             if truncated:
                 break
             expanded = i + 1
@@ -526,15 +544,18 @@ def nerve_data(frag: Fragment) -> dict:
         raise ValueError(
             "cover labels need a fragment explored with band start >= 2 and "
             "a nonnegative floor for a character with a > 0 and b > 0")
+    vertex_labels = [
+        tuple(label for label, carets in (
+            (("L", left), count_left(x.plus)),
+            (("R", right), count_right(x.plus))) if carets > 0)
+        for x, left, right in zip(frag.vertices, frag.L_values,
+                                  frag.R_values)]
     corner_lists = [frag.corners(base, word) for base, word in cells]
-    labels = []
-    for corners in corner_lists:
-        x = frag.vertices[corners[-1]]
-        labels.append(tuple((side, value(x)) for side, value, carets in (
-            ("L", L_value, count_left), ("R", R_value, count_right))
-            if carets(x.plus) > 0))
-        if not labels[-1]:
-            raise ValueError(f"cell at {x} received no cover label")
+    labels = [vertex_labels[corners[-1]] for corners in corner_lists]
+    for corners, labs in zip(corner_lists, labels):
+        if not labs:
+            raise ValueError(f"cell at {frag.vertices[corners[-1]]} "
+                             "received no cover label")
 
     by_corner_side = {}
     for ci, labs in enumerate(labels):

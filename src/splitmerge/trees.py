@@ -203,10 +203,15 @@ def render_forest(f) -> str:
     return _render_forest(tuple(f))
 
 
+# neighbouring vertices share forests, so most renders are repeats; and a
+# fragment holds far fewer distinct trees than forests, so a forest that has
+# left its cache is joined from trees still in theirs
+_render_tree = functools.lru_cache(maxsize=1024)(render_tree)
+
+
 @functools.lru_cache(maxsize=1024)
 def _render_forest(f: tuple) -> str:
-    # neighbouring vertices share forests, so most renders are repeats
-    return "[" + ",".join(render_tree(t) for t in f) + "]"
+    return "[" + ",".join(map(_render_tree, f)) + "]"
 
 
 def validate_forest(f):

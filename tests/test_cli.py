@@ -1,6 +1,7 @@
 """Command-line surface: outputs, JSON schema, exit codes."""
 
 import contextlib
+import hashlib
 import importlib
 import inspect
 import io
@@ -154,6 +155,18 @@ class TestExplore:
         code, out, err = run(*golden["argv"])
         assert code == 0 and not err
         assert out == golden["stdout"]
+
+    def test_large_run_digest(self):
+        # 2500 vertices holding 1420 distinct forests, so the forest render
+        # cache evicts while to_json runs; the digest was taken when forests
+        # had the only render cache
+        code, out, err = run(
+            "--json", "explore", "--seed",
+            "[((*,(*,*)),((*,*),(*,(*,*))))]/[((*,*),*),(*,(*,*)),*,*]",
+            "--band", "2,5", "--limit", "2500")
+        assert code == 0 and not err
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "09f4539492ba0f22202b987348b8b58a2a9d96552eb68422d1314380bccb615b")
 
     def test_multi_seed(self):
         code, out, _ = run(

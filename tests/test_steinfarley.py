@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,16 +11,20 @@ from hypothesis import given, settings, strategies as st
 
 from splitmerge import complexes as complexes_mod
 from splitmerge import steinfarley as steinfarley_mod
+from splitmerge import trees as trees_mod
 from splitmerge.characters import (Character, MorseSpec, chi, chi0, chi1,
-                                   refined_compare, refined_height)
+                                   count_left, count_right, refined_compare,
+                                   refined_height)
 from splitmerge.complexes import (
     SimplicialComplex,
     ascending_link_model,
+    connected_groups,
     descending_link_model,
     gm_linear,
 )
 from splitmerge.diagrams import (
     apply_move,
+    invert_move,
     mirror_diagram,
     parse_diagram,
     random_vertex,
@@ -27,6 +32,7 @@ from splitmerge.diagrams import (
     split_foot,
 )
 from splitmerge.homology import cubical_chain_complex, subdivision_complex
+from splitmerge.nervecycle import find_nerve_cycle
 from splitmerge.steinfarley import (
     Fragment,
     L_value,
@@ -93,6 +99,30 @@ class TestNeighbors:
             return
         for y in neighbors(x, band):
             assert x in neighbors(y, band)
+
+    @staticmethod
+    def old_moves_in_band(x, band):
+        # moves_in_band as first written: a fresh list on every call
+        p, q = band
+        f = x.feet
+        moves = []
+        if f + 1 <= q:
+            moves.extend(("s", i) for i in range(1, f + 1))
+        if f - 1 >= p:
+            moves.extend(("m", i) for i in range(1, f))
+        return moves
+
+    def test_move_table_equals_the_old_list(self):
+        rng = random.Random(3)
+        for feet in range(1, 10):
+            x = random_vertex(rng, feet, 2)
+            for p in range(1, feet + 1):
+                for q in range(feet, feet + 3):
+                    old = self.old_moves_in_band(x, (p, q))
+                    moves = moves_in_band(x, (p, q))
+                    assert type(moves) is tuple and list(moves) == old
+                    assert steinfarley_mod._band_moves(feet, p, q) == (
+                        moves, tuple((m, invert_move(m)) for m in old))
 
     def test_band_gates_vertex(self):
         with pytest.raises(ValueError):
@@ -286,11 +316,31 @@ class TestExplore:
         ({"max_vertices": -1}, "max_vertices is -1, not an int >= 0"),
         ({"max_vertices": 2.5}, "max_vertices is 2.5, not an int >= 0"),
         ({"max_vertices": None}, "max_vertices is None, not an int >= 0"),
+        ({"max_vertices": True}, "max_vertices is True, not an int >= 0"),
+        ({"max_radius": True}, "max_radius is True, not None or int >= 0"),
+        ({"max_radius": False}, "max_radius is False, not None or int >= 0"),
     ])
     def test_bad_limits_are_rejected(self, kwargs, message):
         x = parse_diagram("[(*,*)]/[*,*]")
         with pytest.raises(ValueError, match=message):
             explore([x], (2, 4), **kwargs)
+
+    @pytest.mark.parametrize("band", [
+        (2, 5.5), (2.7, 5), (2.0, 5), (True, 5), (2, True), ("2", 5), (5, 2),
+        (0, 3), (2,), (2, 3, 4), None, 7])
+    def test_bad_bands_are_rejected(self, band):
+        # by explore and by a caller-built Fragment, with or without vertices
+        x = parse_diagram("[(*,*)]/[*,*]")
+        message = f"invalid band {re.escape(repr(band))}: want two ints"
+        for build in (explore, Fragment):
+            for vertices in ([x], []):
+                with pytest.raises(ValueError, match=message):
+                    build(vertices, band)
+
+    def test_band_of_two_ints_in_any_sequence(self):
+        frag = explore([parse_diagram("[(*,*)]/[*,*]")], [2, 4],
+                       max_vertices=10)
+        assert frag.band == (2, 4) and frag.provenance["band"] == [2, 4]
 
     def test_band_respected(self):
         x = parse_diagram("[(*,*)]/[*,*]")
@@ -550,6 +600,17 @@ class TestCubeLayer:
         assert any(word.count("L") == 3 for _, word in frag.cubes)
         assert frag.cubes == self.brute_force_cubes(frag)
 
+    @pytest.mark.parametrize("seed, band, cap", [
+        ("[(*,*)]/[*,*]", (2, 3), 200), ("[((*,*),*)]/[*,*,*]", (3, 4), 300),
+        ("[(*,*)]/[*,*]", (2, 2), 50), ("[(*,*)]/[*,*]", (2, 6), 3)])
+    def test_cubes_are_every_cube_without_2_cubes(self, seed, band, cap):
+        # bands one foot wide, a band with no move, and a budget too small
+        # for a square: every cube is an edge, or there is none
+        frag = explore([parse_diagram(seed)], band, max_vertices=cap)
+        assert all(word.count("L") == 1 for _, word in frag.cubes)
+        assert len(frag.cubes) == len(frag.edges)
+        assert frag.cubes == self.brute_force_cubes(frag)
+
     @given(rngs())
     @settings(max_examples=30)
     def test_chain_cells_are_fragment_cells(self, rng):
@@ -661,6 +722,144 @@ class TestNerve:
             for lab in labels:
                 assert sum(ci in comp
                            for comp in data["piece_components"][lab]) == 1
+
+
+def reference_nerve_data(frag):
+    """nerve_data as first written, each cell's labels read off its top
+    corner's diagram; nerve_data now reads them from per-vertex labels."""
+    cells = frag.cells()
+    floor = frag.chi_floor
+    if cells and (floor is None or floor[0].a <= 0 or floor[0].b <= 0
+                  or floor[1] < 0 or frag.band[0] < 2):
+        raise ValueError(
+            "cover labels need a fragment explored with band start >= 2 and "
+            "a nonnegative floor for a character with a > 0 and b > 0")
+    corner_lists = [frag.corners(base, word) for base, word in cells]
+    labels = []
+    for corners in corner_lists:
+        x = frag.vertices[corners[-1]]
+        labels.append(tuple((side, value(x)) for side, value, carets in (
+            ("L", L_value, count_left), ("R", R_value, count_right))
+            if carets(x.plus) > 0))
+        if not labels[-1]:
+            raise ValueError(f"cell at {x} received no cover label")
+
+    by_corner_side = {}
+    for ci, labs in enumerate(labels):
+        for side, value in labs:
+            for v in corner_lists[ci]:
+                prev = by_corner_side.setdefault((v, side), value)
+                if prev != value:
+                    raise AssertionError(
+                        f"cover pieces ({side},{prev}) and ({side},{value}) "
+                        f"share vertex {frag.vertices[v]}")
+
+    piece_cells = {}
+    for ci, labs in enumerate(labels):
+        for lab in labs:
+            piece_cells.setdefault(lab, []).append(ci)
+
+    cell_component = {}
+    piece_components = {}
+    for lab, members in sorted(piece_cells.items()):
+        touch = {}
+        pairs = ((touch.setdefault(v, ci), ci)
+                 for ci in members for v in corner_lists[ci])
+        ordered = connected_groups(members, pairs)
+        piece_components[lab] = ordered
+        for k, comp in enumerate(ordered):
+            for ci in comp:
+                cell_component[(lab, ci)] = k
+
+    cell_nerve_vertices = [
+        tuple((side, value, cell_component[((side, value), ci)])
+              for side, value in labs)
+        for ci, labs in enumerate(labels)]
+    complex_ = SimplicialComplex(cell_nerve_vertices)
+    for edge in complex_.k_simplices(1):
+        sides = {side for side, _, _ in edge}
+        if sides != {"L", "R"}:
+            raise AssertionError(f"nerve edge {edge} is not bipartite")
+    return {
+        "cells": cells,
+        "labels": labels,
+        "piece_components": piece_components,
+        "cell_nerve_vertices": cell_nerve_vertices,
+        "complex": complex_,
+    }
+
+
+class TestCoverLabelsPerVertex:
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 1)])
+    @pytest.mark.parametrize("floor", [0, 1])
+    @pytest.mark.parametrize("cap", [1, 40, 400, 1500])
+    def test_equals_per_cell_labels(self, a, b, floor, cap):
+        char = Character(a, b)
+        cert = find_nerve_cycle(char)
+        frag = explore([parse_diagram(w) for w in cert.witnesses], cert.band,
+                       chi_floor=(char, floor), max_vertices=cap)
+        data, want = nerve_data(frag), reference_nerve_data(frag)
+        assert data.keys() == want.keys()
+        for key in ("cells", "labels", "piece_components",
+                    "cell_nerve_vertices"):
+            assert data[key] == want[key]
+        assert data["complex"] == want["complex"]
+        assert data["complex"].f_vector() == want["complex"].f_vector()
+
+    def test_both_ends_seed_equals_per_cell_labels(self):
+        frag = explore([parse_diagram(BOTH_ENDS_SEED)], (2, 4),
+                       chi_floor=(Character(1, 1), 0), max_vertices=150)
+        data, want = nerve_data(frag), reference_nerve_data(frag)
+        assert data["labels"] == want["labels"]
+        assert data["complex"] == want["complex"]
+
+    @pytest.mark.parametrize("band, floor", [
+        ((2, 4), None), ((1, 4), (Character(1, 1), 0)),
+        ((2, 4), (Character(1, 0), 0)), ((2, 4), (Character(1, 1), -1))])
+    def test_same_regime_error(self, band, floor):
+        x = parse_diagram("[((*,*),*)]/[*,*,*]")
+        frag = Fragment([x], band, chi_floor=floor)
+        errors = []
+        for route in (nerve_data, reference_nerve_data):
+            with pytest.raises(ValueError) as info:
+                route(frag)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and "cover labels need" in errors[0]
+
+    def test_same_error_for_a_cell_without_label(self):
+        # a caller-built fragment need not respect its floor: this vertex
+        # has no caret at either end of its feet
+        frag = Fragment([parse_diagram("[(*,*)]/[*,*]")], (2, 4),
+                        chi_floor=(Character(1, 1), 0))
+        errors = []
+        for route in (nerve_data, reference_nerve_data):
+            with pytest.raises(ValueError) as info:
+                route(frag)
+            errors.append(str(info.value))
+        assert errors == ["cell at [(*,*)]/[*,*] received no cover label"] * 2
+
+
+# a seed whose 2500-vertex fragment on band (2, 5) holds 1420 distinct
+# forests, more than the forest render cache keeps, but 276 distinct trees
+LARGE_SEED = "[((*,(*,*)),((*,*),(*,(*,*))))]/[((*,*),*),(*,(*,*)),*,*]"
+
+
+class TestRenderCaches:
+    def test_each_distinct_tree_rendered_once(self):
+        frag = explore([parse_diagram(LARGE_SEED)], (2, 5),
+                       max_vertices=2500)
+        forests = {f for d in frag.vertices for f in (d.minus, d.plus)}
+        distinct = {t for f in forests for t in f}
+        assert len(frag.vertices) == 2500 and len(forests) > 1024
+        trees_mod._render_forest.cache_clear()
+        trees_mod._render_tree.cache_clear()
+        payload = frag.to_json()
+        # each miss of the tree cache is one render_tree call
+        assert trees_mod._render_tree.cache_info().misses == len(distinct)
+        text = {t: trees_mod.render_tree(t) for t in distinct}
+        assert [v["diagram"] for v in payload["vertices"]] == [
+            "/".join("[" + ",".join(text[t] for t in f) + "]"
+                     for f in (d.minus, d.plus)) for d in frag.vertices]
 
 
 COEFFICIENTS = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-1, 3)]
