@@ -1,18 +1,17 @@
 """Integral homology and connectivity evidence for chain complexes.
 
 boundaries[k-1] of a ChainComplex holds one sparse {row: value} column per
-degree-k cell, with no zero values. homology() reduces each boundary by
-unit-pivot elimination, top degree down with clearing, and hands the block
-left without a unit entry to the dense Smith normal form, which supplies
-the torsion (after Dumas, Saunders and Villard, JSC 32 (2001)). The dense
-Smith normal form and the exact-rational rank route are test oracles.
+degree-k cell, with no zero values. homology() reads a chain whose entries
+are all +-1 off a coreduction matching (_critical_cells), reducing only
+where two critical degrees meet, and reduces any other chain in every
+degree. Elimination hands the block left without a unit entry to the dense
+Smith normal form (after Dumas, Saunders and Villard, JSC 32 (2001)). The
+dense Smith normal form and the exact-rational rank route are test oracles.
 
-pi1 answers "trivial", "nontrivial" (only on nonzero H1) or "inconclusive"
-by two routes. A greedy coreduction matching on degrees 0-2 that leaves
-one critical vertex and no critical edge proves the complex connected with
-H1 = 0 and pi1 trivial (_critical_cells). Otherwise a Tietze loop
-simplifies the spanning-tree presentation; each move removes a generator,
-so it stops by itself.
+pi1 answers "trivial", "nontrivial" (only on nonzero H1) or "inconclusive".
+A matching that leaves one critical vertex and no critical edge proves it
+trivial; otherwise a Tietze loop simplifies the spanning-tree presentation,
+and as each move removes a generator, it stops by itself.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import heapq
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import accumulate, chain as _chain, combinations, count, repeat
 from math import gcd
 
 from .complexes import SimplicialComplex
@@ -267,33 +266,55 @@ def _rank_and_torsion(columns, n_rows) -> tuple:
     return len(pivots) + len(diag), [d for d in diag if d > 1], pivots
 
 
-def homology(chain: ChainComplex) -> list:
-    """Per-degree {"betti": int, "torsion": [int, ...]} by unit-pivot
-    elimination and Smith normal form of the leftover block.
+def homology(chain: ChainComplex, _matching=None) -> list:
+    """Per-degree {"betti": int, "torsion": [int, ...]}.
 
-    Boundaries are reduced from the top degree down; the columns of d_k
-    at the unit pivot rows of d_(k+1) are cleared first (Chen and Kerber,
-    EuroCG 2011). Those pivots form a unimodular triangular block and
-    d_k d_(k+1) = 0, so each cleared column is an integer combination of
-    the kept ones: the rank and the invariant factors do not change.
+    On a chain whose entries are all +-1, each pair of _critical_cells'
+    matching (_matching, if given, for this chain) splits off a unit pivot:
+    rank d_k is the number of pairs with a coface of degree k, plus the
+    rank of the boundary between critical cells. That is zero unless
+    degrees k - 1 and k both hold critical cells, and also for d_1 when one
+    critical vertex meets columns that each sum to 0. Other boundaries are
+    reduced, as on any other chain, without the columns that meet d_(k+1)
+    in a unimodular triangular block: the faces matched upwards, or else
+    the unit pivot rows of d_(k+1) (clearing; Chen and Kerber, EuroCG
+    2011). As d_k d_(k+1) = 0, each such column is an integer combination
+    of the kept ones, so the rank and the torsion do not change.
     """
-    n = len(chain.dims)
+    dims = chain.dims
+    n = len(dims)
+    if _matching is None and {1, -1}.issuperset(_chain.from_iterable(map(
+            dict.values, _chain.from_iterable(chain.boundaries)))):
+        _matching = _critical_cells(chain)
     reduced = [None] * (n - 1)
     cleared = set()
-    for k in range(n - 2, -1, -1):
+    matched = 0
+    for k in range(n - 2, -1, -1):  # boundaries[k] is d_(k+1)
         columns = chain.boundaries[k]
+        if _matching is not None:
+            critical, pairs = _matching
+            # (k+1)-cells neither critical nor matched up are matched down
+            matched = dims[k + 1] - critical[k + 1] - matched
+            if not (critical[k] and critical[k + 1]) or k == 0 and (
+                    critical[0] == 1 and not any(map(sum, map(
+                        dict.values, columns)))):
+                reduced[k] = matched, []
+                continue
+            first = sum(dims[:k + 1])  # faces matched upwards are dropped
+            cleared = {f - first for f, _ in pairs
+                       if first <= f < first + dims[k + 1]}
         if cleared:
             columns = [col for j, col in enumerate(columns)
                        if j not in cleared]
-        rank, torsion, cleared = _rank_and_torsion(columns, chain.dims[k])
+        rank, torsion, cleared = _rank_and_torsion(columns, dims[k])
         reduced[k] = rank, torsion
     out = []
     for k in range(n):
         r_in = reduced[k - 1][0] if k >= 1 else 0
         r_out, torsion = reduced[k] if k < n - 1 else (0, [])
-        betti = chain.dims[k] - r_in - r_out
+        betti = dims[k] - r_in - r_out
         out.append({"betti": betti, "torsion": torsion})
-    total = sum((-1) ** k * chain.dims[k] for k in range(n))
+    total = sum((-1) ** k * dims[k] for k in range(n))
     alt = sum((-1) ** k * out[k]["betti"] for k in range(n))
     if total != alt:
         raise AssertionError("Euler characteristic mismatch in homology")
@@ -464,30 +485,34 @@ def relative_homology(complex_: SimplicialComplex,
 # ---------------------------------------------------------------------------
 # reports and fundamental-group evidence
 
-def _critical_cells(chain: ChainComplex, pairs=None) -> list:
-    """Critical cells in each of degrees 0..2 of a greedy coreduction
-    matching (Mrozek and Batko, Discrete Comput. Geom. 41 (2009)).
+def _critical_cells(chain: ChainComplex) -> tuple:
+    """(critical cells by degree, (face, coface) pairs in the order made)
+    of a greedy coreduction matching (Mrozek and Batko, Discrete Comput.
+    Geom. 41 (2009)) on a chain whose entries are all +-1; cells are
+    numbered degree by degree.
 
-    Only for simplicial chains, whose +-1 entries make every pair regular:
-    by Forman (Adv. Math. 134 (1998)) the 2-skeleton is then homotopy
-    equivalent to a CW complex with one cell per critical cell, so counts
-    [1] or [1, 0, ...] prove it connected with H1 = 0 and pi1 trivial. A
-    list pairs receives each (face, coface), cells numbered degree by degree.
+    The cells with one face start the queue, the others are visited in
+    order, and one whose faces are all gone is critical. A coface left
+    with one alive face is paired with it. The matching is acyclic and
+    each pair a unit, so the chain is a complex on the critical cells plus
+    one Z --+-1--> Z summand per pair (Skoldberg, Trans. AMS 358 (2006));
+    on a simplicial chain, counts [1] or [1, 0, ...] prove the complex
+    connected with H1 = 0 and pi1 trivial (Forman, Adv. Math. 134 (1998)).
     """
-    sizes = chain.dims[:3]
-    faces = [()] * (sizes[0] if sizes else 0)  # numbered degree by degree
-    if len(sizes) > 1:
-        faces += map(tuple, chain.boundaries[0])
-    if len(sizes) > 2:  # a triangle's column has its three edges' rows
-        n = sizes[0]
-        faces += [(n + a, n + b, n + c) for a, b, c in chain.boundaries[1]]
-    cofaces = [[] for _ in faces]
-    for c, rows in enumerate(faces):
-        for f in rows:
-            cofaces[f].append(c)
-    left = [len(rows) for rows in faces]  # alive faces of each cell
+    dims = chain.dims
+    starts = [0, *accumulate(dims)]  # the number of each degree's first cell
+    degree = list(_chain.from_iterable(map(repeat, count(), dims)))
+    faces = [()] * (dims[0] if dims else 0)  # columns: rows one degree down
+    cofaces = [[] for _ in degree]
+    for k, columns in enumerate(chain.boundaries):
+        faces += columns
+        start = starts[k]
+        for c, col in enumerate(columns, starts[k + 1]):
+            for f in col:
+                cofaces[start + f].append(c)
+    left = list(map(len, faces))  # alive faces of each cell
     alive = [True] * len(faces)
-    queue = []
+    queue = [c for c, size in enumerate(left) if size == 1]
 
     def remove(x):
         alive[x] = False
@@ -496,27 +521,24 @@ def _critical_cells(chain: ChainComplex, pairs=None) -> list:
             if left[q] == 1:
                 queue.append(q)
 
-    critical = [0] * len(sizes)
-    for c, rows in enumerate(faces):  # a d-simplex, d > 0, has d + 1 faces
-        if alive[c]:  # every face is gone: c is critical
-            critical[max(len(rows) - 1, 0)] += 1
-            remove(c)
+    critical = [0] * len(dims)
+    pairs = []
+    for c in range(len(faces)):  # the last cell has no coface to queue
         while queue:  # pair each coface left with one alive face
             q = queue.pop()
             if alive[q] and left[q] == 1:
                 remove(q)
+                start = starts[degree[q] - 1]
                 for f in faces[q]:
+                    f += start
                     if alive[f]:
                         remove(f)
                         break
-                if pairs is not None:
-                    pairs.append((f, q))
-    return critical
-
-
-def _proved_simply_connected(chain: ChainComplex) -> bool:
-    """One critical vertex and no critical edge (see _critical_cells)."""
-    return _critical_cells(chain)[:2] in ([1], [1, 0])
+                pairs.append((f, q))
+        if alive[c]:  # its faces, all visited, are gone: c is critical
+            critical[degree[c]] += 1
+            remove(c)
+    return critical, pairs
 
 
 def homology_report(complex_: SimplicialComplex,
@@ -524,7 +546,8 @@ def homology_report(complex_: SimplicialComplex,
     """Betti numbers, torsion, connectedness (from H0) and on request pi1."""
     nonempty = not complex_.is_empty()
     chain = simplicial_chain_complex(complex_)
-    res = homology(chain)
+    matching = _critical_cells(chain)
+    res = homology(chain, matching)
     betti = [r["betti"] for r in res]
     reduced = [betti[0] - 1] + betti[1:] if nonempty else list(betti)
     report = {
@@ -536,7 +559,7 @@ def homology_report(complex_: SimplicialComplex,
         "pi1": None,
     }
     if with_pi1 and report["connected"]:
-        report["pi1"] = ("trivial" if _proved_simply_connected(chain)
+        report["pi1"] = ("trivial" if matching[0][:2] in ([1], [1, 0])
                          else _pi1_verdict(chain, res))
     return report
 
@@ -666,8 +689,9 @@ def connectivity_evidence(complex_: SimplicialComplex, k: int) -> dict:
         ncomp = 0
         if nonempty:  # connectedness is read off the matching or from H0
             chain = simplicial_chain_complex(complex_, top=max(k + 1, 1))
-            proved = _proved_simply_connected(chain)
-            res = (homology(chain) if k >= 2 or not proved
+            matching = _critical_cells(chain)
+            proved = matching[0][:2] in ([1], [1, 0])
+            res = (homology(chain, matching) if k >= 2 or not proved
                    else [{"betti": 1, "torsion": []}])
             ncomp = res[0]["betti"]
         if check("connected", ncomp == 1,

@@ -106,7 +106,7 @@ def cofaces(x: Diagram, band) -> list:
 
     The trivial all-I word (the vertex itself) is included.
     """
-    return _coface_words(x, band)
+    return _coface_words(x, _check_band(band))
 
 
 def _coface_words(x: Diagram, band, masks=None, maximal=False) -> list:
@@ -188,7 +188,7 @@ def apply_labels(x: Diagram, labels) -> Diagram:
 def link_of(x: Diagram, band) -> SimplicialComplex:
     """Banded link of a vertex: one simplex per nontrivial coface word,
     built from the maximal words alone."""
-    return _facet_complex(_coface_words(x, band, maximal=True))
+    return _facet_complex(_coface_words(x, _check_band(band), maximal=True))
 
 
 def _facet_complex(words) -> SimplicialComplex:
@@ -456,21 +456,22 @@ def explore(seeds, band, chi_floor=None, characters=(),
 
     vertices, index, moves = [], {}, []
 
-    def enter(y) -> bool:
-        # index a new vertex; False once the budget is spent
-        if len(vertices) >= max_vertices:
-            return False
-        index[y] = len(vertices)
+    def enter(y):
+        # the index of a new vertex, or None once the budget is spent
+        j = len(vertices)
+        if j >= max_vertices:
+            return None
+        index[y] = j
         vertices.append(y)
         moves.append({})
-        return True
+        return j
 
     truncated = False
     for d in seeds:
         check_vertex(d, band)
         if not admissible(d):
             raise ValueError(f"seed below the character floor: {d}")
-        if d not in index and not enter(d):
+        if d not in index and enter(d) is None:
             truncated = True
             break
 
@@ -491,10 +492,10 @@ def explore(seeds, band, chi_floor=None, characters=(),
                 if j is None:
                     if not admissible(y):
                         continue
-                    if not enter(y):
+                    j = enter(y)
+                    if j is None:
                         truncated = True
                         break
-                    j = index[y]
                 mv[move] = j
                 moves[j][back] = i
             if truncated:

@@ -1,5 +1,6 @@
 """Integral chain complexes, homology, and the dual-route rank oracle."""
 
+import functools
 import importlib
 import random
 import re
@@ -438,9 +439,9 @@ class TestPi1FromReports:
         calls = []
         real = homology_module.homology
 
-        def counted(chain):
+        def counted(chain, *matching):
             calls.append(chain)
-            return real(chain)
+            return real(chain, *matching)
 
         monkeypatch.setattr(homology_module, "homology", counted)
         monkeypatch.setattr(homology_module, "pi1_trivial", None)
@@ -804,7 +805,7 @@ class TestConnectivityEvidence:
         # edge, so the Tietze fallback settles pi1
         k = dunce_hat()
         assert homology_module._critical_cells(
-            simplicial_chain_complex(k, top=2)) == [1, 1, 1]
+            simplicial_chain_complex(k, top=2))[0] == [1, 1, 1]
         assert connectivity_evidence(k, 1)["pi1"] == "trivial"
         assert homology_report(k, True)["pi1"] == "trivial"
         assert pi1_trivial(k) == "trivial"
@@ -895,7 +896,7 @@ ANY_COMPLEX = st.one_of(connected_complexes(), st.lists(
 def proved(complex_):
     """The coreduction matching proves the complex simply connected."""
     chain = simplicial_chain_complex(complex_, top=2)
-    return homology_module._critical_cells(chain)[:2] in ([1], [1, 0])
+    return homology_module._critical_cells(chain)[0][:2] in ([1], [1, 0])
 
 
 class TestReportsAgainstParent:
@@ -1021,8 +1022,7 @@ class TestEvidenceAgainstElimination:
 
 def matched_cells(chain):
     """_critical_cells' counts and pairs, each cell as (degree, index)."""
-    pairs = []
-    critical = homology_module._critical_cells(chain, pairs)
+    critical, pairs = homology_module._critical_cells(chain)
     starts = [sum(chain.dims[:d]) for d in range(len(critical))]
 
     def cell(x):
@@ -1055,29 +1055,38 @@ def assert_acyclic(chain, pairs):
     assert len(order) == sum(chain.dims)
 
 
+def assert_matching_sound(chain):
+    """_critical_cells on a chain with entries +-1, checked by definitions
+    that do not share its code: a matching of faces with entry +-1,
+    acyclic, whose critical counts give the Euler characteristic and bound
+    the Betti numbers of the all-degree elimination from above (the weak
+    Morse inequalities). Returns the critical counts."""
+    critical, pairs = matched_cells(chain)
+    matched = [cell for pair in pairs for cell in pair]
+    assert len(set(matched)) == len(matched)
+    for (d, f), (e, q) in pairs:
+        assert e == d + 1 and chain.boundaries[d][q].get(f) in (1, -1)
+    assert critical == [n - sum(1 for e, _ in matched if e == d)
+                        for d, n in enumerate(chain.dims)]
+    assert_acyclic(chain, pairs)
+    assert sum((-1) ** d * c for d, c in enumerate(critical)) == \
+        sum((-1) ** d * n for d, n in enumerate(chain.dims))
+    res = elimination_homology(chain)
+    assert all(c >= r["betti"] for c, r in zip(critical, res))
+    return critical
+
+
 class TestCoreductionMatching:
-    """The matching behind the pi1 proof, checked by definitions that do not
-    share its code: a matching of faces with entry +-1, acyclic, with the
-    Euler characteristic and the weak Morse inequalities of the 2-skeleton,
-    and never a proof where the reference Tietze loop does not reach
-    "trivial"."""
+    """The matching behind the pi1 proof on 2-skeletons: sound (see
+    assert_matching_sound), and never a proof where the reference Tietze
+    loop does not reach "trivial"."""
 
     @staticmethod
     def assert_sound(k):
         chain = simplicial_chain_complex(k, top=2)
-        critical, pairs = matched_cells(chain)
-        matched = [cell for pair in pairs for cell in pair]
-        assert len(set(matched)) == len(matched)
-        for (d, f), (e, q) in pairs:
-            assert e == d + 1 and chain.boundaries[d][q].get(f) in (1, -1)
-        assert critical == [n - sum(1 for e, _ in matched if e == d)
-                            for d, n in enumerate(chain.dims)]
-        assert_acyclic(chain, pairs)
-        assert sum((-1) ** d * c for d, c in enumerate(critical)) == \
-            sum((-1) ** d * n for d, n in enumerate(chain.dims))
-        res = homology(chain)
-        assert all(c >= r["betti"] for c, r in zip(critical, res))
+        critical = assert_matching_sound(chain)
         if critical[:2] in ([1], [1, 0]):
+            res = homology(chain)
             assert _reference_pi1_verdict(chain, res, 20000) == "trivial"
         return critical
 
@@ -1436,3 +1445,210 @@ class TestClearing:
         # and report Z/2 in H0
         chain = ChainComplex([1, 2, 1], [[{0: 1}, {0: 2}], [{0: 2, 1: -1}]])
         assert self.assert_same(chain) == [{"betti": 0, "torsion": []}] * 3
+
+
+# ---------------------------------------------------------------------------
+# homology read off the coreduction matching
+
+def elimination_homology(chain):
+    """homology() as it stood before it read unit chains off the matching,
+    kept verbatim as the reference: every boundary reduced, top degree
+    down, with clearing."""
+    n = len(chain.dims)
+    reduced = [None] * (n - 1)
+    cleared = set()
+    for k in range(n - 2, -1, -1):
+        columns = chain.boundaries[k]
+        if cleared:
+            columns = [col for j, col in enumerate(columns)
+                       if j not in cleared]
+        rank, torsion, cleared = homology_module._rank_and_torsion(
+            columns, chain.dims[k])
+        reduced[k] = rank, torsion
+    out = []
+    for k in range(n):
+        r_in = reduced[k - 1][0] if k >= 1 else 0
+        r_out, torsion = reduced[k] if k < n - 1 else (0, [])
+        betti = chain.dims[k] - r_in - r_out
+        out.append({"betti": betti, "torsion": torsion})
+    total = sum((-1) ** k * chain.dims[k] for k in range(n))
+    alt = sum((-1) ** k * out[k]["betti"] for k in range(n))
+    if total != alt:
+        raise AssertionError("Euler characteristic mismatch in homology")
+    return out
+
+
+@st.composite
+def explored_fragments(draw):
+    """Fragments explored from one or two random vertices in a random band,
+    truncated anywhere from 1 to 150 vertices."""
+    band = draw(st.sampled_from([(1, 3), (2, 4), (2, 5), (2, 6), (3, 5),
+                                 (3, 7)]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    seeds = [random_vertex(rng, rng.randint(*band), rng.randint(0, 5))
+             for _ in range(draw(st.integers(1, 2)))]
+    return explore(seeds, band, max_vertices=draw(st.integers(1, 150)))
+
+
+def sublevel_quotients(frag):
+    """The quotients of the fragment by the full subcomplexes on its
+    vertices with chi0 at most each of its three lowest values."""
+    chi0 = frag.chi0_values
+    return [corner_pair_quotient(frag, lambda j, cut=cut: chi0[j] <= cut)
+            for cut in sorted(set(chi0))[:3]]
+
+
+@functools.lru_cache(maxsize=None)
+def homology_workload():
+    """The fragments of the homology benchmark at seed 1, drawn as it draws
+    them, and its chi0 sublevel test on the first."""
+    rng = random.Random("homology:1")
+    frags = [explore([random_vertex(rng, band[0], 8)], band,
+                     max_vertices=300) for band in ((2, 4), (2, 5), (3, 6))]
+    chi0 = frags[0].chi0_values
+    cut = sorted(chi0)[len(chi0) // 2]
+    return frags, lambda j: chi0[j] <= cut
+
+
+class TestMatchingOnEveryChain:
+    """_critical_cells runs on every degree of simplicial, cubical and
+    quotient chains, and is sound on each (see assert_matching_sound)."""
+
+    @given(UP_TO_5_DIMENSIONAL)
+    @settings(max_examples=200, deadline=None)
+    @example(RP2)
+    @example(dunce_hat())
+    def test_simplicial(self, k):
+        assert_matching_sound(simplicial_chain_complex(k))
+
+    @given(explored_fragments())
+    @settings(max_examples=40, deadline=None)
+    def test_cubical_and_sublevel_quotients(self, frag):
+        assert_matching_sound(cubical_chain_complex(frag))
+        for chain in sublevel_quotients(frag):
+            assert_matching_sound(chain)
+
+    @given(UP_TO_5_DIMENSIONAL, st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_relative_quotients(self, k, seed):
+        rng = random.Random(seed)
+        sub = SimplicialComplex([f for f in k.facets if rng.random() < 0.5])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            seen = quotients_behind(monkeypatch,
+                                    lambda: relative_homology(k, sub))
+        assert_matching_sound(seen[0])
+
+    def test_benchmark_chains(self):
+        frags, in_sub = homology_workload()
+        counts = [assert_matching_sound(cubical_chain_complex(f))
+                  for f in frags]
+        counts.append(assert_matching_sound(
+            corner_pair_quotient(frags[0], in_sub)))
+        counts += [assert_matching_sound(simplicial_chain_complex(
+            m_linear(n))) for n in (13, 14)]
+        assert counts == [[1, 0, 0], [1, 4, 0], [1, 0, 0, 0], [0, 6, 0],
+                          [1, 0, 0, 2, 1, 0], [1, 0, 0, 0, 0, 0, 0]]
+
+    def test_cells_with_one_face_start_the_queue(self):
+        # the edge 1 - 0, and an edge at 1 whose other end was dropped: that
+        # edge takes vertex 1 before the visit in order makes vertex 0
+        # critical, which would leave [1, 1]
+        chain = ChainComplex([2, 2], [[{0: -1, 1: 1}, {1: 1}]])
+        assert homology_module._critical_cells(chain) == (
+            [0, 0], [(1, 3), (0, 2)])
+
+
+class TestHomologyOffTheMatching:
+    """homology() reads unit chains off the matching and reduces only the
+    boundaries between two critical degrees; it must equal the all-degree
+    elimination it replaced."""
+
+    @staticmethod
+    def assert_same(chain):
+        got = homology(chain)
+        assert got == elimination_homology(chain)
+        return got
+
+    @given(UP_TO_5_DIMENSIONAL)
+    @settings(max_examples=200, deadline=None)
+    @example(RP2)
+    @example(dunce_hat())
+    def test_random_complexes(self, k):
+        for top in (None, 1, 2, 3):
+            self.assert_same(simplicial_chain_complex(k, top))
+
+    @given(explored_fragments())
+    @settings(max_examples=40, deadline=None)
+    def test_fragments_and_sublevel_quotients(self, frag):
+        self.assert_same(cubical_chain_complex(frag))
+        for chain in sublevel_quotients(frag):
+            self.assert_same(chain)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matching_complexes(self, n):
+        self.assert_same(simplicial_chain_complex(m_linear(n)))
+
+    @pytest.mark.parametrize("k, torsion", [
+        (RP2, [[], [2], []]),
+        (dunce_hat(), [[], [], []]),
+        (join(RP2, SimplicialComplex([fs("n"), fs("s")])),
+         [[], [], [2], []]),
+    ])
+    def test_torsion(self, k, torsion):
+        assert [h["torsion"] for h in self.assert_same(
+            simplicial_chain_complex(k))] == torsion
+
+    def test_reduces_only_between_two_critical_degrees(self, monkeypatch):
+        # M(L_13) leaves critical cells [1, 0, 0, 2, 1, 0]: d_4 alone is
+        # reduced, without the seven 4-cells matched with 5-cells
+        chain = simplicial_chain_complex(m_linear(13))
+        want = elimination_homology(chain)
+        calls = []
+        real = homology_module._rank_and_torsion
+
+        def counted(columns, n_rows):
+            calls.append((len(columns), n_rows))
+            return real(columns, n_rows)
+
+        monkeypatch.setattr(homology_module, "_rank_and_torsion", counted)
+        assert homology(chain) == want
+        assert calls == [(chain.dims[4] - 7, chain.dims[3])]
+
+    def test_one_critical_vertex_and_a_column_that_does_not_sum_to_0(self):
+        # critical cells [1, 1], but the column 0 + 1 does not sum to 0:
+        # d_1 has rank 2 and leaves Z/2 in H0
+        chain = ChainComplex([2, 2], [[{0: -1, 1: 1}, {0: 1, 1: 1}]])
+        assert homology_module._critical_cells(chain)[0] == [1, 1]
+        assert self.assert_same(chain) == [
+            {"betti": 0, "torsion": [2]}, {"betti": 0, "torsion": []}]
+
+    def test_non_unit_chains_are_reduced_in_every_degree(self, monkeypatch):
+        def matching(chain):
+            raise AssertionError("a non-unit chain reached the matching")
+
+        monkeypatch.setattr(homology_module, "_critical_cells", matching)
+        # Z --2--> Z: matched as a pair, it would lose the Z/2 in H0
+        assert homology(ChainComplex([1, 1], [[{0: 2}]])) == [
+            {"betti": 0, "torsion": [2]}, {"betti": 0, "torsion": []}]
+        chain = ChainComplex([1, 2, 1], [[{0: 1}, {0: 2}], [{0: 2, 1: -1}]])
+        assert self.assert_same(chain) == [{"betti": 0, "torsion": []}] * 3
+
+    def test_benchmark_chains_need_no_elimination(self, monkeypatch):
+        frags, in_sub = homology_workload()
+        want = [elimination_homology(cubical_chain_complex(f))
+                for f in frags]
+        want.append(elimination_homology(corner_pair_quotient(
+            frags[0], in_sub)))
+
+        def elimination(columns, n_rows):
+            raise AssertionError("elimination reached")
+
+        monkeypatch.setattr(homology_module, "_rank_and_torsion", elimination)
+        got = [homology(cubical_chain_complex(f)) for f in frags]
+        got.append(fragment_pair_homology(frags[0], in_sub))
+        assert got == want
+        assert [[h["betti"] for h in res] for res in got] == [
+            [1, 0, 0], [1, 4, 0], [1, 0, 0, 0], [0, 6, 0]]
+        report = homology_report(m_linear(14))
+        assert report["betti_reduced"] == [0] * 7 and not any(
+            report["torsion"])

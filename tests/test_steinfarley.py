@@ -202,6 +202,18 @@ class TestLinks:
             feet, Character(1, 1), 1, (2, feet + 2)
         )
 
+    @pytest.mark.parametrize("band", [
+        (2, 6.5), (True, 6), (2.0, 6), ("2", 6)])
+    def test_bad_bands_are_rejected(self, band):
+        # each was once read as a band: (2, 6.5) gave a 4-foot vertex a
+        # 3-simplex, (True, 6) and (2.0, 6) were (1, 6) and (2, 6), and
+        # ("2", 6) raised a bare TypeError
+        x = reduce(random_vertex(random.Random(4), 4, 3))
+        message = f"invalid band {re.escape(repr(band))}: want two ints"
+        for build in (link_of, cofaces):
+            with pytest.raises(ValueError, match=message):
+                build(x, band)
+
     def test_seven_feet_capped_model(self):
         x = reduce(random_vertex(random.Random(3), 7, 2))
         spec = MorseSpec(Character(-1, 0), -1, (2, 7))
