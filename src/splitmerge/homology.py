@@ -1,12 +1,12 @@
 """Integral homology and connectivity evidence for chain complexes.
 
 boundaries[k-1] of a ChainComplex holds one sparse {row: value} column per
-degree-k cell, with no zero values. homology() reads a chain whose entries
-are all +-1 off a coreduction matching (_critical_cells), reducing only
-where two critical degrees meet, and reduces any other chain in every
-degree. Elimination hands the block left without a unit entry to the dense
-Smith normal form (after Dumas, Saunders and Villard, JSC 32 (2001)). The
-dense Smith normal form and the exact-rational rank route are test oracles.
+degree-k cell, with no zero values. homology() pairs cells along +-1
+entries with a coreduction matching (_critical_cells) and hands the dense
+Smith normal form only the Morse boundary between critical cells, where
+two critical degrees meet (algebraic discrete Morse theory). The dense
+Smith normal form of a whole boundary and the exact-rational rank route
+are test oracles.
 
 pi1 answers "trivial", "nontrivial" (only on nonzero H1) or "inconclusive".
 A matching that leaves one critical vertex and no critical edge proves it
@@ -16,7 +16,6 @@ and as each move removes a generator, it stops by itself.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -204,110 +203,34 @@ def _check_composes_to_zero(a, b, k):
                 f"boundary maps {k + 1} and {k + 2} do not compose to zero")
 
 
-def _dense(columns, rows) -> list:
-    """The given rows, as dense lists, of a matrix of sparse columns."""
-    return [[col.get(i, 0) for col in columns] for i in rows]
-
-
-def _rank_and_torsion(columns, n_rows) -> tuple:
-    """Rank, invariant factors > 1 and unit pivot rows of a sparse integer
-    matrix: unit pivots are eliminated sparsest row first, each leaving a
-    1 on the Smith diagonal; the leftover block goes to smith_normal_form.
-    """
-    cols = [dict(c) for c in columns]
-    rows = [set() for _ in range(n_rows)]
-    for j, col in enumerate(cols):
-        for i in col:
-            rows[i].add(j)
-    heap = [(len(r), i) for i, r in enumerate(rows) if r]
-    heapq.heapify(heap)
-    pivots = set()
-    while heap:
-        size, r = heapq.heappop(heap)
-        row = rows[r]
-        if size != len(row):
-            continue  # stale entry; the row was pushed again when it changed
-        c, best = None, n_rows + 1  # the sparsest unit column, first on ties
-        for j in row:
-            if cols[j][r] in (1, -1) and len(cols[j]) < best:
-                c, best = j, len(cols[j])
-        if c is None:
-            continue  # pushed again when a later pivot changes the row
-        pivot = cols[c]
-        p = pivot[r]
-        for j in row:
-            if j == c:
-                continue
-            col = cols[j]
-            f = col[r] * p
-            for i, v in pivot.items():
-                w = col.get(i, 0) - f * v
-                if w:
-                    if i not in col:
-                        rows[i].add(j)
-                    col[i] = w
-                else:
-                    del col[i]
-                    if i != r:
-                        rows[i].discard(j)
-        row.clear()
-        cols[c] = None
-        pivots.add(r)
-        for i in pivot:
-            if i != r:
-                rows[i].discard(c)
-                if rows[i]:  # an empty row is outside every column for good
-                    heapq.heappush(heap, (len(rows[i]), i))
-    left = [col for col in cols if col]
-    if not left:
-        return len(pivots), [], pivots
-    diag = smith_normal_form(_dense(left, sorted({i for col in left
-                                                  for i in col})))
-    return len(pivots) + len(diag), [d for d in diag if d > 1], pivots
-
-
 def homology(chain: ChainComplex, _matching=None) -> list:
     """Per-degree {"betti": int, "torsion": [int, ...]}.
 
-    On a chain whose entries are all +-1, each pair of _critical_cells'
-    matching (_matching, if given, for this chain) splits off a unit pivot:
-    rank d_k is the number of pairs with a coface of degree k, plus the
-    rank of the boundary between critical cells. That is zero unless
-    degrees k - 1 and k both hold critical cells, and also for d_1 when one
-    critical vertex meets columns that each sum to 0. Other boundaries are
-    reduced, as on any other chain, without the columns that meet d_(k+1)
-    in a unimodular triangular block: the faces matched upwards, or else
-    the unit pivot rows of d_(k+1) (clearing; Chen and Kerber, EuroCG
-    2011). As d_k d_(k+1) = 0, each such column is an integer combination
-    of the kept ones, so the rank and the torsion do not change.
+    _critical_cells' matching (_matching, if given, for this chain) pairs
+    cells along +-1 entries, so the chain is homotopy equivalent to its
+    Morse complex on the critical cells (Skoldberg, Trans. AMS 358 (2006);
+    Kozlov, C. R. Acad. Sci. Paris 340 (2005)). rank d_k is the number of
+    pairs with a coface of degree k, plus the rank of the Morse boundary
+    (_morse_block), whose Smith form also gives the torsion. That block is
+    zero unless degrees k - 1 and k both hold critical cells, and also for
+    d_1 when one critical vertex meets columns that each sum to 0: each
+    vertex's flow then sums to 1, so each column of the block sums to 0.
     """
     dims = chain.dims
     n = len(dims)
-    if _matching is None and {1, -1}.issuperset(_chain.from_iterable(map(
-            dict.values, _chain.from_iterable(chain.boundaries)))):
-        _matching = _critical_cells(chain)
+    critical, pairs = _matching or _critical_cells(chain)
     reduced = [None] * (n - 1)
-    cleared = set()
     matched = 0
     for k in range(n - 2, -1, -1):  # boundaries[k] is d_(k+1)
-        columns = chain.boundaries[k]
-        if _matching is not None:
-            critical, pairs = _matching
-            # (k+1)-cells neither critical nor matched up are matched down
-            matched = dims[k + 1] - critical[k + 1] - matched
-            if not (critical[k] and critical[k + 1]) or k == 0 and (
-                    critical[0] == 1 and not any(map(sum, map(
-                        dict.values, columns)))):
-                reduced[k] = matched, []
-                continue
-            first = sum(dims[:k + 1])  # faces matched upwards are dropped
-            cleared = {f - first for f, _ in pairs
-                       if first <= f < first + dims[k + 1]}
-        if cleared:
-            columns = [col for j, col in enumerate(columns)
-                       if j not in cleared]
-        rank, torsion, cleared = _rank_and_torsion(columns, dims[k])
-        reduced[k] = rank, torsion
+        # (k+1)-cells neither critical nor matched up are matched down
+        matched = dims[k + 1] - critical[k + 1] - matched
+        reduced[k] = matched, []
+        if not (critical[k] and critical[k + 1]) or k == 0 and (
+                critical[0] == 1 and not any(map(sum, map(
+                    dict.values, chain.boundaries[0])))):
+            continue
+        diag = smith_normal_form(_morse_block(chain, pairs, k))
+        reduced[k] = matched + len(diag), [d for d in diag if d > 1]
     out = []
     for k in range(n):
         r_in = reduced[k - 1][0] if k >= 1 else 0
@@ -321,10 +244,48 @@ def homology(chain: ChainComplex, _matching=None) -> list:
     return out
 
 
+def _morse_block(chain: ChainComplex, pairs, k) -> list:
+    """The Morse boundary from the critical (k+1)-cells to the critical
+    k-cells, as dense rows, of the matching whose pairs are given.
+
+    Each k-cell's flow is its image in the critical k-cells: a critical
+    cell's is itself, a cell matched downwards has none, and a face f
+    paired with q, at entry e, has -e times the sum of y_g flow(g) over
+    q's other faces g, at entries y_g. Those were all removed before f, so
+    the pairs, in the order made, reach each flow after those it needs.
+    """
+    columns = chain.boundaries[k]
+    first = sum(chain.dims[:k + 1])  # the number of the first (k+1)-cell
+    start = first - chain.dims[k]  # and of the first k-cell
+    matched = set(_chain.from_iterable(pairs))
+    rows = [f for f in range(chain.dims[k]) if f + start not in matched]
+    flows = [{}] * chain.dims[k]
+    for i, f in enumerate(rows):
+        flows[f] = {i: 1}
+    for f, q in pairs:
+        if start <= f < first:
+            col = columns[q - first]
+            f -= start
+            e = -col[f]
+            flow = {}  # f's own flow is still empty here, so it adds nothing
+            for g, y in col.items():
+                for i, v in flows[g].items():
+                    flow[i] = flow.get(i, 0) + e * y * v
+            flows[f] = flow
+    cells = [col for q, col in enumerate(columns, first) if q not in matched]
+    block = [[0] * len(cells) for _ in rows]
+    for j, col in enumerate(cells):
+        for f, x in col.items():
+            for i, v in flows[f].items():
+                block[i][j] += x * v
+    return block
+
+
 def betti_via_rational_ranks(chain: ChainComplex) -> list:
     """Betti numbers only, through the rational-rank oracle."""
     n = len(chain.dims)
-    ranks = [rank_over_rationals(_dense(columns, range(chain.dims[k])))
+    ranks = [rank_over_rationals([[col.get(i, 0) for col in columns]
+                                  for i in range(chain.dims[k])])
              for k, columns in enumerate(chain.boundaries)]
     out = []
     for k in range(n):
@@ -488,16 +449,18 @@ def relative_homology(complex_: SimplicialComplex,
 def _critical_cells(chain: ChainComplex) -> tuple:
     """(critical cells by degree, (face, coface) pairs in the order made)
     of a greedy coreduction matching (Mrozek and Batko, Discrete Comput.
-    Geom. 41 (2009)) on a chain whose entries are all +-1; cells are
-    numbered degree by degree.
+    Geom. 41 (2009)) on any integer chain, pairing only along +-1 entries;
+    cells are numbered degree by degree.
 
     The cells with one face start the queue, the others are visited in
     order, and one whose faces are all gone is critical. A coface left
-    with one alive face is paired with it. The matching is acyclic and
-    each pair a unit, so the chain is a complex on the critical cells plus
-    one Z --+-1--> Z summand per pair (Skoldberg, Trans. AMS 358 (2006));
-    on a simplicial chain, counts [1] or [1, 0, ...] prove the complex
-    connected with H1 = 0 and pi1 trivial (Forman, Adv. Math. 134 (1998)).
+    with one alive face is paired with it if that entry is +-1; otherwise
+    the face waits for its own visit. Along a pair's V-path each face was
+    removed before the last, so the matching is acyclic, and each pair is
+    a unit: the chain is homotopy equivalent to its Morse complex on the
+    critical cells (Skoldberg, Trans. AMS 358 (2006)). On a simplicial
+    chain, counts [1] or [1, 0, ...] prove the complex connected with
+    H1 = 0 and pi1 trivial (Forman, Adv. Math. 134 (1998)).
     """
     dims = chain.dims
     starts = [0, *accumulate(dims)]  # the number of each degree's first cell
@@ -524,17 +487,17 @@ def _critical_cells(chain: ChainComplex) -> tuple:
     critical = [0] * len(dims)
     pairs = []
     for c in range(len(faces)):  # the last cell has no coface to queue
-        while queue:  # pair each coface left with one alive face
+        while queue:  # pair each coface left with one alive face, at +-1
             q = queue.pop()
             if alive[q] and left[q] == 1:
-                remove(q)
                 start = starts[degree[q] - 1]
-                for f in faces[q]:
-                    f += start
-                    if alive[f]:
-                        remove(f)
+                for f, e in faces[q].items():
+                    if alive[start + f]:
                         break
-                pairs.append((f, q))
+                if e == 1 or e == -1:
+                    remove(q)
+                    remove(start + f)
+                    pairs.append((start + f, q))
         if alive[c]:  # its faces, all visited, are gone: c is critical
             critical[degree[c]] += 1
             remove(c)

@@ -1,6 +1,7 @@
 """Integral chain complexes, homology, and the dual-route rank oracle."""
 
 import functools
+import heapq
 import importlib
 import random
 import re
@@ -1056,8 +1057,8 @@ def assert_acyclic(chain, pairs):
 
 
 def assert_matching_sound(chain):
-    """_critical_cells on a chain with entries +-1, checked by definitions
-    that do not share its code: a matching of faces with entry +-1,
+    """_critical_cells on any integer chain, checked by definitions that
+    do not share its code: a matching of faces with entry +-1,
     acyclic, whose critical counts give the Euler characteristic and bound
     the Betti numbers of the all-degree elimination from above (the weak
     Morse inequalities). Returns the critical counts."""
@@ -1324,11 +1325,75 @@ class TestCubicalAgainstParent:
         assert calls == list(range(len(frag.vertices)))
 
 
+def _dense(columns, rows) -> list:
+    """The given rows, as dense lists, of a matrix of sparse columns."""
+    return [[col.get(i, 0) for col in columns] for i in rows]
+
+
+def rank_and_torsion(columns, n_rows) -> tuple:
+    """Rank, invariant factors > 1 and unit pivot rows of a sparse integer
+    matrix: unit pivots are eliminated sparsest row first, each leaving a
+    1 on the Smith diagonal; the leftover block goes to smith_normal_form.
+
+    The sparse elimination that homology() ran before the Morse complex,
+    kept verbatim as the one elimination reference."""
+    cols = [dict(c) for c in columns]
+    rows = [set() for _ in range(n_rows)]
+    for j, col in enumerate(cols):
+        for i in col:
+            rows[i].add(j)
+    heap = [(len(r), i) for i, r in enumerate(rows) if r]
+    heapq.heapify(heap)
+    pivots = set()
+    while heap:
+        size, r = heapq.heappop(heap)
+        row = rows[r]
+        if size != len(row):
+            continue  # stale entry; the row was pushed again when it changed
+        c, best = None, n_rows + 1  # the sparsest unit column, first on ties
+        for j in row:
+            if cols[j][r] in (1, -1) and len(cols[j]) < best:
+                c, best = j, len(cols[j])
+        if c is None:
+            continue  # pushed again when a later pivot changes the row
+        pivot = cols[c]
+        p = pivot[r]
+        for j in row:
+            if j == c:
+                continue
+            col = cols[j]
+            f = col[r] * p
+            for i, v in pivot.items():
+                w = col.get(i, 0) - f * v
+                if w:
+                    if i not in col:
+                        rows[i].add(j)
+                    col[i] = w
+                else:
+                    del col[i]
+                    if i != r:
+                        rows[i].discard(j)
+        row.clear()
+        cols[c] = None
+        pivots.add(r)
+        for i in pivot:
+            if i != r:
+                rows[i].discard(c)
+                if rows[i]:  # an empty row is outside every column for good
+                    heapq.heappush(heap, (len(rows[i]), i))
+    left = [col for col in cols if col]
+    if not left:
+        return len(pivots), [], pivots
+    diag = smith_normal_form(_dense(left, sorted({i for col in left
+                                                  for i in col})))
+    return len(pivots) + len(diag), [d for d in diag if d > 1], pivots
+
+
 def unclearing_homology(chain):
     """homology() as it stood before clearing, kept verbatim as the
     reference: every boundary reduced on its own."""
     n = len(chain.dims)
-    reduced = [homology_module._rank_and_torsion(columns, chain.dims[k])[:2]
+    reduced = [rank_and_torsion(columns, chain.dims[k])[:2]
                for k, columns in enumerate(chain.boundaries)]
     out = []
     for k in range(n):
@@ -1388,10 +1453,16 @@ def scrambled_complex(rng, pieces):
     return ChainComplex(dims, boundaries), expected
 
 
+# a seed and the pieces of scrambled_complex
+SCRAMBLED = (st.integers(0, 2 ** 32 - 1), st.lists(st.tuples(
+    st.integers(0, 3), st.sampled_from([0, 1, -1, 2, -2, 3, 4, 6])),
+    min_size=1, max_size=8))
+
+
 class TestClearing:
-    """homology() reduces top-down and clears the columns of d_k at the
-    unit pivot rows of d_(k+1); it must agree with reducing every
-    boundary on its own."""
+    """The inputs that held homology()'s former clearing step (dropping
+    the columns of d_k at the unit pivot rows of d_(k+1)): the Morse
+    complex must agree with reducing every boundary on its own."""
 
     @staticmethod
     def assert_same(chain):
@@ -1405,9 +1476,7 @@ class TestClearing:
         for top in (None, 1, 2):
             self.assert_same(simplicial_chain_complex(k, top))
 
-    @given(st.integers(0, 2 ** 32 - 1), st.lists(st.tuples(
-        st.integers(0, 3), st.sampled_from([0, 1, -1, 2, -2, 3, 4, 6])),
-        min_size=1, max_size=8))
+    @given(*SCRAMBLED)
     @settings(max_examples=200, deadline=None)
     def test_scrambled_complexes_with_torsion(self, seed, pieces):
         chain, expected = scrambled_complex(random.Random(seed), pieces)
@@ -1441,8 +1510,8 @@ class TestClearing:
 
     def test_only_unit_pivot_rows_are_cleared(self):
         # d2 has the unit entry -1 at row 1 and the non-unit 2 at row 0;
-        # clearing column 0 of d1 instead of column 1 would leave {0: 2}
-        # and report Z/2 in H0
+        # clearing column 0 of d1 instead of column 1, or pairing the
+        # triangle with edge 0, would leave {0: 2} and report Z/2 in H0
         chain = ChainComplex([1, 2, 1], [[{0: 1}, {0: 2}], [{0: 2, 1: -1}]])
         assert self.assert_same(chain) == [{"betti": 0, "torsion": []}] * 3
 
@@ -1462,8 +1531,7 @@ def elimination_homology(chain):
         if cleared:
             columns = [col for j, col in enumerate(columns)
                        if j not in cleared]
-        rank, torsion, cleared = homology_module._rank_and_torsion(
-            columns, chain.dims[k])
+        rank, torsion, cleared = rank_and_torsion(columns, chain.dims[k])
         reduced[k] = rank, torsion
     out = []
     for k in range(n):
@@ -1549,6 +1617,32 @@ class TestMatchingOnEveryChain:
         assert counts == [[1, 0, 0], [1, 4, 0], [1, 0, 0, 0], [0, 6, 0],
                           [1, 0, 0, 2, 1, 0], [1, 0, 0, 0, 0, 0, 0]]
 
+    @given(*SCRAMBLED)
+    @settings(max_examples=200, deadline=None)
+    def test_scrambled_complexes(self, seed, pieces):
+        assert_matching_sound(scrambled_complex(random.Random(seed), pieces)[0])
+
+    @pytest.mark.parametrize("dims, boundaries, critical", [
+        # Z --2--> Z and Z --(-3)--> Z: nothing to pair
+        ([1, 1], [[{0: 2}]], [1, 1]),
+        ([1, 1], [[{0: -3}]], [1, 1]),
+        # the triangle waits at edge 1 (entry 2), then takes edge 0 at -1
+        ([1, 2, 1], [[{0: 1}, {0: 2}], [{0: 2, 1: -1}]], [0, 0, 0]),
+        # edge 0 (entry 2) waits while edge 1 takes the vertex
+        ([1, 2], [[{0: 2}, {0: 1}]], [0, 1]),
+        # edge 2 (entries 3, -3) waits and stays critical
+        ([2, 3, 1], [[{0: -1, 1: 1}, {0: -1, 1: 1}, {0: 3, 1: -3}],
+                     [{0: 1, 1: -1}]], [1, 1, 0]),
+        # the Morse block of d_1 reads edge 1 through vertex 1's flow: Z/3
+        ([2, 2], [[{0: -1, 1: 1}, {0: 1, 1: 2}]], [1, 1]),
+        # a triangle on an empty edge at entry 3: Z/3 in H1
+        ([1, 1, 1], [[{}], [{0: 3}]], [1, 1, 1]),
+    ])
+    def test_chains_with_entries_2_and_3(self, dims, boundaries, critical):
+        chain = ChainComplex(dims, boundaries)
+        assert assert_matching_sound(chain) == critical
+        assert homology(chain) == elimination_homology(chain)
+
     def test_cells_with_one_face_start_the_queue(self):
         # the edge 1 - 0, and an edge at 1 whose other end was dropped: that
         # edge takes vertex 1 before the visit in order makes vertex 0
@@ -1559,9 +1653,9 @@ class TestMatchingOnEveryChain:
 
 
 class TestHomologyOffTheMatching:
-    """homology() reads unit chains off the matching and reduces only the
-    boundaries between two critical degrees; it must equal the all-degree
-    elimination it replaced."""
+    """homology() reads every chain off the matching and reduces only the
+    Morse blocks between two critical degrees; it must equal the
+    all-degree elimination it replaced."""
 
     @staticmethod
     def assert_same(chain):
@@ -1599,20 +1693,20 @@ class TestHomologyOffTheMatching:
             simplicial_chain_complex(k))] == torsion
 
     def test_reduces_only_between_two_critical_degrees(self, monkeypatch):
-        # M(L_13) leaves critical cells [1, 0, 0, 2, 1, 0]: d_4 alone is
-        # reduced, without the seven 4-cells matched with 5-cells
+        # M(L_13) leaves critical cells [1, 0, 0, 2, 1, 0]: only the Morse
+        # block of d_4, from one critical 4-cell to two 3-cells, is reduced
         chain = simplicial_chain_complex(m_linear(13))
         want = elimination_homology(chain)
         calls = []
-        real = homology_module._rank_and_torsion
+        real = homology_module.smith_normal_form
 
-        def counted(columns, n_rows):
-            calls.append((len(columns), n_rows))
-            return real(columns, n_rows)
+        def counted(matrix):
+            calls.append((len(matrix), len(matrix[0])))
+            return real(matrix)
 
-        monkeypatch.setattr(homology_module, "_rank_and_torsion", counted)
+        monkeypatch.setattr(homology_module, "smith_normal_form", counted)
         assert homology(chain) == want
-        assert calls == [(chain.dims[4] - 7, chain.dims[3])]
+        assert calls == [(2, 1)]
 
     def test_one_critical_vertex_and_a_column_that_does_not_sum_to_0(self):
         # critical cells [1, 1], but the column 0 + 1 does not sum to 0:
@@ -1622,13 +1716,11 @@ class TestHomologyOffTheMatching:
         assert self.assert_same(chain) == [
             {"betti": 0, "torsion": [2]}, {"betti": 0, "torsion": []}]
 
-    def test_non_unit_chains_are_reduced_in_every_degree(self, monkeypatch):
-        def matching(chain):
-            raise AssertionError("a non-unit chain reached the matching")
-
-        monkeypatch.setattr(homology_module, "_critical_cells", matching)
+    def test_non_unit_entries_are_never_paired(self):
         # Z --2--> Z: matched as a pair, it would lose the Z/2 in H0
-        assert homology(ChainComplex([1, 1], [[{0: 2}]])) == [
+        chain = ChainComplex([1, 1], [[{0: 2}]])
+        assert homology_module._critical_cells(chain) == ([1, 1], [])
+        assert self.assert_same(chain) == [
             {"betti": 0, "torsion": [2]}, {"betti": 0, "torsion": []}]
         chain = ChainComplex([1, 2, 1], [[{0: 1}, {0: 2}], [{0: 2, 1: -1}]])
         assert self.assert_same(chain) == [{"betti": 0, "torsion": []}] * 3
@@ -1640,10 +1732,10 @@ class TestHomologyOffTheMatching:
         want.append(elimination_homology(corner_pair_quotient(
             frags[0], in_sub)))
 
-        def elimination(columns, n_rows):
-            raise AssertionError("elimination reached")
+        def elimination(matrix):
+            raise AssertionError("a Morse block reached smith_normal_form")
 
-        monkeypatch.setattr(homology_module, "_rank_and_torsion", elimination)
+        monkeypatch.setattr(homology_module, "smith_normal_form", elimination)
         got = [homology(cubical_chain_complex(f)) for f in frags]
         got.append(fragment_pair_homology(frags[0], in_sub))
         assert got == want
