@@ -94,7 +94,7 @@ def epsilon(character: Character) -> Fraction:
     return min(vals)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MorseSpec:
     """A character, a tie-breaking direction on feet, and a foot-count band.
 

@@ -24,6 +24,7 @@ model flips that sign instead of building the negated character.
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations
 
 from .characters import Character, MorseSpec
@@ -313,7 +314,7 @@ def _disjoint_family_complex(items, caps=None) -> SimplicialComplex:
 
 def _path_items(n: int, splits: bool = True) -> list:
     """("v", i) over foot i and ("e", i) over feet i, i+1 of an n-path."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"n is {n!r}, not an int >= 0")
     items = [(("v", i), 1 << i) for i in range(1, n + 1)] if splits else []
     return items + [(("e", i), 3 << i) for i in range(1, n)]
@@ -374,6 +375,12 @@ def descending_link_model(n: int, character: Character, secondary: int,
 
 
 def _link_model(n, character, secondary, band, sign) -> SimplicialComplex:
+    """Checks the spec and lists the ascending items on every call; builds
+    once per (items, q - n, n - p). Only (sign a, sign b) of chi matter,
+    and sign(a + b) at n = 2: move_delta is (0, 0) off the end feet, so an
+    inner move goes by the secondary, while split 1, split n, merge 1 and
+    merge n - 1 change chi by -a, -b, +a, +b (merge 1 by a + b at n = 2,
+    moving both ends). ints keeps signs; a zero change defers to secondary."""
     if not isinstance(n, int):
         raise ValueError(f"feet count must be an int, got {n!r}")
     p, q = MorseSpec(character, secondary, tuple(band)).band
@@ -388,4 +395,9 @@ def _link_model(n, character, secondary, band, sign) -> SimplicialComplex:
         dfeet = 1 if label[0] == "v" else -1
         if (sign * (a * d0 + b * d1), sign * secondary * dfeet) > (0, 0):
             items.append((label, foot))
-    return _disjoint_family_complex(items, {"v": q - n, "e": n - p})
+    return _model_complex(tuple(items), q - n, n - p)
+
+
+@functools.lru_cache(maxsize=1024)
+def _model_complex(items: tuple, splits: int, merges: int):
+    return _disjoint_family_complex(items, {"v": splits, "e": merges})

@@ -32,7 +32,7 @@ compare it against. The (chi0, chi1) of a vertex and of all its neighbors
 are computed once per vertex and shared by both links and every spec;
 heights are compared in the character's scaled integer form, as is the
 explore floor, so Fractions appear only in the values a Fragment prints.
-The simplex of each coface word is built once while among the last 4096.
+Each link type (feet, band, masks) is built once while among the last 1024.
 """
 
 from __future__ import annotations
@@ -106,11 +106,11 @@ def cofaces(x: Diagram, band) -> list:
 
     The trivial all-I word (the vertex itself) is included.
     """
-    return _coface_words(x, _check_band(band))
+    return _coface_words(x.feet, _check_band(band))
 
 
-def _coface_words(x: Diagram, band, masks=None, maximal=False) -> list:
-    """Banded coface words at x, depth first, I before L before V.
+def _coface_words(f: int, band, masks=None, maximal=False) -> list:
+    """Banded coface words of f feet, depth first, I before L before V.
 
     masks, when given, is (splits, merges) from _monotone_masks: an L at
     foot i needs bit i of splits and a V at feet i, i+1 bit i of merges. A
@@ -119,7 +119,6 @@ def _coface_words(x: Diagram, band, masks=None, maximal=False) -> list:
     II -> V is allowed and within the band caps. One change is enough to
     test, as every subset of a listed family is listed.
     """
-    f = x.feet
     p, q = band
     if not p <= f <= q:
         raise ValueError(f"vertex has {f} feet, outside band {band}")
@@ -188,17 +187,14 @@ def apply_labels(x: Diagram, labels) -> Diagram:
 def link_of(x: Diagram, band) -> SimplicialComplex:
     """Banded link of a vertex: one simplex per nontrivial coface word,
     built from the maximal words alone."""
-    return _facet_complex(_coface_words(x, _check_band(band), maximal=True))
+    return _link_complex(x.feet, _check_band(band), None)
 
 
-def _facet_complex(words) -> SimplicialComplex:
-    return SimplicialComplex._from_facets(
-        s for s in map(_word_simplex, words) if s)
-
-
-@functools.lru_cache(maxsize=4096)
-def _word_simplex(word: str) -> frozenset:
-    return frozenset(word_labels(word))
+@functools.lru_cache(maxsize=1024)
+def _link_complex(f: int, band: tuple, masks) -> SimplicialComplex:
+    """The maximal coface words' complex; a cached key met the band check."""
+    return SimplicialComplex._from_facets(s for s in map(frozenset, map(
+        word_labels, _coface_words(f, band, masks, maximal=True))) if s)
 
 
 def _neighbor_table(x: Diagram) -> tuple:
@@ -239,10 +235,10 @@ def ascending_link(x: Diagram, spec: MorseSpec, down: bool = False
     Heights are computed on the actual neighbor diagrams, independently of
     the combinatorial link model; a non-ascending letter is pruned inside
     the coface recursion, so no word through it is ever listed, and only
-    the maximal words become simplices.
+    the maximal words become simplices, once per (feet, band, masks).
     """
-    return _facet_complex(_coface_words(
-        x, spec.band, _monotone_masks(x, spec, down), maximal=True))
+    return _link_complex(x.feet, tuple(spec.band),
+                         _monotone_masks(x, spec, down))
 
 
 def descending_link(x: Diagram, spec: MorseSpec) -> SimplicialComplex:
@@ -255,7 +251,7 @@ def monotone_cofaces(x: Diagram, spec: MorseSpec, down: bool = False) -> list:
     The trivial word qualifies vacuously; the result is the closed star of
     x in the ascending (descending) direction, in the order of cofaces.
     """
-    return _coface_words(x, spec.band, _monotone_masks(x, spec, down))
+    return _coface_words(x.feet, spec.band, _monotone_masks(x, spec, down))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ import functools
 import itertools
 
 LEAF: tuple = (0,)
+_FEW_LEAVES = ((), LEAF, (1, 1))  # by leaf count; built forests share them
 MAX_DEPTH = 256
 
 
@@ -275,7 +276,8 @@ def _from_heaps(heaps) -> tuple:
     """The forest whose leaves have these heap numbers, left to right."""
     starts = [k for k, n in enumerate(heaps) if not n & (n - 1)] + [len(heaps)]
     depths = [n.bit_length() - 1 for n in heaps]
-    return tuple(tuple(depths[a:b]) for a, b in zip(starts, starts[1:]))
+    return tuple([tuple(depths[a:b]) if b - a > 2 else _FEW_LEAVES[b - a]
+                  for a, b in zip(starts, starts[1:])])
 
 
 def cancel_common_carets(f, g):
@@ -355,4 +357,4 @@ def random_forest(rng, trees: int, carets: int):
                 t[i:i + 1] = (t[i] + 1,) * 2
                 break
             i -= len(t)
-    return tuple(map(tuple, f))
+    return tuple(tuple(t) if len(t) > 2 else _FEW_LEAVES[len(t)] for t in f)

@@ -1,4 +1,7 @@
+import pytest
 from hypothesis import HealthCheck, settings
+
+from splitmerge import complexes, steinfarley
 
 settings.register_profile(
     "repeatable",
@@ -7,3 +10,14 @@ settings.register_profile(
     deadline=None,
 )
 settings.load_profile("repeatable")
+
+# the link-type caches: the coface route's and the link models'
+LINK_TYPE_CACHES = (steinfarley._link_complex, complexes._model_complex)
+
+
+@pytest.fixture(autouse=True)
+def cold_link_caches():
+    """Every test starts with both link-type caches empty, so no result
+    depends on which link types an earlier test built."""
+    for cache in LINK_TYPE_CACHES:
+        cache.cache_clear()

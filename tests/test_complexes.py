@@ -1,13 +1,14 @@
 """Simplicial complexes, matching complexes, and closed-form link models."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitmerge import steinfarley
+from splitmerge import complexes, steinfarley
 from splitmerge.characters import Character
 from splitmerge.complexes import (
     SimplicialComplex,
@@ -229,7 +230,7 @@ class TestMatchingComplexes:
         assert k.is_connected()
 
     @pytest.mark.parametrize("model", [m_linear, gm_linear])
-    @pytest.mark.parametrize("n", [-1, -3, 2.5, "3", None])
+    @pytest.mark.parametrize("n", [-1, -3, 2.5, "3", None, True, False])
     def test_path_models_reject_bad_n(self, model, n):
         with pytest.raises(ValueError, match="^n is .*, not an int >= 0$"):
             model(n)
@@ -307,6 +308,18 @@ class TestShiftAndDeltas:
         assert move_delta(n, e(n - 1)) == (0, 1)
 
 
+def sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+# every primitive (a, b) with |a|, |b| <= 3, and the two Fraction
+# characters of the links benchmark
+SIGN_GRID = [Character(a, b) for a in range(-3, 4) for b in range(-3, 4)
+             if math.gcd(a, b) == 1] + [
+    Character(Fraction(1, 2), Fraction(-1, 3)),
+    Character(Fraction(-1, 3), Fraction(1, 2))]
+
+
 class TestAscendingModels:
     def test_small_band_example(self):
         # chi weights (1,0), ties broken upward, 3 feet, band [3,4]:
@@ -355,8 +368,25 @@ class TestAscendingModels:
             with pytest.raises(ValueError):
                 model(n, Character(1, 1), secondary, band)
 
-    def test_word_simplex_cache_is_bounded(self):
-        assert steinfarley._word_simplex.cache_info().maxsize is not None
+    def test_link_type_caches_are_bounded(self):
+        for cache in (steinfarley._link_complex, complexes._model_complex):
+            assert cache.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_models_depend_only_on_sign_class(self, n):
+        # _link_model's docstring: chi enters only through (sign a, sign
+        # b), and sign(a + b) at n = 2, where merge 1 moves both ends
+        for model in (ascending_link_model, descending_link_model):
+            for sec in (1, -1):
+                classes: dict = {}
+                for char in SIGN_GRID:
+                    a, b = char.a, char.b
+                    key = (sign(a), sign(b), sign(a + b) if n == 2 else 0)
+                    classes.setdefault(key, []).append(
+                        model(n, char, sec, (2, n + 3)))
+                assert len(classes) == (12 if n == 2 else 8)
+                for key, models in classes.items():
+                    assert all(k == models[0] for k in models), key
 
     @given(
         st.integers(3, 8),

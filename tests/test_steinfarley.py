@@ -926,6 +926,81 @@ class TestNeighborTable:
         assert ascending_link(x, spec) == model
 
 
+class TestLinkTypes:
+    """Both link routes build once per link type: the coface route per
+    (feet, band, masks), the models per ascending items and band caps."""
+
+    @staticmethod
+    def build(x, spec):
+        f, c, sec, band = x.feet, spec.character, spec.secondary, spec.band
+        return [ascending_link(x, spec), descending_link(x, spec),
+                link_of(x, band), ascending_link_model(f, c, sec, band),
+                descending_link_model(f, c, sec, band)]
+
+    @given(rngs(), st.sampled_from(COEFFICIENTS),
+           st.sampled_from(COEFFICIENTS), st.sampled_from([1, -1]),
+           st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_cached_equals_uncached(self, rng, a, b, sec, below, above):
+        f = rng.randint(2, 8)
+        x = random_vertex(rng, f, rng.randint(0, 8))
+        spec = MorseSpec(Character(a, b), sec, (max(2, f - below), f + above))
+        caches = (steinfarley_mod._link_complex, complexes_mod._model_complex)
+        cached = self.build(x, spec)
+        again = self.build(x, spec)  # every call a hit
+        assert all(c is d for c, d in zip(cached, again))
+        info = [cache.cache_info() for cache in caches]
+        with pytest.MonkeyPatch.context() as mp:
+            for mod, cache in zip((steinfarley_mod, complexes_mod), caches):
+                mp.setattr(mod, cache.__name__, cache.__wrapped__)
+            built = self.build(x, spec)
+        assert [cache.cache_info() for cache in caches] == info
+        assert built == cached
+
+    @given(rngs(), st.sampled_from(COEFFICIENTS),
+           st.sampled_from(COEFFICIENTS), st.sampled_from([1, -1]),
+           st.sampled_from([2, 3, Fraction(1, 2)]))
+    @settings(max_examples=150, deadline=None)
+    def test_equal_types_share_one_object(self, rng, a, b, sec, k):
+        f = rng.randint(2, 8)
+        x, y = (random_vertex(rng, f, rng.randint(0, 8)) for _ in "xy")
+        band = (2, f + 3)
+        spec = MorseSpec(Character(a, b), sec, band)
+        assert link_of(x, band) is link_of(y, list(band))
+        for down in (False, True):
+            same = (_monotone_masks(x, spec, down)
+                    == _monotone_masks(y, spec, down))
+            assert (ascending_link(x, spec, down)
+                    is ascending_link(y, spec, down)) == same
+        # a positive multiple keeps every sign, so the items are equal
+        for model in (ascending_link_model, descending_link_model):
+            assert (model(f, Character(a, b), sec, band)
+                    is model(f, Character(k * a, k * b), sec, band))
+
+    def test_bad_input_raises_after_a_good_call(self):
+        x = random_vertex(random.Random(23), 4, 5)
+        y = random_vertex(random.Random(24), 7, 5)
+        spec = MorseSpec(Character(-1, 2), 1, (2, 6))
+        char = spec.character
+        for _ in range(2):
+            self.build(x, spec)
+            for link in (ascending_link, descending_link):
+                with pytest.raises(ValueError, match="7 feet, outside band"):
+                    link(y, spec)
+            with pytest.raises(ValueError, match="7 feet, outside band"):
+                link_of(y, spec.band)
+            # 4.0 and Fraction(4) hash as 4, and (2.0, 6) gives 4 feet the
+            # caps (2, 2): each would be a cached key, were it not refused
+            for model in (ascending_link_model, descending_link_model):
+                for n in (4.0, Fraction(4)):
+                    with pytest.raises(ValueError, match="must be an int"):
+                        model(n, char, 1, spec.band)
+                with pytest.raises(ValueError, match="must be integers"):
+                    model(4, char, 1, (2.0, 6))
+                with pytest.raises(ValueError, match="outside band"):
+                    model(7, char, 1, spec.band)
+
+
 class TestMirror:
     """Reflection swaps chi0 and chi1, so the links of mirror(x) under
     (b, a) are those of x under (a, b) with v_i -> v_(f+1-i) and
