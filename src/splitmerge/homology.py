@@ -8,11 +8,11 @@ two critical degrees meet (algebraic discrete Morse theory). The dense
 Smith normal form of a whole boundary and the exact-rational rank route
 are test oracles.
 
-pi1 answers "trivial", "nontrivial" (only on nonzero H1) or "inconclusive".
-A matching that leaves one critical vertex and no critical edge proves it
-trivial; otherwise a Tietze loop simplifies the spanning-tree presentation,
-and as each move removes a generator, it stops by itself.
-"""
+homology_report is the one connectivity report: connectivity_evidence and
+pi1_trivial read their checks and pi1 off it. pi1 is "trivial" when the
+matching leaves one critical vertex and no critical edge, else "nontrivial"
+on nonzero H1, else a Tietze loop, which stops by itself, settles it or
+answers "inconclusive"."""
 
 from __future__ import annotations
 
@@ -305,7 +305,7 @@ def simplicial_chain_complex(complex_: SimplicialComplex,
     column keys its rows in combinations order with signs (-1)^k, ..., +1:
     an edge (a, b) is {a: -1, b: 1}, a triangle (a, b, c) is ab - ac + bc.
     """
-    if top is not None and not (isinstance(top, int) and top >= 0):
+    if top is not None and not (type(top) is int and top >= 0):
         raise ValueError(f"top must be None or an int >= 0, got {top!r}")
     dim = complex_.dim()
     if top is not None:
@@ -383,16 +383,16 @@ def subdivision_complex(fragment) -> SimplicialComplex:
 def quotient_chain_complex(chain: ChainComplex, dropped) -> ChainComplex:
     """Relative chain complex: drop the cells of a subcomplex.
 
-    dropped[k] is a set of cell indices in degree k, closed under the
+    dropped[k] is a set of cell indices (ints) in degree k, closed under the
     boundary; ValueError when it is not, or names no cell of its degree.
     """
     n = len(chain.dims)
     dropped = list(dropped)
     for k, level in enumerate(dropped):
         size = chain.dims[k] if k < n else 0
-        for i in (min(level), max(level)) if level else ():
-            if not 0 <= i < size:
-                raise ValueError(f"degree {k} has no cell {i} to drop")
+        for i in level:
+            if type(i) is not int or not 0 <= i < size:
+                raise ValueError(f"degree {k} has no cell {i!r} to drop")
     dropped += [set()] * (n - len(dropped))
     keep = [[i for i in range(chain.dims[k]) if i not in dropped[k]]
             for k in range(n)]
@@ -504,38 +504,40 @@ def _critical_cells(chain: ChainComplex) -> tuple:
     return critical, pairs
 
 
-def homology_report(complex_: SimplicialComplex,
-                    with_pi1: bool = False) -> dict:
-    """Betti numbers, torsion, connectedness (from H0) and on request pi1."""
+def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
+                    *, _through=None) -> dict:
+    """Betti numbers, torsion, connectedness (from H0) and on request pi1.
+    _through lists only the exact degrees 0.._through (pi1 needs >= 1) off a
+    chain built through _through + 1; through H1, a matching proof gives the
+    groups as its critical counts, without homology()."""
     nonempty = not complex_.is_empty()
-    chain = simplicial_chain_complex(complex_)
+    top = None if _through is None else _through + 1
+    chain = simplicial_chain_complex(complex_, top)
     matching = _critical_cells(chain)
-    res = homology(chain, matching)
+    proved = matching[0][:2] in ([1], [1, 0])
+    res = ([{"betti": c, "torsion": []} for c in matching[0][:top]]
+           if proved and top is not None and top <= 2
+           else homology(chain, matching)[:top])
     betti = [r["betti"] for r in res]
-    reduced = [betti[0] - 1] + betti[1:] if nonempty else list(betti)
-    report = {
-        "betti": betti,
-        "betti_reduced": reduced,
-        "torsion": [r["torsion"] for r in res],
-        "nonempty": nonempty,
-        "connected": nonempty and betti[0] == 1,
-        "pi1": None,
-    }
-    if with_pi1 and report["connected"]:
-        report["pi1"] = ("trivial" if matching[0][:2] in ([1], [1, 0])
-                         else _pi1_verdict(chain, res))
-    return report
+    connected = nonempty and betti[0] == 1
+    return {"betti": betti,
+            "betti_reduced": ([betti[0] - 1] + betti[1:] if nonempty
+                              else list(betti)),
+            "torsion": [r["torsion"] for r in res],
+            "nonempty": nonempty, "connected": connected,
+            "pi1": ("trivial" if proved else _pi1_verdict(chain, res))
+            if with_pi1 and connected else None}
 
 
 def pi1_trivial(complex_: SimplicialComplex) -> str:
     """"trivial", "nontrivial" or "inconclusive" for the fundamental group
-    of a nonempty connected complex: connectivity_evidence's pi1 at k = 1.
-    "nontrivial" only on nonzero H1; "trivial" on a matching proof, or when
-    the Tietze loop empties the presentation.
-    """
+    of a nonempty connected complex: homology_report's pi1 through H1, the
+    pi1 of connectivity_evidence at k = 1. "nontrivial" only on nonzero H1;
+    "trivial" on a matching proof, or when the Tietze loop empties the
+    presentation."""
     if complex_.is_empty():
         raise ValueError("pi1 of the empty complex is undefined")
-    pi1 = connectivity_evidence(complex_, 1)["pi1"]
+    pi1 = homology_report(complex_, True, _through=1)["pi1"]
     if pi1 is None:
         raise ValueError("pi1 needs a connected complex")
     return pi1
@@ -626,47 +628,28 @@ def _pi1_verdict(chain: ChainComplex, res: list) -> str:
 
 
 def connectivity_evidence(complex_: SimplicialComplex, k: int) -> dict:
-    """Homology + pi1 evidence that the complex is k-connected.
-
-    k = -1 asks only for nonemptiness, k = 0 adds connectivity, k >= 1 adds
-    vanishing reduced homology through degree k and a pi1 verdict. The
-    verdict is "consistent" when every obtainable check passes (pi1
-    "trivial" included, when required), "fail" when any check fails, and
-    "inconclusive" when the only gap is an unresolved pi1. Checks, in order:
-    nonempty, connected ("empty" or "N components"), H1_zero..Hk_zero, pi1.
-    A matching proof (_critical_cells) settles H0, H1 and pi1 by itself.
-    """
-    if not isinstance(k, int):
+    """Checks that the complex is k-connected (nonempty; connected if k >= 0;
+    H1..Hk zero and pi1 if k >= 1), off homology_report through degree k.
+    Verdict: "fail", else "inconclusive" on an open pi1, else "consistent"."""
+    if type(k) is not int:
         raise ValueError(f"k must be an int >= -1, got {k!r}")
     if k < -1:
         raise ValueError(f"need k >= -1, got {k}")
-    checks = []
-
-    def check(name, ok, detail=""):
-        checks.append({"name": name, "ok": ok, "detail": detail})
-        return ok
-
-    pi1 = None
-    nonempty = check("nonempty", not complex_.is_empty())
+    nonempty = not complex_.is_empty()
+    report = (homology_report(complex_, k >= 1, _through=k) if nonempty
+              and k >= 0 else {"betti": [0], "pi1": None})
+    betti, pi1 = report["betti"] + [0] * k, report["pi1"]  # 0 past the top
+    checks = [("nonempty", nonempty, "")]
     if k >= 0:
-        ncomp = 0
-        if nonempty:  # connectedness is read off the matching or from H0
-            chain = simplicial_chain_complex(complex_, top=max(k + 1, 1))
-            matching = _critical_cells(chain)
-            proved = matching[0][:2] in ([1], [1, 0])
-            res = (homology(chain, matching) if k >= 2 or not proved
-                   else [{"betti": 1, "torsion": []}])
-            ncomp = res[0]["betti"]
-        if check("connected", ncomp == 1,
-                 f"{ncomp} components" if nonempty else "empty") and k >= 1:
-            res += [{"betti": 0, "torsion": []}] * (k + 1 - len(res))
-            for i in range(1, k + 1):
-                betti, torsion = res[i]["betti"], res[i]["torsion"]
-                check(f"H{i}_zero", betti == 0 and not torsion,
-                      f"betti={betti} torsion={torsion}")
-            pi1 = "trivial" if proved else _pi1_verdict(chain, res)
-            check("pi1", pi1 != "nontrivial", pi1)
-
-    verdict = ("fail" if any(not c["ok"] for c in checks) else
+        checks.append(("connected", betti[0] == 1,
+                       f"{betti[0]} components" if nonempty else "empty"))
+    if k >= 1 and betti[0] == 1:
+        torsion = report["torsion"] + [[]] * k
+        for i in range(1, k + 1):
+            checks.append((f"H{i}_zero", betti[i] == 0 and not torsion[i],
+                           f"betti={betti[i]} torsion={torsion[i]}"))
+        checks.append(("pi1", pi1 != "nontrivial", pi1))
+    verdict = ("fail" if not all(ok for _, ok, _ in checks) else
                "inconclusive" if pi1 == "inconclusive" else "consistent")
-    return {"k": k, "verdict": verdict, "checks": checks, "pi1": pi1}
+    return {"k": k, "verdict": verdict, "checks": [
+        {"name": n, "ok": ok, "detail": d} for n, ok, d in checks], "pi1": pi1}

@@ -371,7 +371,8 @@ class TestChainsFromFacets:
         cc = simplicial_chain_complex(SimplicialComplex([]))
         assert (cc.dims, cc.boundaries, cc.cells) == ([], [], [])
 
-    @pytest.mark.parametrize("top", [-1, -5, 1.5, "2", 2.0])
+    # a bool is not an int: True would build through degree 1
+    @pytest.mark.parametrize("top", [-1, -5, 1.5, "2", 2.0, True, False])
     def test_bad_top_is_rejected(self, top):
         for k in (m_linear(6), SimplicialComplex([])):
             with pytest.raises(ValueError, match="top"):
@@ -750,6 +751,17 @@ class TestRelative:
         assert quotient_chain_complex(
             cc, [set(), set(), set()]).dims == cc.dims
 
+    @pytest.mark.parametrize("dropped", [
+        [{0.5}], [{0, 1.5}], [{"0"}], [{True}], [{0, 0.5, 2}]])
+    def test_quotient_rejects_an_index_that_is_not_an_int(self, dropped):
+        # a float, also one between the min and max, a str and a bool name
+        # no cell
+        cc = simplicial_chain_complex(self.PATH)
+        bad = next(i for i in dropped[0] if type(i) is not int)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"degree 0 has no cell {bad!r}")):
+            quotient_chain_complex(cc, dropped)
+
     def test_fragment_pair(self):
         c = Character(1, 0)
         frag = explore(
@@ -811,7 +823,7 @@ class TestConnectivityEvidence:
         assert homology_report(k, True)["pi1"] == "trivial"
         assert pi1_trivial(k) == "trivial"
 
-    @pytest.mark.parametrize("k", [1.5, "1", None, 1.0])
+    @pytest.mark.parametrize("k", [1.5, "1", None, 1.0, True, False])
     def test_k_that_is_not_an_int_is_rejected_by_name(self, k):
         with pytest.raises(ValueError, match="k must be an int"):
             connectivity_evidence(m_linear(8), k)
@@ -933,6 +945,49 @@ class TestReportsAgainstParent:
         assert rep == {"k": 1, "verdict": "fail", "pi1": None, "checks": [
             {"name": "nonempty", "ok": False, "detail": ""},
             {"name": "connected", "ok": False, "detail": "empty"}]}
+
+
+class TestEvidenceDepth:
+    """The evidence is homology_report through degree k: one chain through
+    degree max(k + 1, 1), none at k = -1 or on the empty complex, and the
+    truncated report is the head of the full one."""
+
+    @pytest.mark.parametrize("complex_", [
+        cone(m_linear(6), "apex"), m_linear(4), m_linear(9), dunce_hat(),
+        SimplicialComplex([fs(1)]), SimplicialComplex.boundary_sphere(
+            range(5)), SimplicialComplex([])])
+    def test_one_chain_through_degree_k_plus_one(self, complex_,
+                                                 monkeypatch):
+        tops = []
+        real = homology_module.simplicial_chain_complex
+
+        def recorded(complex_, top=None):
+            tops.append(top)
+            return real(complex_, top)
+
+        monkeypatch.setattr(homology_module, "simplicial_chain_complex",
+                            recorded)
+        for k in range(-1, 4):
+            tops.clear()
+            connectivity_evidence(complex_, k)
+            want = [max(k + 1, 1)] if k >= 0 and not complex_.is_empty() \
+                else []
+            assert tops == want
+
+    @given(ANY_COMPLEX, st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    @example(dunce_hat(), 1)
+    @example(SimplicialComplex.boundary_sphere(range(4)), 1)
+    @example(SimplicialComplex([fs(1)]), 0)
+    @example(SimplicialComplex([]), 1)
+    def test_truncated_report_is_the_head_of_the_full_one(self, k, through):
+        with_pi1 = through >= 1
+        full = homology_report(k, with_pi1)
+        got = homology_report(k, with_pi1, _through=through)
+        for key in ("betti", "betti_reduced", "torsion"):
+            assert got[key] == full[key][:through + 1]
+        assert {key: got[key] for key in ("nonempty", "connected", "pi1")} \
+            == {key: full[key] for key in ("nonempty", "connected", "pi1")}
 
 
 def elimination_connectivity_evidence(complex_, k, pi1_budget=20000):
