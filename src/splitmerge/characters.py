@@ -99,7 +99,8 @@ class MorseSpec:
     """A character, a tie-breaking direction on feet, and a foot-count band.
 
     secondary +1 breaks chi ties by feet, -1 by negated feet; the band (p, q)
-    with 2 <= p <= q bounds the foot counts under consideration.
+    with 2 <= p <= q bounds the foot counts under consideration, and is kept
+    as that tuple whatever pair of ints was given.
     """
 
     character: Character
@@ -107,13 +108,18 @@ class MorseSpec:
     band: tuple
 
     def __post_init__(self):
-        if self.secondary not in (1, -1):
+        if type(self.secondary) is not int or self.secondary not in (1, -1):
             raise ValueError("secondary must be +1 or -1")
-        p, q = self.band
-        if not (isinstance(p, int) and isinstance(q, int)):
+        try:
+            p, q = self.band
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"band must be a pair (p, q), got {self.band!r}") from None
+        if not (type(p) is int and type(q) is int):
             raise ValueError("band bounds must be integers")
         if not 2 <= p <= q:
             raise ValueError(f"band must satisfy 2 <= p <= q, got ({p},{q})")
+        object.__setattr__(self, "band", (p, q))
 
 
 def refined_height(spec: MorseSpec, d):

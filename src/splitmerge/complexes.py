@@ -383,7 +383,7 @@ def _link_model(n, character, secondary, band, sign) -> SimplicialComplex:
     moving both ends). ints keeps signs; a zero change defers to secondary."""
     if not isinstance(n, int):
         raise ValueError(f"feet count must be an int, got {n!r}")
-    p, q = MorseSpec(character, secondary, tuple(band)).band
+    p, q = MorseSpec(character, secondary, band).band
     if not p <= n <= q:
         raise ValueError(f"feet {n} outside band [{p},{q}]")
     # a move ascends (descends, for sign -1) when sign * (d chi, secondary *

@@ -4,9 +4,11 @@ boundaries[k-1] of a ChainComplex holds one sparse {row: value} column per
 degree-k cell, with no zero values. homology() pairs cells along +-1
 entries with a coreduction matching (_critical_cells) and hands the dense
 Smith normal form only the Morse boundary between critical cells, where
-two critical degrees meet (algebraic discrete Morse theory). The dense
-Smith normal form of a whole boundary and the exact-rational rank route
-are test oracles.
+two critical degrees meet (algebraic discrete Morse theory). That form
+pivots on a least entry of the whole remaining block, clears the pivot's
+row and column by floor quotients and deletes them once both are clear.
+The dense Smith normal form of a whole boundary and the exact-rational
+rank route are test oracles.
 
 homology_report is the one connectivity report: connectivity_evidence and
 pi1_trivial read their checks and pi1 off it. pi1 is "trivial" when the
@@ -31,66 +33,51 @@ from .complexes import SimplicialComplex
 def smith_normal_form(matrix) -> list:
     """Nonzero diagonal of the Smith normal form, divisibility-ordered.
 
-    The input is a list of rows of integers (ValueError on any other
-    entry) and is not modified. The length of the result is the rank.
+    The input is a list of rows of ints (ValueError on any other entry, a
+    bool included) and is not modified. The length of the result is the
+    rank. Each step pivots on an entry of least absolute value anywhere in
+    the remaining block and clears its column with row operations and its
+    row with column operations, by floor quotients. When both are clear,
+    |pivot| is recorded and its row and column are deleted; otherwise a
+    remainder, smaller than the pivot, is the next least entry.
     """
     m = [list(row) for row in matrix]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+    nc = len(m[0]) if m else 0
     for row in m:
         if len(row) != nc:
             raise ValueError("ragged matrix")
         for v in row:
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise ValueError(f"entry {v!r} is not an integer")
-    t = 0
+    diag = []
     while True:
-        pivot = None
-        best = None
-        for i in range(t, nr):
-            row = m[i]
-            for j in range(t, nc):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-        if pivot is None:
+        best = 0
+        for i, row in enumerate(m):
+            a = min(map(abs, filter(None, row)), default=0)
+            if a and (not best or a < best):
+                best, pi = a, i
+                if a == 1:
+                    break
+        if not best:
             break
-        pi, pj = pivot
-        m[t], m[pi] = m[pi], m[t]
-        if pj != t:
+        prow = m[pi]
+        pj = list(map(abs, prow)).index(best)
+        p = prow[pj]
+        for i, row in enumerate(m):
+            q = row[pj] // p if i != pi else 0
+            if q:
+                m[i] = [x - q * y for x, y in zip(row, prow)]
+        rest = [row for row in m if row[pj]]  # the pivot row and remainders
+        for j, v in enumerate(prow):
+            q = v // p if j != pj else 0
+            if q:
+                for row in rest:
+                    row[j] -= q * row[pj]
+        if len(rest) == 1 and prow.count(0) == len(prow) - 1:
+            diag.append(best)
+            del m[pi]
             for row in m:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            clean = True
-            for i in range(t + 1, nr):
-                if m[i][t]:
-                    q = m[i][t] // m[t][t]
-                    if q:
-                        rt = m[t]
-                        ri = m[i]
-                        for j in range(t, nc):
-                            ri[j] -= q * rt[j]
-                    if m[i][t]:
-                        # remainder beats the pivot; promote it
-                        m[t], m[i] = m[i], m[t]
-                        clean = False
-            if not clean:
-                continue
-            for j in range(t + 1, nc):
-                if m[t][j]:
-                    q = m[t][j] // m[t][t]
-                    if q:
-                        for i in range(t, nr):
-                            m[i][j] -= q * m[i][t]
-                    if m[t][j]:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        clean = False
-            if clean:
-                break
-        t += 1
-    diag = [abs(m[k][k]) for k in range(t)]
+                del row[pj]
     # repair the divisibility chain: diag(a, b) ~ diag(gcd, lcm)
     changed = True
     while changed:
@@ -158,7 +145,7 @@ class ChainComplex:
         if _trusted:
             return
         for k, dim in enumerate(self.dims):
-            if not isinstance(dim, int) or dim < 0:
+            if type(dim) is not int or dim < 0:
                 raise ValueError(f"dims[{k}] is {dim!r}, not an int >= 0")
         if len(boundaries) != max(0, len(self.dims) - 1):
             raise ValueError("need one boundary map per adjacent dimension pair")
@@ -170,8 +157,8 @@ class ChainComplex:
                 if not isinstance(col, dict):
                     raise ValueError(f"boundary {k} has a non-dict column")
                 for row, value in col.items():
-                    if not (isinstance(row, int) and 0 <= row < n_rows
-                            and isinstance(value, int) and value):
+                    if not (type(row) is int and 0 <= row < n_rows
+                            and type(value) is int and value):
                         raise ValueError(f"boundary {k} has entry "
                                          f"{value!r} at row {row!r}")
         for k in range(len(boundaries) - 1):

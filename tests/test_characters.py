@@ -160,6 +160,26 @@ class TestRefinedOrder:
         with pytest.raises(ValueError):
             MorseSpec(Character(1, 0), 1, (1, 3))
 
+    @pytest.mark.parametrize("secondary, band, message", [
+        (True, (2, 3), "secondary must be"),   # True in (1, -1) holds
+        (False, (2, 3), "secondary must be"),
+        (1.0, (2, 3), "secondary must be"),
+        (1, None, "band must be a pair"),
+        (1, (2, 5, 7), "band must be a pair"),
+        (1, (2,), "band must be a pair"),
+        (1, 5, "band must be a pair"),
+        (-1, (True, 3), "band bounds must be integers"),
+        (-1, (2.0, 3), "band bounds must be integers"),
+    ])
+    def test_morse_spec_rejects_with_value_error(self, secondary, band,
+                                                 message):
+        with pytest.raises(ValueError, match=message):
+            MorseSpec(Character(1, 0), secondary, band)
+
+    @pytest.mark.parametrize("band", [(2, 5), [2, 5], iter((2, 5))])
+    def test_morse_spec_keeps_the_band_as_a_pair(self, band):
+        assert MorseSpec(Character(1, 0), 1, band).band == (2, 5)
+
 
 class TestMorseGap:
     @pytest.mark.parametrize(

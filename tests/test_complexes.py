@@ -357,12 +357,14 @@ class TestAscendingModels:
 
     def test_list_band_is_tuple_band(self):
         for model in (ascending_link_model, descending_link_model):
-            assert model(3, Character(1, 1), 1, [2, 5]) == \
-                model(3, Character(1, 1), 1, (2, 5))
+            for band in ([2, 5], iter((2, 5))):  # read once, kept as (p, q)
+                assert model(3, Character(1, 1), 1, band) == \
+                    model(3, Character(1, 1), 1, (2, 5))
 
     @pytest.mark.parametrize("n, secondary, band", [
         (3, 0, (2, 5)), (3, 7, (2, 5)), (3, 1, (1, 5)), (3, 1, (2.0, 5)),
-        (3.0, 1, (2, 5)), (3, 1, (2, 5, 7)), (6, 1, (2, 5))])
+        (3.0, 1, (2, 5)), (3, 1, (2, 5, 7)), (6, 1, (2, 5)),
+        (3, True, (2, 5)), (3, 1, None)])
     def test_invalid_spec(self, n, secondary, band):
         for model in (ascending_link_model, descending_link_model):
             with pytest.raises(ValueError):

@@ -1,14 +1,17 @@
 """Integral chain complexes, homology, and the dual-route rank oracle."""
 
+import contextlib
 import functools
 import heapq
 import importlib
 import random
 import re
+import signal
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import groupby
+from itertools import combinations, groupby, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -63,6 +66,40 @@ def random_matrix(rng, rows, cols, lo=-4, hi=4):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
 
 
+def _determinant(m) -> int:
+    """Leibniz's formula: the signed sum over permutations, for small m."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(m[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def determinantal_divisors(m) -> list:
+    """d_1, d_2, ...: d_k is the gcd of the k x k minors, listed while it is
+    nonzero; the Smith diagonal is then s_k = d_k / d_(k-1), with d_0 = 1."""
+    out = []
+    for k in range(1, min(len(m), len(m[0])) + 1):
+        d = 0
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                d = gcd(d, _determinant([[m[i][j] for j in cols]
+                                         for i in rows]))
+        if not d:
+            break
+        out.append(d)
+    return out
+
+
+@st.composite
+def matrices_up_to_5x5(draw):
+    """Up to 5 x 5, with entries up to +-200 and many small ones."""
+    n_cols = draw(st.integers(1, 5))
+    entries = st.sampled_from([0, 0, 1, -1, 2]) | st.integers(-200, 200)
+    return draw(st.lists(st.lists(entries, min_size=n_cols, max_size=n_cols),
+                         min_size=1, max_size=5))
+
+
 class TestSmithNormalForm:
     def test_diagonal_divisibility(self):
         rng = random.Random(0)
@@ -82,15 +119,25 @@ class TestSmithNormalForm:
             assert sum(1 for d in diag if d != 0) == rank_over_rationals(m)
 
     def test_known_torsion(self):
-        assert smith_normal_form([[2, 0], [0, 2]]) == [1, 4] or smith_normal_form(
-            [[2, 0], [0, 2]]
-        ) == [2, 2]
+        assert smith_normal_form([[2, 0], [0, 2]]) == [2, 2]
+        assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
+        assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+
+    @given(matrices_up_to_5x5())
+    @settings(max_examples=300, deadline=None)
+    @example([[2, 4], [6, 8]])
+    @example([[6, 0, 0], [0, 10, 0], [0, 0, 15]])
+    def test_matches_determinantal_divisors(self, m):
+        divisors = determinantal_divisors(m)
+        assert smith_normal_form(m) == [
+            d // c for c, d in zip([1] + divisors, divisors)]
 
     @pytest.mark.parametrize("matrix, bad", [
         ([[1.5, 2]], "1.5"),        # int() would truncate it to 1
         ([["3"]], "'3'"),           # int() would read it as 3
         ([[2, 0], [0, 2.0]], "2.0"),
         ([[1], [Fraction(1, 2)]], "Fraction"),
+        ([[True, 0], [0, 2]], "True"),   # a bool is not an int
     ])
     def test_rejects_non_integer_entries(self, matrix, bad):
         with pytest.raises(ValueError, match=f"entry {bad}"):
@@ -105,6 +152,9 @@ BAD_ITEMS = [
     ([1, 1], [[{0: 2.5}]], "entry 2.5 at row 0"),
     ([1, 1], [[{0: "1"}]], "entry '1' at row 0"),
     ([1, 1], [[{0.0: 1}]], "entry 1 at row 0.0"),
+    ([True], [], "dims[0] is True"),
+    ([1, 1], [[{0: True}]], "entry True at row 0"),
+    ([1, 1], [[{False: 1}]], "entry 1 at row False"),
 ]
 
 
@@ -1601,6 +1651,32 @@ def elimination_homology(chain):
     return out
 
 
+def dense_complex(nv, nt, seed) -> SimplicialComplex:
+    """nt distinct random triangles on nv vertices: triples drawn until
+    that many are distinct."""
+    rng = random.Random(seed)
+    triangles = set()
+    while len(triangles) < nt:
+        triangles.add(tuple(sorted(rng.sample(range(nv), 3))))
+    return SimplicialComplex(triangles)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once it has run the given seconds, so
+    a test fails rather than hang the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @st.composite
 def explored_fragments(draw):
     """Fragments explored from one or two random vertices in a random band,
@@ -1799,3 +1875,22 @@ class TestHomologyOffTheMatching:
         report = homology_report(m_linear(14))
         assert report["betti_reduced"] == [0] * 7 and not any(
             report["torsion"])
+
+
+class TestDenseRandomComplexes:
+    """Dense random 2-complexes leave Morse blocks of hundreds of columns;
+    the Smith normal form must settle them without its entries blowing
+    up."""
+
+    @pytest.mark.parametrize("nv, nt, seed, critical, betti", [
+        (40, 900, 1, [1, 25, 210], [1, 1, 186]),
+        (60, 3000, 14, [1, 28, 1328], [1, 0, 1300]),
+    ])
+    def test_groups(self, nv, nt, seed, critical, betti):
+        chain = simplicial_chain_complex(dense_complex(nv, nt, seed))
+        assert homology_module._critical_cells(chain)[0] == critical
+        with time_limit(5):
+            got = homology(chain)
+        assert [h["betti"] for h in got] == betti
+        assert not any(h["torsion"] for h in got)
+        assert got == elimination_homology(chain)
