@@ -108,6 +108,9 @@ class MorseSpec:
     band: tuple
 
     def __post_init__(self):
+        if not isinstance(self.character, Character):
+            raise ValueError(
+                f"character must be a Character, got {self.character!r}")
         if type(self.secondary) is not int or self.secondary not in (1, -1):
             raise ValueError("secondary must be +1 or -1")
         try:

@@ -375,17 +375,24 @@ def descending_link_model(n: int, character: Character, secondary: int,
 
 
 def _link_model(n, character, secondary, band, sign) -> SimplicialComplex:
-    """Checks the spec and lists the ascending items on every call; builds
-    once per (items, q - n, n - p). Only (sign a, sign b) of chi matter,
-    and sign(a + b) at n = 2: move_delta is (0, 0) off the end feet, so an
-    inner move goes by the secondary, while split 1, split n, merge 1 and
-    merge n - 1 change chi by -a, -b, +a, +b (merge 1 by a + b at n = 2,
-    moving both ends). ints keeps signs; a zero change defers to secondary."""
-    if not isinstance(n, int):
+    """Checks the spec on every call; lists the ascending items once per
+    (n, character, secondary, p, q, sign), in _model_for, and builds once
+    per (items, q - n, n - p), which positive multiples of a character
+    share. Only (sign a, sign b) of chi matter, and sign(a + b) at n = 2:
+    move_delta is (0, 0) off the end feet, so an inner move goes by the
+    secondary, while split 1, split n, merge 1 and merge n - 1 change chi
+    by -a, -b, +a, +b (merge 1 by a + b at n = 2, moving both ends). ints
+    keeps signs; a zero change defers to secondary."""
+    if type(n) is not int:
         raise ValueError(f"feet count must be an int, got {n!r}")
     p, q = MorseSpec(character, secondary, band).band
     if not p <= n <= q:
         raise ValueError(f"feet {n} outside band [{p},{q}]")
+    return _model_for(n, character, secondary, p, q, sign)
+
+
+@functools.lru_cache(maxsize=1024)
+def _model_for(n, character, secondary, p, q, sign) -> SimplicialComplex:
     # a move ascends (descends, for sign -1) when sign * (d chi, secondary *
     # d feet) > (0, 0) in order; the character's integer form gives d chi
     a, b = character.ints

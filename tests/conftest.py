@@ -11,13 +11,15 @@ settings.register_profile(
 )
 settings.load_profile("repeatable")
 
-# the link-type caches: the coface route's and the link models'
-LINK_TYPE_CACHES = (steinfarley._link_complex, complexes._model_complex)
+# the link-type caches: the coface route's, and the link models' per input
+# and per ascending items
+LINK_TYPE_CACHES = (steinfarley._link_complex, complexes._model_for,
+                    complexes._model_complex)
 
 
 @pytest.fixture(autouse=True)
 def cold_link_caches():
-    """Every test starts with both link-type caches empty, so no result
+    """Every test starts with every link-type cache empty, so no result
     depends on which link types an earlier test built."""
     for cache in LINK_TYPE_CACHES:
         cache.cache_clear()

@@ -1,6 +1,7 @@
 """Height functions on vertices and the Morse-gap check."""
 
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -175,6 +176,14 @@ class TestRefinedOrder:
                                                  message):
         with pytest.raises(ValueError, match=message):
             MorseSpec(Character(1, 0), secondary, band)
+
+    # the character cases of the test above; a character argument there
+    # would rename its cases
+    @pytest.mark.parametrize("character", ["x", None, (1, 1), [1, 1]])
+    def test_morse_spec_rejects_a_non_character(self, character):
+        with pytest.raises(ValueError, match="character must be a "
+                           f"Character, got {re.escape(repr(character))}"):
+            MorseSpec(character, 1, (2, 5))
 
     @pytest.mark.parametrize("band", [(2, 5), [2, 5], iter((2, 5))])
     def test_morse_spec_keeps_the_band_as_a_pair(self, band):

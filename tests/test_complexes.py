@@ -356,10 +356,15 @@ class TestAscendingModels:
         assert a == b
 
     def test_list_band_is_tuple_band(self):
+        # the band is read once and kept as (p, q), so every form of one
+        # band hits the tuple band's memo entry
+        memo = complexes._model_for
         for model in (ascending_link_model, descending_link_model):
-            for band in ([2, 5], iter((2, 5))):  # read once, kept as (p, q)
-                assert model(3, Character(1, 1), 1, band) == \
-                    model(3, Character(1, 1), 1, (2, 5))
+            want = model(3, Character(1, 1), 1, (2, 5))
+            misses = memo.cache_info().misses
+            for band in ([2, 5], iter((2, 5))):
+                assert model(3, Character(1, 1), 1, band) is want
+            assert memo.cache_info().misses == misses
 
     @pytest.mark.parametrize("n, secondary, band", [
         (3, 0, (2, 5)), (3, 7, (2, 5)), (3, 1, (1, 5)), (3, 1, (2.0, 5)),
@@ -370,8 +375,17 @@ class TestAscendingModels:
             with pytest.raises(ValueError):
                 model(n, Character(1, 1), secondary, band)
 
+    # the character cases of the test above; a character argument there
+    # would rename its cases
+    @pytest.mark.parametrize("character", ["x", None, (1, 1), [1, 1]])
+    def test_invalid_character(self, character):
+        for model in (ascending_link_model, descending_link_model):
+            with pytest.raises(ValueError, match="character must be"):
+                model(3, character, 1, (2, 5))
+
     def test_link_type_caches_are_bounded(self):
-        for cache in (steinfarley._link_complex, complexes._model_complex):
+        for cache in (steinfarley._link_complex, complexes._model_complex,
+                      complexes._model_for):
             assert cache.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("n", range(2, 10))

@@ -928,7 +928,8 @@ class TestNeighborTable:
 
 class TestLinkTypes:
     """Both link routes build once per link type: the coface route per
-    (feet, band, masks), the models per ascending items and band caps."""
+    (feet, band, masks), the models per input and then per ascending
+    items and band caps."""
 
     @staticmethod
     def build(x, spec):
@@ -945,16 +946,18 @@ class TestLinkTypes:
         f = rng.randint(2, 8)
         x = random_vertex(rng, f, rng.randint(0, 8))
         spec = MorseSpec(Character(a, b), sec, (max(2, f - below), f + above))
-        caches = (steinfarley_mod._link_complex, complexes_mod._model_complex)
+        caches = ((steinfarley_mod, steinfarley_mod._link_complex),
+                  (complexes_mod, complexes_mod._model_for),
+                  (complexes_mod, complexes_mod._model_complex))
         cached = self.build(x, spec)
         again = self.build(x, spec)  # every call a hit
         assert all(c is d for c, d in zip(cached, again))
-        info = [cache.cache_info() for cache in caches]
+        info = [cache.cache_info() for _, cache in caches]
         with pytest.MonkeyPatch.context() as mp:
-            for mod, cache in zip((steinfarley_mod, complexes_mod), caches):
+            for mod, cache in caches:
                 mp.setattr(mod, cache.__name__, cache.__wrapped__)
             built = self.build(x, spec)
-        assert [cache.cache_info() for cache in caches] == info
+        assert [cache.cache_info() for _, cache in caches] == info
         assert built == cached
 
     @given(rngs(), st.sampled_from(COEFFICIENTS),
@@ -990,9 +993,10 @@ class TestLinkTypes:
             with pytest.raises(ValueError, match="7 feet, outside band"):
                 link_of(y, spec.band)
             # 4.0 and Fraction(4) hash as 4, and (2.0, 6) gives 4 feet the
-            # caps (2, 2): each would be a cached key, were it not refused
+            # caps (2, 2): each would be a cached key, were it not refused;
+            # True and False are refused as bools, not as feet off the band
             for model in (ascending_link_model, descending_link_model):
-                for n in (4.0, Fraction(4)):
+                for n in (4.0, Fraction(4), True, False):
                     with pytest.raises(ValueError, match="must be an int"):
                         model(n, char, 1, spec.band)
                 with pytest.raises(ValueError, match="must be integers"):
