@@ -45,6 +45,7 @@ def chi1(d) -> int:
 class Character:
     """Rational combination a*chi0 + b*chi1.
 
+    a and b are ints or Fractions (ValueError for a float or a bool).
     scale D and ints (A, B) = (a*D, b*D) are the integer form; they are not
     fields, so equality, hashing, printing and JSON see only a and b.
     """
@@ -53,6 +54,10 @@ class Character:
     b: Fraction
 
     def __init__(self, a, b):
+        for c in (a, b):
+            if not (type(c) is int or isinstance(c, Fraction)):
+                raise ValueError(f"character coefficient {c!r} is not an "
+                                 "int or Fraction")
         a, b = Fraction(a), Fraction(b)
         scale = lcm(a.denominator, b.denominator)
         object.__setattr__(self, "a", a)

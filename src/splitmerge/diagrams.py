@@ -183,6 +183,32 @@ def generator(i: int) -> Diagram:
 # ---------------------------------------------------------------------------
 # single split / merge moves on the feet
 
+def foot_surgery(plus, move) -> tuple:
+    """(head, j, stepped, unstepped) of a split ("s", i) or merge ("m", i)
+    on feet plus. head(minus, j) is the move's step on the heads, None for
+    none: a split at a leaf foot adds the caret over leaves j, j + 1
+    (add_caret), and a merge of two leaf feet cancels it, or finds none to
+    cancel (trees._without_caret gives None). The feet become stepped when
+    the heads step, and unstepped when they do not."""
+    kind, i = move
+    f, left = len(plus), plus[:i - 1]
+    if kind == "s" and 1 <= i <= f:
+        if plus[i - 1] != LEAF:
+            return None, None, None, left + split_root(plus[i - 1]) + plus[i:]
+        return (add_caret, forest_num_leaves(left),
+                left + (LEAF, LEAF) + plus[i:], None)
+    if kind == "m" and 1 <= i < f:
+        t1, t2 = plus[i - 1], plus[i]
+        joined = left + (join(t1, t2),) + plus[i + 1:]
+        if t1 == LEAF and t2 == LEAF:
+            return (trees._without_caret, forest_num_leaves(left),
+                    left + (LEAF,) + plus[i + 1:], joined)
+        return None, None, None, joined
+    raise ValueError(f"foot {i} out of range 1..{f}" if kind == "s" else
+                     f"foot pair ({i},{i + 1}) out of range" if kind == "m"
+                     else f"unknown move kind {kind!r}")
+
+
 def split_foot(d: Diagram, i: int) -> Diagram:
     """d composed with a split of foot i, computed surgically.
 
@@ -190,15 +216,7 @@ def split_foot(d: Diagram, i: int) -> Diagram:
     one caret under head i; d must be reduced and the result is again
     reduced (a single split never creates a cancellable caret).
     """
-    if not 1 <= i <= d.feet:
-        raise ValueError(f"foot {i} out of range 1..{d.feet}")
-    t = d.plus[i - 1]
-    if t != LEAF:
-        plus = d.plus[:i - 1] + split_root(t) + d.plus[i:]
-        return Diagram._make(d.minus, plus)
-    j = forest_num_leaves(d.plus[:i - 1])
-    plus = d.plus[:i - 1] + (LEAF, LEAF) + d.plus[i:]
-    return Diagram._make(add_caret(d.minus, j), plus)
+    return apply_move(d, ("s", i))
 
 
 def merge_feet(d: Diagram, i: int) -> Diagram:
@@ -209,29 +227,16 @@ def merge_feet(d: Diagram, i: int) -> Diagram:
     single leaves sitting under a terminal caret of the minus side, the
     merge cancels that caret; a single merge never cascades.
     """
-    if not 1 <= i <= d.feet - 1:
-        raise ValueError(f"foot pair ({i},{i + 1}) out of range")
-    t1 = d.plus[i - 1]
-    t2 = d.plus[i]
-    if t1 == LEAF and t2 == LEAF:
-        # cancel the minus caret over both feet, if there is one
-        j = forest_num_leaves(d.plus[:i - 1])
-        minus = trees._without_caret(d.minus, j)
-        if minus is not None:
-            return Diagram._make(minus,
-                                 d.plus[:i - 1] + (LEAF,) + d.plus[i + 1:])
-    plus = d.plus[:i - 1] + (join(t1, t2),) + d.plus[i + 1:]
-    return Diagram._make(d.minus, plus)
+    return apply_move(d, ("m", i))
 
 
 def apply_move(d: Diagram, move) -> Diagram:
     """Apply ("s", i) as split_foot or ("m", i) as merge_feet."""
-    kind, i = move
-    if kind == "s":
-        return split_foot(d, i)
-    if kind == "m":
-        return merge_feet(d, i)
-    raise ValueError(f"unknown move kind {kind!r}")
+    head, j, stepped, unstepped = foot_surgery(d.plus, move)
+    minus = head and head(d.minus, j)
+    if minus is None:
+        return Diagram._make(d.minus, unstepped)
+    return Diagram._make(minus, stepped)
 
 
 def invert_move(move):

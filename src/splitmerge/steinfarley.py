@@ -6,14 +6,16 @@ disjoint feet. Everything here is windowed by a feet band (p, q) and,
 optionally, a character superlevel constraint, so that only finite
 fragments of the complex are ever materialized.
 
-explore hands its Fragment its index and move maps as trusted (vertices
-are banded moves of checked seeds, each indexed once); caller-built
-fragments check both. Missing edges join unexpanded vertices, and only
-splits to some unexpanded vertex's key (_split_key) are applied. Banded
-moves and their inverses come from one table per (feet, band); cubes grow
-from the split edges; cover labels are read once per vertex. to_json
-renders each distinct forest once while it is among the last 1024, and
-otherwise joins it from trees still among the last 1024 rendered.
+explore steps its moves on one call's interned forests (_Forests) and
+builds a Diagram only for a vertex it enters. It hands its Fragment those
+tables, with the keys and move maps, as trusted (vertices are banded moves
+of checked seeds, each indexed once); caller-built fragments check and
+intern each vertex. Missing edges join unexpanded vertices, whose splits
+are stepped and looked up by key. Banded moves and their inverses come
+from one table per (feet, band); cubes grow from the split edges; cover
+labels are read once per vertex. to_json renders each distinct forest
+once while it is among the last 1024, and otherwise joins it from trees
+still among the last 1024 rendered.
 
 Coface words are strings over I (foot untouched), L (foot split) and V
 (two adjacent feet merged); reading left to right, I and L consume one
@@ -41,9 +43,8 @@ import functools
 import math
 from fractions import Fraction
 
-from .trees import LEAF, forest_num_carets
-from .diagrams import (Diagram, apply_move, invert_move, is_reduced,
-                       merge_feet, split_foot)
+from .diagrams import (Diagram, apply_move, foot_surgery, invert_move,
+                       is_reduced, merge_feet, split_foot)
 from .characters import MorseSpec, chi0, chi1, count_left, count_right
 from .complexes import SimplicialComplex, connected_groups
 
@@ -213,7 +214,12 @@ def _neighbor_table(x: Diagram) -> tuple:
 
 def _monotone_masks(x: Diagram, spec: MorseSpec, down: bool) -> tuple:
     """(splits, merges): bit i is set when the banded split_foot(x, i)
-    (merge_feet(x, i)) strictly ascends (descends) in refined height."""
+    (merge_feet(x, i)) strictly ascends (descends) in refined height.
+    ValueError naming the spec or the vertex when it has the wrong type."""
+    if not isinstance(spec, MorseSpec):
+        raise ValueError(f"invalid spec {spec!r}: want a MorseSpec")
+    if not isinstance(x, Diagram):
+        raise ValueError(f"invalid vertex {x!r}: want a Diagram")
     table = _neighbor_table(x)
     a, b = spec.character.ints
     f, sec = x.feet, spec.secondary
@@ -237,8 +243,8 @@ def ascending_link(x: Diagram, spec: MorseSpec, down: bool = False
     the coface recursion, so no word through it is ever listed, and only
     the maximal words become simplices, once per (feet, band, masks).
     """
-    return _link_complex(x.feet, tuple(spec.band),
-                         _monotone_masks(x, spec, down))
+    masks = _monotone_masks(x, spec, down)
+    return _link_complex(x.feet, spec.band, masks)
 
 
 def descending_link(x: Diagram, spec: MorseSpec) -> SimplicialComplex:
@@ -251,20 +257,45 @@ def monotone_cofaces(x: Diagram, spec: MorseSpec, down: bool = False) -> list:
     The trivial word qualifies vacuously; the result is the closed star of
     x in the ascending (descending) direction, in the order of cofaces.
     """
-    return _coface_words(x.feet, spec.band, _monotone_masks(x, spec, down))
+    masks = _monotone_masks(x, spec, down)
+    return _coface_words(x.feet, spec.band, masks)
 
 
 # ---------------------------------------------------------------------------
 # fragments
 
-def _split_key(d: Diagram, key: tuple, j: int) -> tuple:
-    """(feet, foot carets, chi0, chi1, L, R) of split_foot(d, j) from d's:
-    a caret foot gives up its caret, a leaf foot adds one to the head, at
-    its leftmost (rightmost) leaf for j = 1 (f), where chi0 (chi1) drops."""
-    f, carets, c0, c1, left, right = key
-    leaf = d.plus[j - 1] == LEAF
-    return (f + 1, carets - (not leaf), c0 - (j == 1), c1 - (j == f),
-            left + (j == 1 and leaf), right + (j == f and leaf))
+class _Forests:
+    """One call's forests under int ids; a vertex key is (minus id, plus
+    id). step runs foot_surgery once per (plus id, move) and a head step
+    once per (minus id, head, leaf), for as long as the call runs."""
+
+    def __init__(self):
+        self.ids, self.forests, self.depths = {}, [], []
+        self._feet, self._heads = {}, {}
+
+    def id(self, forest):
+        """The forest's id (None for None), its depths kept at that id."""
+        k = self.ids.get(forest)
+        if k is None and forest is not None:
+            k = self.ids[forest] = len(self.forests)
+            self.forests.append(forest)
+            self.depths.append((count_left(forest), count_right(forest)))
+        return k
+
+    def step(self, key, move) -> tuple:
+        """The key of the move's target from the vertex with this key."""
+        m, p = key
+        feet = self._feet.get((p, move))
+        if feet is None:
+            head, j, *sides = foot_surgery(self.forests[p], move)
+            feet = self._feet[p, move] = head, j, *map(self.id, sides)
+        head, j, stepped, unstepped = feet
+        if head is None:
+            return m, unstepped
+        h = self._heads.get((m, head, j), -1)  # None: no caret to cancel
+        if h == -1:
+            h = self._heads[m, head, j] = self.id(head(self.forests[m], j))
+        return (m, unstepped) if h is None else (h, stepped)
 
 
 def _doubled(word: str, p: int) -> str:
@@ -277,8 +308,9 @@ class Fragment:
 
     Vertices are stored in discovery order, and index maps each vertex
     Diagram (hashed by its two forests) to its position. Edges, moves, and
-    cubes are the ones induced on that vertex set. Cell words use I/L only,
-    read from the cell's fewest-feet corner.
+    cubes are the ones induced on that vertex set, the missing ones found
+    by key through a _Forests. Cell words use I/L only, read from the
+    cell's fewest-feet corner.
     """
 
     __slots__ = ("vertices", "index", "band", "chi_floor", "characters",
@@ -288,41 +320,41 @@ class Fragment:
 
     def __init__(self, vertices, band, chi_floor=None, characters=(),
                  provenance=None, *, _explored=None):
-        # _explored = (index, moves, done) from explore: the index of every
-        # vertex, and one move map per vertex, complete for the first done
-        # vertices and holding every edge to them for the rest
+        # _explored = (forests, keys, moves, done) from explore: its
+        # _Forests, the {key: index} of every vertex, and one move map per
+        # vertex, complete for the first done vertices and holding every
+        # edge to them for the rest
         self.vertices = list(vertices)
         self.band = _check_band(band)
         self.chi_floor = chi_floor
         self.characters = tuple(characters)
         self.provenance = provenance or {}
-        self.index, self.moves, done = _explored or (
-            {}, [{} for _ in self.vertices], 0)
         if _explored is None:
+            forests, keys = _Forests(), {}
             for i, d in enumerate(self.vertices):
                 check_vertex(d, self.band)
-                if self.index.setdefault(d, i) != i:
+                key = forests.id(d.minus), forests.id(d.plus)
+                if keys.setdefault(key, i) != i:
                     raise ValueError(f"duplicate vertex {d.canon}")
-        self.chi0_values = [chi0(d) for d in self.vertices]
-        self.chi1_values = [chi1(d) for d in self.vertices]
+            self.moves, done = [{} for _ in self.vertices], 0
+        else:
+            forests, keys, self.moves, done = _explored
+        self.index = {d: i for i, d in enumerate(self.vertices)}
+        at, depths = list(keys), forests.depths
+        ends = [(depths[m], depths[p]) for m, p in at]  # (L, R) of each side
+        self.chi0_values = [f[0] - h[0] for h, f in ends]
+        self.chi1_values = [f[1] - h[1] for h, f in ends]
         self.feet_values = [d.feet for d in self.vertices]
-        self.L_values = [L_value(d) for d in self.vertices]
-        self.R_values = [R_value(d) for d in self.vertices]
+        self.L_values = [h[0] for h, _ in ends]
+        self.R_values = [h[1] for h, _ in ends]
         # an edge is a split at its fewer-feet end, which the inverse merge
-        # undoes; only splits to a key from done on can find a missing one
-        rest = range(done, len(self.vertices))
-        carets = [forest_num_carets(self.vertices[i].plus) for i in rest]
-
-        def key(i):  # on demand, as holding one tuple per vertex costs memory
-            return (self.feet_values[i], carets[i - done], self.chi0_values[i],
-                    self.chi1_values[i], self.L_values[i], self.R_values[i])
-
-        wanted = set(map(key, rest))
-        for i in rest:
-            d, mv, ki = self.vertices[i], self.moves[i], key(i)
-            for j in range(1, d.feet + 1):
-                if ("s", j) not in mv and _split_key(d, ki, j) in wanted:
-                    k = self.index.get(split_foot(d, j))
+        # undoes, so the unexpanded vertices' splits find the missing ones
+        q = self.band[1]
+        for i in range(done, len(at)):
+            f, mv = self.feet_values[i], self.moves[i]
+            for j in range(1, f + 1 if f < q else 1):
+                if ("s", j) not in mv:
+                    k = keys.get(forests.step(at[i], ("s", j)))
                     if k is not None:
                         mv["s", j] = k
                         self.moves[k]["m", j] = i
@@ -447,44 +479,50 @@ def explore(seeds, band, chi_floor=None, characters=(),
         # chi >= t exactly when the scaled height reaches ceil(t * scale)
         (fa, fb), floor = char.ints, math.ceil(chi_floor[1] * char.scale)
 
-    def admissible(d):
-        return chi_floor is None or fa * chi0(d) + fb * chi1(d) >= floor
+    forests = _Forests()
+    forest, depths, step = forests.forests, forests.depths, forests.step
 
-    vertices, index, moves = [], {}, []
+    def admissible(key):
+        (h0, h1), (f0, f1) = depths[key[0]], depths[key[1]]
+        return chi_floor is None or fa * (f0 - h0) + fb * (f1 - h1) >= floor
 
-    def enter(y):
+    vertices, keys, at, moves = [], {}, [], []
+
+    def enter(key):
         # the index of a new vertex, or None once the budget is spent
         j = len(vertices)
         if j >= max_vertices:
             return None
-        index[y] = j
-        vertices.append(y)
+        keys[key] = j
+        at.append(key)
+        vertices.append(Diagram._make(forest[key[0]], forest[key[1]]))
         moves.append({})
         return j
 
     truncated = False
     for d in seeds:
         check_vertex(d, band)
-        if not admissible(d):
+        key = forests.id(d.minus), forests.id(d.plus)
+        if not admissible(key):
             raise ValueError(f"seed below the character floor: {d}")
-        if d not in index and enter(d) is None:
+        if key not in keys and enter(key) is None:
             truncated = True
             break
 
     # BFS levels are runs of consecutive indices, expanded in index order;
-    # each edge is applied once and recorded at both ends
+    # each edge is stepped once and recorded at both ends
     level = range(len(vertices))
     radius = radius_completed = expanded = 0
     while level and not truncated:
         if max_radius is not None and radius >= max_radius:
             break
         for i in level:
-            d, mv = vertices[i], moves[i]
-            for move, back in _band_moves(d.feet, p, q)[1]:
+            key, mv = at[i], moves[i]
+            for move, back in _band_moves(vertices[i].feet, p, q)[1]:
                 if move in mv:
                     continue
-                y = apply_move(d, move)
-                j = index.get(y)
+                y = step(key, move)
+                j = keys.get(y)
                 if j is None:
                     if not admissible(y):
                         continue
@@ -515,7 +553,7 @@ def explore(seeds, band, chi_floor=None, characters=(),
     }
     return Fragment(vertices, band, chi_floor=chi_floor,
                     characters=characters, provenance=provenance,
-                    _explored=(index, moves, expanded))
+                    _explored=(forests, keys, moves, expanded))
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +610,16 @@ def nerve_data(frag: Fragment) -> dict:
     cell_component = {}
     piece_components = {}
     for lab, members in sorted(piece_cells.items()):
-        touch = {}
-        pairs = ((touch.setdefault(v, ci), ci)
-                 for ci in members for v in corner_lists[ci])
-        ordered = connected_groups(members, pairs)
-        piece_components[lab] = ordered
-        for k, comp in enumerate(ordered):
-            for ci in comp:
-                cell_component[(lab, ci)] = k
+        # a piece's cells join through their corner vertices, so classes
+        # come in order of first cell and list their cells in order
+        corners = [corner_lists[ci] for ci in members]
+        classes = connected_groups(
+            dict.fromkeys(v for c in corners for v in c), corners)
+        root = {v: k for k, group in enumerate(classes) for v in group}
+        piece_components[lab] = ordered = [[] for _ in classes]
+        for ci, c in zip(members, corners):
+            cell_component[lab, ci] = k = root[c[0]]
+            ordered[k].append(ci)
 
     cell_nerve_vertices = [
         tuple((side, value, cell_component[((side, value), ci)])

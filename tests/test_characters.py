@@ -185,6 +185,24 @@ class TestRefinedOrder:
                            f"Character, got {re.escape(repr(character))}"):
             MorseSpec(character, 1, (2, 5))
 
+    # a float was once read as its binary fraction (0.1 gave a at scale
+    # 2^55) and a bool as the int it subclasses
+    @pytest.mark.parametrize("a, b", [
+        (0.1, 1), (1, 0.5), (1.0, 1), (True, 1), (1, False), ("1", 1),
+        (None, 1)])
+    def test_character_rejects_inexact_coefficients(self, a, b):
+        bad = a if not (type(a) is int or isinstance(a, Fraction)) else b
+        with pytest.raises(ValueError, match=f"character coefficient "
+                           f"{re.escape(repr(bad))} is not an int or "
+                           "Fraction"):
+            Character(a, b)
+
+    def test_character_keeps_ints_and_fractions(self):
+        c = Character(-2, Fraction(3, 4))
+        assert (c.a, c.b, c.scale, c.ints) == (-2, Fraction(3, 4), 4, (-8, 3))
+        assert Character.parse("1/2, -1") == Character(Fraction(1, 2), -1)
+        assert Character.parse("0.5,1") == Character(Fraction(1, 2), 1)
+
     @pytest.mark.parametrize("band", [(2, 5), [2, 5], iter((2, 5))])
     def test_morse_spec_keeps_the_band_as_a_pair(self, band):
         assert MorseSpec(Character(1, 0), 1, band).band == (2, 5)

@@ -23,9 +23,13 @@ from splitmerge.complexes import (
     gm_linear,
 )
 from splitmerge.diagrams import (
+    Diagram,
     apply_move,
+    foot_surgery,
     invert_move,
+    merge_feet,
     mirror_diagram,
+    multiply,
     parse_diagram,
     random_vertex,
     reduce,
@@ -51,7 +55,7 @@ from splitmerge.steinfarley import (
     nerve_data,
     word_labels,
 )
-from splitmerge.trees import LEAF, forest_num_carets
+from splitmerge.trees import LEAF
 
 
 def rngs():
@@ -61,12 +65,6 @@ def rngs():
 def nerve(frag):
     """Nerve of the two-sided depth cover (a test-local shorthand)."""
     return nerve_data(frag)["complex"]
-
-
-def vertex_key(d):
-    """(feet, foot carets, chi0, chi1, L, R), read off the diagram itself."""
-    return (d.feet, forest_num_carets(d.plus), chi0(d), chi1(d),
-            L_value(d), R_value(d))
 
 
 def word_count(n):
@@ -213,6 +211,23 @@ class TestLinks:
         for build in (link_of, cofaces):
             with pytest.raises(ValueError, match=message):
                 build(x, band)
+
+    # each once raised AttributeError, where link_of names a bad band
+    @pytest.mark.parametrize("spec", [None, (2, 4), "1,1", Character(1, 1)])
+    def test_non_spec_is_rejected(self, spec):
+        x = parse_diagram("[(*,*)]/[*,*]")
+        message = f"invalid spec {re.escape(repr(spec))}: want a MorseSpec"
+        for build in (ascending_link, descending_link, monotone_cofaces):
+            with pytest.raises(ValueError, match=message):
+                build(x, spec)
+
+    @pytest.mark.parametrize("vertex", [None, "[(*,*)]/[*,*]", 7, (LEAF,)])
+    def test_non_diagram_is_rejected(self, vertex):
+        spec = MorseSpec(Character(1, 1), 1, (2, 4))
+        message = f"invalid vertex {re.escape(repr(vertex))}: want a Diagram"
+        for build in (ascending_link, descending_link, monotone_cofaces):
+            with pytest.raises(ValueError, match=message):
+                build(vertex, spec)
 
     def test_seven_feet_capped_model(self):
         x = reduce(random_vertex(random.Random(3), 7, 2))
@@ -421,6 +436,39 @@ class TestOnePass:
             assert frag.moves[i] == {move: j for move, j in targets.items()
                                      if j is not None}
 
+    @pytest.mark.parametrize("budget", [7, 30, 120, 400])
+    @pytest.mark.parametrize("floor", [None, (Character(1, 1), -4)])
+    def test_mixed_parity_seeds_with_truncating_budget(self, monkeypatch,
+                                                        budget, floor):
+        # seeds of 2 and 3 feet put both parities on the last, unexpanded
+        # levels, so completion itself must find edges among them
+        done = []
+
+        class Spy(Fragment):
+            __slots__ = ()
+
+            def __init__(self, *args, _explored=None, **kwargs):
+                done.append(_explored[3])
+                super().__init__(*args, _explored=_explored, **kwargs)
+
+        monkeypatch.setattr(steinfarley_mod, "Fragment", Spy)
+        seeds = [parse_diagram("[(*,*)]/[*,*]"),
+                 parse_diagram("[((*,*),*)]/[*,*,*]"),
+                 parse_diagram("[(*,(*,(*,*)))]/[(*,*),*,*]")]
+        band = (2, 5)
+        frag = explore(seeds, band, chi_floor=floor, max_vertices=budget)
+        assert frag.provenance["truncated"] and len(frag.vertices) == budget
+        assert any(i >= done[0] and j >= done[0] for i, j in frag.edges)
+        induced = Fragment(frag.vertices, band, chi_floor=frag.chi_floor,
+                           provenance=frag.provenance)
+        assert frag.moves == induced.moves and frag.edges == induced.edges
+        assert frag.to_json() == induced.to_json()
+        for i, d in enumerate(frag.vertices):
+            targets = {move: frag.index.get(apply_move(d, move))
+                       for move in moves_in_band(d, band)}
+            assert frag.moves[i] == {move: j for move, j in targets.items()
+                                     if j is not None}
+
     def test_duplicate_vertex_rejected(self):
         x = parse_diagram("[(*,*)]/[*,*]")
         y = parse_diagram("[((*,*),*)]/[*,*,*]")
@@ -464,30 +512,108 @@ class TestOnePass:
         assert set(built.edges) == {(at[i], at[j]) for i, j in frag.edges}
 
 
-class TestSplitKey:
-    """The completion loop applies a split only when its predicted key is
-    some unexpanded vertex's; the prediction must be exact."""
+def elementary(f, move):
+    """The f-head diagram that multiply composes with for a split at foot i
+    (one caret under head i) or a merge of feet i, i + 1 (one foot caret)."""
+    kind, i = move
+    carets = (LEAF,) * (i - 1) + ((1, 1),) + (LEAF,) * (f - i - (kind == "m"))
+    if kind == "s":
+        return Diagram(carets, (LEAF,) * (f + 1))
+    return Diagram((LEAF,) * f, carets)
+
+
+def surgery_kinds(d, move):
+    """(kind, first, last, foot or feet leaves, heads change) of a move."""
+    kind, i = move
+    last = i == d.feet - (kind == "m")
+    leaves = all(t == LEAF for t in d.plus[i - 1:i + (kind == "m")])
+    return kind, i == 1, last, leaves, apply_move(d, move).minus != d.minus
+
+
+class TestFootSurgery:
+    """foot_surgery is the whole of split_foot and merge_feet, and of the
+    tables explore and Fragment step through."""
+
+    def check(self, d, move):
+        head, j, stepped, unstepped = foot_surgery(d.plus, move)
+        minus = head and head(d.minus, j)
+        y = Diagram._make(d.minus if minus is None else minus,
+                          unstepped if minus is None else stepped)
+        # the composite with the elementary diagram is the independent
+        # route, the surgery split_foot and merge_feet once ran inline
+        assert y == multiply(d, elementary(d.feet, move))
+        assert y == (split_foot if move[0] == "s" else merge_feet)(d, move[1])
+        assert y.minus != d.minus if minus is not None else y.minus is d.minus
+        if move[0] == "s":  # a split's heads step whenever they are named
+            assert (head is None) == (j is None) == (stepped is None)
+        forests = steinfarley_mod._Forests()
+        m, p = forests.step((forests.id(d.minus), forests.id(d.plus)), move)
+        assert (forests.forests[m], forests.forests[p]) == (y.minus, y.plus)
 
     @given(rngs(), st.integers(1, 9), st.integers(0, 8))
     @settings(max_examples=200, deadline=None)
-    def test_predicted_key_is_the_split_vertex_key(self, rng, feet, extra):
+    def test_equals_split_foot_and_merge_feet(self, rng, feet, extra):
         d = random_vertex(rng, feet, extra)
-        for j in range(1, feet + 1):
-            assert (steinfarley_mod._split_key(d, vertex_key(d), j)
-                    == vertex_key(split_foot(d, j)))
+        for move in moves_in_band(d, (max(1, feet - 1), feet + 1)):
+            self.check(d, move)
 
     def test_every_kind_of_foot_is_covered(self):
-        # (first foot, last foot, leaf foot) for every split of the sample
-        # the hypothesis test draws from, f = 1 included
+        # splits at first, last, leaf and caret feet, f = 1 included, and
+        # merges at first and last pairs that cancel a head caret, two leaf
+        # feet that cannot, and feet with carets
         rng, seen = random.Random(5), set()
         for feet in range(1, 10):
             for _ in range(30):
                 d = random_vertex(rng, feet, rng.randint(0, 8))
-                for j in range(1, feet + 1):
-                    assert (steinfarley_mod._split_key(d, vertex_key(d), j)
-                            == vertex_key(split_foot(d, j)))
-                    seen.add((j == 1, j == feet, d.plus[j - 1] == LEAF))
-        assert seen == set(itertools.product([False, True], repeat=3))
+                for move in moves_in_band(d, (max(1, feet - 1), feet + 1)):
+                    self.check(d, move)
+                    seen.add(surgery_kinds(d, move))
+        splits = {("s", a, b, leaf, leaf) for a, b, leaf in
+                  itertools.product([False, True], repeat=3)}
+        # only leaf feet can cancel, and two leaf feet that are all the feet
+        # of a reduced vertex hang from its one head caret, so they cancel
+        merges = {("m", a, b, leaf, cut) for a, b, leaf, cut in
+                  itertools.product([False, True], repeat=4)
+                  if (leaf or not cut) and (a, b, leaf, cut) != (1, 1, 1, 0)}
+        assert seen == splits | merges
+
+    def test_surgery_runs_once_per_forest_and_move(self, monkeypatch):
+        # feet surgery once per (feet forest, move), and each head step
+        # once per (head forest, step, leaf), however often explore and its
+        # Fragment's completion step that way
+        calls, steps, counted_steps = [], [], {}
+        original = steinfarley_mod.foot_surgery
+
+        def counting_step(head):
+            def step(minus, j):
+                steps.append((minus, head, j))
+                return head(minus, j)
+            return step
+
+        def counted(plus, move):
+            calls.append((plus, move))
+            head, *rest = original(plus, move)
+            if head is not None:
+                head = counted_steps.setdefault(head, counting_step(head))
+            return (head, *rest)
+
+        monkeypatch.setattr(steinfarley_mod, "foot_surgery", counted)
+        frag = explore([parse_diagram("[(*,*)]/[*,*]")], (2, 5),
+                       max_vertices=2000)
+        moved = sum(map(len, frag.moves))
+        assert len(set(calls)) == len(calls) < moved / 4
+        assert len(set(steps)) == len(steps) < moved / 4
+        induced = Fragment(frag.vertices, (2, 5), provenance=frag.provenance)
+        assert frag.to_json() == induced.to_json()
+
+    def test_bad_moves_are_rejected(self):
+        plus = parse_diagram("[((*,*),*)]/[*,*,*]").plus
+        for move, message in [(("s", 0), r"foot 0 out of range 1\.\.3"),
+                              (("s", 4), r"foot 4 out of range 1\.\.3"),
+                              (("m", 3), r"foot pair \(3,4\) out of range"),
+                              (("x", 1), "unknown move kind 'x'")]:
+            with pytest.raises(ValueError, match=message):
+                foot_surgery(plus, move)
 
 
 class TestCubes:
@@ -738,7 +864,9 @@ class TestNerve:
 
 def reference_nerve_data(frag):
     """nerve_data as first written, each cell's labels read off its top
-    corner's diagram; nerve_data now reads them from per-vertex labels."""
+    corner's diagram and a piece's components found by joining every
+    (first cell at a vertex, cell) pair; nerve_data now reads the labels
+    from per-vertex labels and joins the corner vertices themselves."""
     cells = frag.cells()
     floor = frag.chi_floor
     if cells and (floor is None or floor[0].a <= 0 or floor[0].b <= 0
@@ -817,6 +945,20 @@ class TestCoverLabelsPerVertex:
             assert data[key] == want[key]
         assert data["complex"] == want["complex"]
         assert data["complex"].f_vector() == want["complex"].f_vector()
+
+    @pytest.mark.parametrize("a, b", [(1, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("floor", [0, 2])
+    @pytest.mark.parametrize("cap", [30, 1000])
+    def test_components_equal_the_pair_join(self, a, b, floor, cap):
+        # the pieces of these fragments have up to two components each, so
+        # the lists must come out equal, order included
+        char = Character(a, b)
+        cert = find_nerve_cycle(char)
+        frag = explore([parse_diagram(w) for w in cert.witnesses], cert.band,
+                       chi_floor=(char, floor), max_vertices=cap)
+        data, want = nerve_data(frag), reference_nerve_data(frag)
+        assert data["piece_components"] == want["piece_components"]
+        assert data["cell_nerve_vertices"] == want["cell_nerve_vertices"]
 
     def test_both_ends_seed_equals_per_cell_labels(self):
         frag = explore([parse_diagram(BOTH_ENDS_SEED)], (2, 4),
