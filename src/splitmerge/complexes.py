@@ -208,10 +208,6 @@ class SimplicialComplex:
         """Closed star of a vertex."""
         return SimplicialComplex([f for f in self.facets if v in f])
 
-    def link(self, v) -> "SimplicialComplex":
-        return SimplicialComplex([f - {v} for f in self.facets
-                                  if v in f and len(f) > 1])
-
     def remove_open_star(self, simplex) -> "SimplicialComplex":
         """All simplices not containing the given one."""
         s = frozenset(simplex)

@@ -191,6 +191,8 @@ def foot_surgery(plus, move) -> tuple:
     cancel (trees._without_caret gives None). The feet become stepped when
     the heads step, and unstepped when they do not."""
     kind, i = move
+    if type(i) is not int:
+        raise ValueError(f"foot {i!r} is not an int")
     f, left = len(plus), plus[:i - 1]
     if kind == "s" and 1 <= i <= f:
         if plus[i - 1] != LEAF:

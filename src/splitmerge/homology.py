@@ -12,19 +12,22 @@ rank route are test oracles.
 
 homology_report is the one connectivity report: connectivity_evidence and
 pi1_trivial read their checks and pi1 off it. pi1 is "trivial" when the
-matching leaves one critical vertex and no critical edge, else "nontrivial"
-on nonzero H1, else a Tietze loop, which stops by itself, settles it or
-answers "inconclusive"."""
+matching leaves one critical vertex and no critical edge (Forman, Adv. Math.
+134 (1998)), "nontrivial" on nonzero H1, and "inconclusive" otherwise."""
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain as _chain, combinations, count, repeat
 from math import gcd
 
 from .complexes import SimplicialComplex
+
+
+def _check_type(name, value, cls):
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +206,7 @@ def homology(chain: ChainComplex, _matching=None) -> list:
     d_1 when one critical vertex meets columns that each sum to 0: each
     vertex's flow then sums to 1, so each column of the block sums to 0.
     """
+    _check_type("chain", chain, ChainComplex)
     dims = chain.dims
     n = len(dims)
     critical, pairs = _matching or _critical_cells(chain)
@@ -292,6 +296,7 @@ def simplicial_chain_complex(complex_: SimplicialComplex,
     column keys its rows in combinations order with signs (-1)^k, ..., +1:
     an edge (a, b) is {a: -1, b: 1}, a triangle (a, b, c) is ab - ac + bc.
     """
+    _check_type("complex_", complex_, SimplicialComplex)
     if top is not None and not (type(top) is int and top >= 0):
         raise ValueError(f"top must be None or an int >= 0, got {top!r}")
     dim = complex_.dim()
@@ -420,6 +425,8 @@ def fragment_pair_homology(fragment, in_sub) -> list:
 def relative_homology(complex_: SimplicialComplex,
                       subcomplex: SimplicialComplex) -> list:
     """Homology of the pair (complex_, subcomplex)."""
+    _check_type("complex_", complex_, SimplicialComplex)
+    _check_type("subcomplex", subcomplex, SimplicialComplex)
     sub = subcomplex.simplices()
     for s in sub:
         if s not in complex_:
@@ -493,13 +500,17 @@ def _critical_cells(chain: ChainComplex) -> tuple:
 
 def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
                     *, _through=None) -> dict:
-    """Betti numbers, torsion, connectedness (from H0) and on request pi1.
-    _through lists only the exact degrees 0.._through (pi1 needs >= 1) off a
-    chain built through _through + 1; through H1, a matching proof gives the
-    groups as its critical counts, without homology()."""
-    nonempty = not complex_.is_empty()
+    """Betti numbers, torsion, connectedness (from H0) and, if with_pi1 (a
+    bool), pi1 of a connected complex: "trivial" on a matching proof,
+    "nontrivial" on nonzero H1, else "inconclusive". _through lists only the
+    exact degrees 0.._through (pi1 needs >= 1) off a chain built through
+    _through + 1; through H1, a matching proof gives the groups as its
+    critical counts, without homology()."""
+    if type(with_pi1) is not bool:
+        raise ValueError(f"with_pi1 must be a bool, got {with_pi1!r}")
     top = None if _through is None else _through + 1
-    chain = simplicial_chain_complex(complex_, top)
+    chain = simplicial_chain_complex(complex_, top)  # checks complex_
+    nonempty = not complex_.is_empty()
     matching = _critical_cells(chain)
     proved = matching[0][:2] in ([1], [1, 0])
     res = ([{"betti": c, "torsion": []} for c in matching[0][:top]]
@@ -512,16 +523,16 @@ def homology_report(complex_: SimplicialComplex, with_pi1: bool = False,
                               else list(betti)),
             "torsion": [r["torsion"] for r in res],
             "nonempty": nonempty, "connected": connected,
-            "pi1": ("trivial" if proved else _pi1_verdict(chain, res))
-            if with_pi1 and connected else None}
+            "pi1": ("trivial" if proved else "nontrivial" if any(
+                r["betti"] or r["torsion"] for r in res[1:2])
+                else "inconclusive") if with_pi1 and connected else None}
 
 
 def pi1_trivial(complex_: SimplicialComplex) -> str:
     """"trivial", "nontrivial" or "inconclusive" for the fundamental group
     of a nonempty connected complex: homology_report's pi1 through H1, the
-    pi1 of connectivity_evidence at k = 1. "nontrivial" only on nonzero H1;
-    "trivial" on a matching proof, or when the Tietze loop empties the
-    presentation."""
+    pi1 of connectivity_evidence at k = 1."""
+    _check_type("complex_", complex_, SimplicialComplex)
     if complex_.is_empty():
         raise ValueError("pi1 of the empty complex is undefined")
     pi1 = homology_report(complex_, True, _through=1)["pi1"]
@@ -530,94 +541,11 @@ def pi1_trivial(complex_: SimplicialComplex) -> str:
     return pi1
 
 
-def _free_reduce(word) -> list:
-    """The freely reduced word; letters 0 are dropped."""
-    out: list = []
-    for x in word:
-        if out and out[-1] == -x:
-            out.pop()
-        elif x:
-            out.append(x)
-    return out
-
-
-def _presentation(chain: ChainComplex) -> tuple:
-    """(generators, relators) of pi1 of a connected complex: generator g is
-    the g-th edge off a BFS spanning tree from vertex 0."""
-    # simplicial_chain_complex keys a boundary column in combinations order:
-    # an edge (a, b) by rows a, b, a triangle (a, b, c) by edges ab, ac, bc
-    edges = [tuple(col) for col in chain.boundaries[0]]
-    adjacency: list = [[] for _ in range(chain.dims[0])]
-    for j, (u, v) in enumerate(edges):
-        adjacency[u].append((v, j))
-        adjacency[v].append((u, j))
-    tree = set()
-    seen = {0}
-    queue = [0]
-    for u in queue:  # the loop reads what it appends, breadth first
-        for w, j in sorted(adjacency[u]):
-            if w not in seen:
-                seen.add(w)
-                tree.add(j)
-                queue.append(w)
-    off_tree = count(1)  # generator of each edge, 0 on the tree
-    gens = [0 if j in tree else next(off_tree) for j in range(len(edges))]
-    # three distinct edges give a freely reduced word; tree edges drop out
-    triangles = chain.boundaries[1] if len(chain.dims) > 2 else ()
-    words = ([x for x in (gens[ab], gens[bc], -gens[ac]) if x]
-             for ab, ac, bc in triangles)
-    return set(range(1, len(edges) - len(tree) + 1)), [w for w in words if w]
-
-
-def _pi1_verdict(chain: ChainComplex, res: list) -> str:
-    """pi1_trivial's verdict for a connected complex, given its simplicial
-    chain complex through degree >= 2 and that complex's homology. Each
-    Tietze move removes a generator and relators hold only those left, so
-    the loop stops within one move per generator (edge off the tree)."""
-    if len(res) > 1 and (res[1]["betti"] > 0 or res[1]["torsion"]):
-        return "nontrivial"
-    if len(chain.dims) < 2:
-        return "trivial"
-    alive, relators = _presentation(chain)
-    while alive:
-        # the first relator of length 1, else of length 2 over two generators
-        named = None
-        for i, w in enumerate(relators):
-            if len(w) == 1:
-                named = i
-                break
-            if named is None and len(w) == 2 and abs(w[0]) != abs(w[1]):
-                named = i
-        if named is not None:
-            # kill or substitute: the last letter x of w is the inverse of
-            # the one letter before it, or of none (0, which is dropped)
-            w = relators.pop(named)
-            x, y = w[-1], -w[0] if len(w) == 2 else 0
-            g, sub = abs(x), {x: y, -x: -y}
-            kept = []
-            for r in relators:
-                if g in r or -g in r:
-                    r = _free_reduce(map(sub.get, r, r))
-                if r:
-                    kept.append(r)
-            relators = kept
-            alive.discard(g)
-            continue
-        # else the smallest generator used once goes with its relator; one
-        # used nowhere stays alive, as no move can bring it back
-        usage = Counter(abs(x) for r in relators for x in r)
-        g = min((g for g in alive if usage[g] == 1), default=None)
-        if g is None:
-            break
-        relators = [r for r in relators if g not in r and -g not in r]
-        alive.discard(g)
-    return "trivial" if not alive else "inconclusive"
-
-
 def connectivity_evidence(complex_: SimplicialComplex, k: int) -> dict:
     """Checks that the complex is k-connected (nonempty; connected if k >= 0;
     H1..Hk zero and pi1 if k >= 1), off homology_report through degree k.
     Verdict: "fail", else "inconclusive" on an open pi1, else "consistent"."""
+    _check_type("complex_", complex_, SimplicialComplex)
     if type(k) is not int:
         raise ValueError(f"k must be an int >= -1, got {k!r}")
     if k < -1:

@@ -45,7 +45,8 @@ from fractions import Fraction
 
 from .diagrams import (Diagram, apply_move, foot_surgery, invert_move,
                        is_reduced, merge_feet, split_foot)
-from .characters import MorseSpec, chi0, chi1, count_left, count_right
+from .characters import (Character, MorseSpec, chi0, chi1, count_left,
+                         count_right)
 from .complexes import SimplicialComplex, connected_groups
 
 
@@ -298,6 +299,15 @@ class _Forests:
         return (m, unstepped) if h is None else (h, stepped)
 
 
+def _tracked(chi_floor, characters) -> tuple:
+    """The characters, then the floor's: each must be a Character."""
+    tracked = tuple(characters) + ((chi_floor[0],) if chi_floor else ())
+    for c in tracked:
+        if not isinstance(c, Character):
+            raise ValueError(f"character must be a Character, got {c!r}")
+    return tracked
+
+
 def _doubled(word: str, p: int) -> str:
     # the far side of split p: foot p is two feet, neither of them split
     return word[:p - 1] + "II" + word[p:]
@@ -328,6 +338,7 @@ class Fragment:
         self.band = _check_band(band)
         self.chi_floor = chi_floor
         self.characters = tuple(characters)
+        tracked = _tracked(chi_floor, self.characters)
         self.provenance = provenance or {}
         if _explored is None:
             forests, keys = _Forests(), {}
@@ -358,7 +369,6 @@ class Fragment:
                     if k is not None:
                         mv["s", j] = k
                         self.moves[k]["m", j] = i
-        tracked = self.characters + ((chi_floor[0],) if chi_floor else ())
         self.chi_values = {str(c): [
             Fraction(c.ints[0] * c0 + c.ints[1] * c1, c.scale)
             for c0, c1 in zip(self.chi0_values, self.chi1_values)]
@@ -473,6 +483,7 @@ def explore(seeds, band, chi_floor=None, characters=(),
     if not (max_radius is None
             or type(max_radius) is int and max_radius >= 0):
         raise ValueError(f"max_radius is {max_radius!r}, not None or int >= 0")
+    _tracked(chi_floor, characters)
     if chi_floor is not None:
         char, threshold = chi_floor
         chi_floor = (char, Fraction(threshold))

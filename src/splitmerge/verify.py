@@ -4,8 +4,8 @@ Each runner rebuilds its inputs, performs a fixed list of checks and
 returns a JSON-ready report {"claim", "ok", "checks", "parameters"}. It
 takes the sizes a CLI flag sets and, if randomized, an explicit seed, so
 runs are deterministic; every other size is fixed in it. A runner whose
-only failed checks are ones it could not decide (a pi1 probe the Tietze
-moves left open, an exploration too small to fill a sample) raises
+only failed checks are ones it could not decide (a pi1 probe the matching
+left open, an exploration too small to fill a sample) raises
 RuntimeError instead: the claim is inconclusive, not false.
 """
 
@@ -269,7 +269,7 @@ def run_long_interval_ascending() -> dict:
         acyclic = shape_ok and _acyclic(rep)
         _check(checks, name, acyclic and rep["pi1"] == "trivial", detail)
         if acyclic and rep["pi1"] == "inconclusive":
-            unsettled[name] = "the Tietze moves left pi1 open"
+            unsettled[name] = "the matching left pi1 open"
 
     n_param = 7
     band = (2, n_param)

@@ -2,7 +2,6 @@
 
 import contextlib
 import hashlib
-import importlib
 import inspect
 import io
 import json
@@ -20,9 +19,6 @@ from splitmerge.complexes import SimplicialComplex
 from splitmerge.homology import homology_report
 from splitmerge.trees import MAX_DEPTH
 
-# the package re-exports homology(), which shadows the module attribute
-homology_module = importlib.import_module("splitmerge.homology")
-
 
 def run(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -33,7 +29,7 @@ def run(*argv):
 
 def pi1_left_open(monkeypatch, cyclic=0):
     """Make verify's reports read pi1 "inconclusive" where it is "trivial",
-    as Tietze moves that stop with generators left leave it, and the first
+    as a matching that leaves a critical edge leaves it, and the first
     cyclic reports cyclic: a nonzero reduced H0."""
     calls = []
 
@@ -291,10 +287,9 @@ class TestVerify:
         assert f"MAX_DEPTH = {MAX_DEPTH}" in out
         assert "certificate field" not in out and "Traceback" not in out
 
-    def test_pi1_probes_need_no_budget(self, monkeypatch):
-        # the coreduction matching proves every pi1 probe: the claim passes
-        # with the Tietze fallback out of reach
-        monkeypatch.setattr(homology_module, "_pi1_verdict", None)
+    def test_pi1_probes_need_no_budget(self):
+        # only a matching proof reads "trivial", so the coreduction
+        # matching proves every pi1 probe of the passing claim
         code, out, _ = run("--json", "verify", "long-interval-ascending")
         j = json.loads(out)
         assert code == 0 and j["verdict"] == "pass"
@@ -313,8 +308,8 @@ class TestVerify:
         code, out, _ = run("--json", "verify", "long-interval-ascending")
         j = json.loads(out)
         assert code == 3 and j["verdict"] == "inconclusive"
-        assert "-cone: the Tietze moves left pi1 open" in j["error"]
-        assert "-pole-join: the Tietze moves left pi1 open" in j["error"]
+        assert "-cone: the matching left pi1 open" in j["error"]
+        assert "-pole-join: the matching left pi1 open" in j["error"]
 
     def test_failure_beside_pi1_left_open_still_fails(self, monkeypatch):
         # the first report is cyclic; every other probe is left open

